@@ -3,12 +3,12 @@
 //! vs bucketize-before-randomize, and the ADMM iteration budget.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ldp_bench::{bench_dataset, BENCH_N};
+use ldp_bench::{bench_dataset, sw_ems_trial, BENCH_N};
 use ldp_cfo::postprocess::{norm_mul, norm_sub};
 use ldp_datasets::DatasetKind;
 use ldp_hierarchy::{hh_admm, AdmmConfig, HierarchicalHistogram};
 use ldp_numeric::SplitMix64;
-use ldp_sw::{reconstruct, DiscreteSw, EmConfig, Reconstruction, SmoothingKernel, SwPipeline};
+use ldp_sw::{reconstruct, DiscreteSw, EmConfig, ShardAggregator, SmoothingKernel, SwPipeline};
 use std::time::Duration;
 
 const D: usize = 256;
@@ -28,7 +28,9 @@ fn bench_smoothing_kernels(c: &mut Criterion) {
         .iter()
         .map(|&v| pipeline.randomize(v, &mut rng).unwrap())
         .collect();
-    let counts = pipeline.aggregate(&reports);
+    let mut agg = ShardAggregator::for_pipeline(&pipeline);
+    agg.push_slice(&reports).unwrap();
+    let counts = agg.to_counts();
     let m = pipeline.transition();
 
     let configs = [
@@ -82,10 +84,7 @@ fn bench_rb_vs_br(c: &mut Criterion) {
         let mut seed = 700u64;
         b.iter(|| {
             seed += 1;
-            let mut rng = SplitMix64::new(seed);
-            pipeline
-                .estimate(&ds.values, &Reconstruction::Ems, &mut rng)
-                .unwrap()
+            sw_ems_trial(&pipeline, &ds.values, seed)
         })
     });
 

@@ -1,23 +1,18 @@
-//! Perf trajectory benches for the structured transition operator and the
-//! batched client path (recorded into `BENCH_em.json` by
-//! `scripts/bench_record.sh`).
+//! Perf trajectory benches for the structured transition operator, the
+//! pooled experiment grid and server-side ingest (recorded into
+//! `BENCH_em.json` by `scripts/bench_record.sh`).
 //!
 //! - `em_fixed/{dense,structured}_d{D}_iters{K}`: EM over exactly `K`
 //!   iterations at `d = d̃ = D`, dense matrix vs `BandedBaselineOperator`.
 //!   Per-iteration cost = reported ns / `K`.
-//! - `client_batch/randomize_n{N}_w{W}`: perturbing `N` reports across `W`
-//!   shards on the shared `ldp-pool` worker pool; reports/sec =
-//!   `N / (ns · 1e-9)`.
 //! - `grid/sw_ems_jobs{J}_d{D}`: a figure-6-style `run_grid` slice of `J`
 //!   (ε × trial) jobs through `parallel_jobs`; per-trial cost = ns / `J`.
 //! - `bootstrap/replicates{R}_d{D}`: Poisson bootstrap with `R` replicates
 //!   on the pool; per-replicate cost = ns / `R`.
-//! - `streaming/{legacy,push_slice,one_shot}_n{N}_d{D}`: server-side
-//!   aggregation of `N` pre-randomized reports + EMS reconstruction —
-//!   the pre-redesign `ShardAggregator` path vs. chunked
-//!   `Aggregator::push_slice` vs. one-shot `Mechanism::aggregate` through
-//!   the unified `ldp-core` API; per-report cost = ns / `N`. The three
-//!   must stay at parity: the API redesign is free on the hot path.
+//! - `streaming/{push_slice,one_shot}_n{N}_d{D}`: server-side aggregation
+//!   of `N` pre-randomized reports + EMS reconstruction — chunked
+//!   `Aggregator::push_slice` vs. one-shot `Mechanism::aggregate`;
+//!   per-report cost = ns / `N`. The two must stay at parity.
 //! - `absorb/{family}_n{N}`: bulk `Aggregator::push_slice` absorption of
 //!   `N` pre-randomized reports per mechanism family — the SIMD/unrolled
 //!   kernel path; per-report cost = ns / `N`.
@@ -39,7 +34,7 @@ use ldp_mean::{Hybrid, Pm};
 use ldp_numeric::Histogram;
 use ldp_sw::{
     bootstrap, optimal_b, reconstruct, transition_matrix, BandedBaselineOperator, BootstrapConfig,
-    EmConfig, Reconstruction, ShardAggregator, SwMechanism, SwPipeline, Wave,
+    EmConfig, SwMechanism, Wave,
 };
 use std::time::Duration;
 
@@ -107,37 +102,6 @@ fn bench_em(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_batch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("client_batch");
-    if smoke() {
-        group
-            .sample_size(2)
-            .warm_up_time(Duration::from_millis(50))
-            .measurement_time(Duration::from_millis(200));
-    } else {
-        group
-            .sample_size(10)
-            .warm_up_time(Duration::from_millis(300))
-            .measurement_time(Duration::from_secs(2));
-    }
-    let n: usize = if smoke() { 20_000 } else { 400_000 };
-    let pipeline = SwPipeline::new(1.0, 256).unwrap();
-    let values: Vec<f64> = (0..n).map(|i| (i % 9973) as f64 / 9973.0).collect();
-    for workers in [1usize, 2, 4] {
-        group.bench_function(format!("randomize_n{n}_w{workers}"), |b| {
-            b.iter(|| {
-                pipeline
-                    .randomize_batch(black_box(&values), workers, 7)
-                    .unwrap()
-            })
-        });
-    }
-    group.bench_function(format!("aggregate_n{n}_w4"), |b| {
-        b.iter(|| pipeline.aggregate_batch(black_box(&values), 4, 7).unwrap())
-    });
-    group.finish();
-}
-
 fn bench_grid(c: &mut Criterion) {
     let mut group = c.benchmark_group("grid");
     if smoke() {
@@ -187,9 +151,11 @@ fn bench_bootstrap(c: &mut Criterion) {
     }
     let d = 64;
     let replicates = if smoke() { 10 } else { 30 };
-    let pipeline = SwPipeline::new(1.0, d).unwrap();
+    let mech = SwMechanism::ems(1.0, d).unwrap();
     let values: Vec<f64> = (0..60_000).map(|i| (i % 4093) as f64 / 4093.0).collect();
-    let counts = pipeline.aggregate_batch(&values, 4, 7).unwrap().to_counts();
+    let mut agg = Aggregator::new(&mech);
+    agg.push_slice(&absorb_reports(&mech, &values, 7)).unwrap();
+    let counts = agg.state().to_counts();
     let config = BootstrapConfig {
         replicates,
         ..BootstrapConfig::default()
@@ -197,7 +163,13 @@ fn bench_bootstrap(c: &mut Criterion) {
     group.bench_function(format!("replicates{replicates}_d{d}"), |b| {
         b.iter(|| {
             let mut rng = ldp_numeric::SplitMix64::new(11);
-            bootstrap(pipeline.operator(), black_box(&counts), &config, &mut rng).unwrap()
+            bootstrap(
+                mech.pipeline().operator(),
+                black_box(&counts),
+                &config,
+                &mut rng,
+            )
+            .unwrap()
         })
     });
     group.finish();
@@ -224,18 +196,6 @@ fn bench_streaming(c: &mut Criterion) {
     let values: Vec<f64> = (0..n).map(|i| (i % 9973) as f64 / 9973.0).collect();
     let reports = client.randomize_batch(&values, &mut rng).unwrap();
 
-    // Pre-redesign baseline: ShardAggregator bulk ingest + pipeline
-    // reconstruct.
-    group.bench_function(format!("legacy_n{n}_d{d}"), |b| {
-        b.iter(|| {
-            let mut agg = ShardAggregator::for_pipeline(mech.pipeline());
-            agg.push_slice(black_box(&reports)).unwrap();
-            mech.pipeline()
-                .reconstruct(&agg.to_counts(), &Reconstruction::Ems)
-                .unwrap()
-                .histogram
-        })
-    });
     // Unified API, streaming ingestion in collector-sized chunks.
     group.bench_function(format!("push_slice_n{n}_d{d}"), |b| {
         b.iter(|| {
@@ -377,7 +337,6 @@ fn bench_absorb(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_em,
-    bench_batch,
     bench_grid,
     bench_bootstrap,
     bench_streaming,

@@ -2,11 +2,10 @@
 //! trapezoid, triangle) at fixed ε and b.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ldp_bench::{bench_dataset, bench_truth, BENCH_D, BENCH_N};
+use ldp_bench::{bench_dataset, bench_truth, sw_ems_trial, BENCH_D, BENCH_N};
 use ldp_datasets::DatasetKind;
 use ldp_metrics::wasserstein;
-use ldp_numeric::SplitMix64;
-use ldp_sw::{Reconstruction, SwPipeline, Wave, WaveShape};
+use ldp_sw::{SwPipeline, Wave, WaveShape};
 use std::time::Duration;
 
 fn bench_fig5(c: &mut Criterion) {
@@ -29,10 +28,7 @@ fn bench_fig5(c: &mut Criterion) {
             let mut seed = 300u64;
             b.iter(|| {
                 seed += 1;
-                let mut rng = SplitMix64::new(seed);
-                let est = pipeline
-                    .estimate(&ds.values, &Reconstruction::Ems, &mut rng)
-                    .unwrap();
+                let est = sw_ems_trial(&pipeline, &ds.values, seed);
                 wasserstein(&truth, &est).unwrap()
             })
         });

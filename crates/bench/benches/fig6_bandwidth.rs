@@ -2,11 +2,10 @@
 //! closed-form optimum, plus the bandwidth rule itself.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ldp_bench::{bench_dataset, bench_truth, BENCH_D, BENCH_N};
+use ldp_bench::{bench_dataset, bench_truth, sw_ems_trial, BENCH_D, BENCH_N};
 use ldp_datasets::DatasetKind;
 use ldp_metrics::wasserstein;
-use ldp_numeric::SplitMix64;
-use ldp_sw::{optimal_b, Reconstruction, SwPipeline, Wave};
+use ldp_sw::{optimal_b, SwPipeline, Wave};
 use std::time::Duration;
 
 fn bench_fig6(c: &mut Criterion) {
@@ -29,10 +28,7 @@ fn bench_fig6(c: &mut Criterion) {
             let mut seed = 400u64;
             bch.iter(|| {
                 seed += 1;
-                let mut rng = SplitMix64::new(seed);
-                let est = pipeline
-                    .estimate(&ds.values, &Reconstruction::Ems, &mut rng)
-                    .unwrap();
+                let est = sw_ems_trial(&pipeline, &ds.values, seed);
                 wasserstein(&truth, &est).unwrap()
             })
         });

@@ -3,11 +3,10 @@
 //! this is the scaling-sensitive axis).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ldp_bench::{bench_dataset, BENCH_N};
+use ldp_bench::{bench_dataset, sw_ems_trial, BENCH_N};
 use ldp_datasets::DatasetKind;
 use ldp_metrics::wasserstein;
-use ldp_numeric::SplitMix64;
-use ldp_sw::{Reconstruction, SwPipeline};
+use ldp_sw::SwPipeline;
 use std::time::Duration;
 
 fn bench_fig7(c: &mut Criterion) {
@@ -24,10 +23,7 @@ fn bench_fig7(c: &mut Criterion) {
             let mut seed = 500u64;
             b.iter(|| {
                 seed += 1;
-                let mut rng = SplitMix64::new(seed);
-                let est = pipeline
-                    .estimate(&ds.values, &Reconstruction::Ems, &mut rng)
-                    .unwrap();
+                let est = sw_ems_trial(&pipeline, &ds.values, seed);
                 wasserstein(&truth, &est).unwrap()
             })
         });

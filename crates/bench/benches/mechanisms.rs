@@ -2,10 +2,11 @@
 //! perturb reports. These are the per-user costs a deployment pays.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
-use ldp_cfo::{FrequencyOracle, Grr, Hrr, Olh, Oue};
+use ldp_cfo::{Grr, Hrr, Olh, Oue};
+use ldp_core::Mechanism;
 use ldp_mean::{Pm, Sr};
 use ldp_numeric::SplitMix64;
-use ldp_sw::{DiscreteSw, SwPipeline};
+use ldp_sw::{DiscreteSw, ShardAggregator, SwPipeline};
 use std::time::Duration;
 
 fn bench_randomizers(c: &mut Criterion) {
@@ -31,25 +32,25 @@ fn bench_randomizers(c: &mut Criterion) {
     let grr = Grr::new(256, eps).unwrap();
     group.bench_function("grr_d256", |b| {
         let mut rng = SplitMix64::new(3);
-        b.iter(|| grr.randomize(black_box(97), &mut rng).unwrap())
+        b.iter(|| grr.randomize(black_box(&97), &mut rng).unwrap())
     });
 
     let olh = Olh::new(256, eps).unwrap();
     group.bench_function("olh_d256", |b| {
         let mut rng = SplitMix64::new(4);
-        b.iter(|| olh.randomize(black_box(97), &mut rng).unwrap())
+        b.iter(|| olh.randomize(black_box(&97), &mut rng).unwrap())
     });
 
     let hrr = Hrr::new(256, eps).unwrap();
     group.bench_function("hrr_d256", |b| {
         let mut rng = SplitMix64::new(5);
-        b.iter(|| hrr.randomize(black_box(97), &mut rng).unwrap())
+        b.iter(|| hrr.randomize(black_box(&97), &mut rng).unwrap())
     });
 
     let oue = Oue::new(256, eps).unwrap();
     group.bench_function("oue_d256", |b| {
         let mut rng = SplitMix64::new(6);
-        b.iter(|| oue.randomize(black_box(97), &mut rng).unwrap())
+        b.iter(|| oue.randomize(black_box(&97), &mut rng).unwrap())
     });
 
     let pm = Pm::new(eps).unwrap();
@@ -81,24 +82,24 @@ fn bench_aggregation(c: &mut Criterion) {
     let olh = Olh::new(d, eps).unwrap();
     let mut rng = SplitMix64::new(9);
     let olh_reports: Vec<_> = (0..n)
-        .map(|i| olh.randomize(i % d, &mut rng).unwrap())
+        .map(|i| olh.randomize(&(i % d), &mut rng).unwrap())
         .collect();
     group.bench_function("olh_support_counting_n20k_d64", |b| {
         b.iter_batched(
             || olh_reports.clone(),
-            |r| olh.aggregate(&r),
+            |r| olh.aggregate(&r).unwrap(),
             BatchSize::LargeInput,
         )
     });
 
     let hrr = Hrr::new(d, eps).unwrap();
     let hrr_reports: Vec<_> = (0..n)
-        .map(|i| hrr.randomize(i % d, &mut rng).unwrap())
+        .map(|i| hrr.randomize(&(i % d), &mut rng).unwrap())
         .collect();
     group.bench_function("hrr_fwht_n20k_d64", |b| {
         b.iter_batched(
             || hrr_reports.clone(),
-            |r| hrr.aggregate(&r),
+            |r| hrr.aggregate(&r).unwrap(),
             BatchSize::LargeInput,
         )
     });
@@ -108,7 +109,11 @@ fn bench_aggregation(c: &mut Criterion) {
         .map(|i| sw.randomize((i % 1000) as f64 / 1000.0, &mut rng).unwrap())
         .collect();
     group.bench_function("sw_bucketize_n20k_d256", |b| {
-        b.iter(|| sw.aggregate(black_box(&sw_reports)))
+        b.iter(|| {
+            let mut agg = ShardAggregator::for_pipeline(&sw);
+            agg.push_slice(black_box(&sw_reports)).unwrap();
+            agg
+        })
     });
 
     group.finish();

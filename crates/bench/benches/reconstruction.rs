@@ -6,7 +6,7 @@ use ldp_bench::{bench_dataset, BENCH_D, BENCH_N};
 use ldp_datasets::DatasetKind;
 use ldp_hierarchy::{hh_admm, AdmmConfig, HierarchicalHistogram};
 use ldp_numeric::SplitMix64;
-use ldp_sw::{optimal_b, reconstruct, transition_matrix, EmConfig, Wave};
+use ldp_sw::{optimal_b, reconstruct, transition_matrix, EmConfig, ShardAggregator, Wave};
 use std::time::Duration;
 
 fn bench_transition(c: &mut Criterion) {
@@ -46,7 +46,9 @@ fn bench_em_ems(c: &mut Criterion) {
         .iter()
         .map(|&v| pipeline.randomize(v, &mut rng).unwrap())
         .collect();
-    let counts = pipeline.aggregate(&reports);
+    let mut agg = ShardAggregator::for_pipeline(&pipeline);
+    agg.push_slice(&reports).unwrap();
+    let counts = agg.to_counts();
 
     group.bench_function("em_d256", |b| {
         b.iter(|| reconstruct(black_box(&m), black_box(&counts), &EmConfig::em(eps)).unwrap())

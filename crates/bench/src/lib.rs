@@ -7,8 +7,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use ldp_core::{Client, Mechanism};
 use ldp_datasets::{Dataset, DatasetKind, DatasetSpec};
-use ldp_numeric::Histogram;
+use ldp_numeric::{Histogram, SplitMix64};
+use ldp_sw::{Reconstruction, SwMechanism, SwPipeline};
 
 /// A small deterministic workload for micro-benchmarks.
 #[must_use]
@@ -20,6 +22,18 @@ pub fn bench_dataset(kind: DatasetKind, n: usize) -> Dataset {
 #[must_use]
 pub fn bench_truth(dataset: &Dataset, d: usize) -> Histogram {
     dataset.histogram(d).expect("non-empty bench dataset")
+}
+
+/// One EMS trial over `pipeline` through the `Mechanism` API: every value
+/// randomized on one `seed` stream, the reports aggregated and finalized.
+#[must_use]
+pub fn sw_ems_trial(pipeline: &SwPipeline, values: &[f64], seed: u64) -> Histogram {
+    let mech = SwMechanism::with_pipeline(pipeline.clone(), Reconstruction::Ems);
+    let reports = Client::new(&mech)
+        .randomize_batch(values, &mut SplitMix64::new(seed))
+        .expect("bench values lie in [0, 1]");
+    mech.aggregate(&reports)
+        .expect("non-empty bench population")
 }
 
 /// Bench-scale defaults: users per trial and histogram granularity.

@@ -8,13 +8,11 @@
 //! within-bin bias. The paper reports c ∈ {16, 32, 64}.
 
 use crate::error::CfoError;
-use crate::oracle::FrequencyOracle;
-use crate::postprocess::norm_sub;
 use crate::select::AdaptiveOracle;
-use ldp_numeric::histogram::{bucket_of, Histogram};
-use rand::Rng;
 
-/// The "CFO with binning" distribution estimator.
+/// The "CFO with binning" distribution estimator: bin → randomize →
+/// aggregate → Norm-Sub → uniform expansion, run through its
+/// [`ldp_core::Mechanism`] impl in [`crate::mechanism`].
 #[derive(Debug, Clone)]
 pub struct BinningEstimator {
     bins: usize,
@@ -57,37 +55,17 @@ impl BinningEstimator {
         self.oracle.kind()
     }
 
-    /// The underlying adaptive oracle (shared with the `Mechanism` impl).
+    /// The adaptive oracle the `Mechanism` impl delegates to.
     pub(crate) fn oracle(&self) -> &AdaptiveOracle {
         &self.oracle
-    }
-
-    /// Runs the full pipeline over users' private values in `[0, 1]`:
-    /// bin → randomize → aggregate → Norm-Sub → uniform expansion.
-    pub fn estimate<R: Rng + ?Sized>(
-        &self,
-        values: &[f64],
-        rng: &mut R,
-    ) -> Result<Histogram, CfoError> {
-        if values.is_empty() {
-            return Err(CfoError::InvalidParameter(
-                "need at least one user report".into(),
-            ));
-        }
-        let bin_values: Vec<usize> = values.iter().map(|&v| bucket_of(v, self.bins)).collect();
-        let raw = self.oracle.run(&bin_values, rng)?;
-        let repaired = norm_sub(&raw, 1.0);
-        let coarse = Histogram::from_probs(repaired)
-            .map_err(|e| CfoError::InvalidParameter(e.to_string()))?;
-        coarse
-            .expand_uniform(self.target_d / self.bins)
-            .map_err(|e| CfoError::InvalidParameter(e.to_string()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mechanism::run;
+    use ldp_core::Mechanism;
     use ldp_numeric::SplitMix64;
 
     #[test]
@@ -103,7 +81,7 @@ mod tests {
         let est = BinningEstimator::new(16, 256, 1.0).unwrap();
         let mut rng = SplitMix64::new(61);
         let values: Vec<f64> = (0..20_000).map(|i| (i % 100) as f64 / 100.0).collect();
-        let h = est.estimate(&values, &mut rng).unwrap();
+        let h = run(&est, &values, &mut rng);
         assert_eq!(h.len(), 256);
         assert!(h.probs().iter().all(|&p| p >= 0.0));
         assert!((h.probs().iter().sum::<f64>() - 1.0).abs() < 1e-9);
@@ -115,7 +93,7 @@ mod tests {
         let est = BinningEstimator::new(16, 256, 4.0).unwrap();
         let mut rng = SplitMix64::new(62);
         let values = vec![0.53; 50_000];
-        let h = est.estimate(&values, &mut rng).unwrap();
+        let h = run(&est, &values, &mut rng);
         let mass_in_bin: f64 = h.range_mass(0.5, 0.5625);
         assert!(mass_in_bin > 0.9, "mass {mass_in_bin}");
     }
@@ -123,8 +101,7 @@ mod tests {
     #[test]
     fn estimate_rejects_empty_input() {
         let est = BinningEstimator::new(16, 256, 1.0).unwrap();
-        let mut rng = SplitMix64::new(63);
-        assert!(est.estimate(&[], &mut rng).is_err());
+        assert!(Mechanism::aggregate(&est, &[]).is_err());
     }
 
     #[test]
@@ -141,7 +118,7 @@ mod tests {
         let est = BinningEstimator::new(4, 16, 8.0).unwrap();
         let mut rng = SplitMix64::new(64);
         let values = vec![0.1; 20_000];
-        let h = est.estimate(&values, &mut rng).unwrap();
+        let h = run(&est, &values, &mut rng);
         // Buckets 0..4 (the first bin) should carry equal mass.
         let p = h.probs();
         for i in 1..4 {

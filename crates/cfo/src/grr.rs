@@ -8,16 +8,15 @@
 //! which is why GRR only wins on small domains.
 
 use crate::error::CfoError;
-use crate::oracle::{check_value, FrequencyOracle};
 use ldp_core::{Domain, Epsilon};
-use rand::Rng;
 
-/// The GRR frequency oracle.
+/// The GRR frequency oracle; its protocol is the
+/// [`ldp_core::Mechanism`] impl in [`crate::mechanism`].
 #[derive(Debug, Clone)]
 pub struct Grr {
-    d: usize,
-    eps: f64,
-    p: f64,
+    pub(crate) d: usize,
+    pub(crate) eps: Epsilon,
+    pub(crate) p: f64,
     q: f64,
 }
 
@@ -25,11 +24,17 @@ impl Grr {
     /// Creates a GRR oracle over a domain of size `d` with budget `eps`.
     pub fn new(d: usize, eps: f64) -> Result<Self, CfoError> {
         Domain::new(d)?;
-        Epsilon::new(eps)?;
+        let eps = Epsilon::new(eps)?;
         let e = eps.exp();
         let p = e / (e + d as f64 - 1.0);
         let q = 1.0 / (e + d as f64 - 1.0);
         Ok(Grr { d, eps, p, q })
+    }
+
+    /// Size `d` of the categorical input domain.
+    #[must_use]
+    pub fn domain_size(&self) -> usize {
+        self.d
     }
 
     /// Probability of reporting the true value.
@@ -51,10 +56,14 @@ impl Grr {
         (d as f64 - 2.0 + e) / ((e - 1.0) * (e - 1.0) * n as f64)
     }
 
-    /// Debiases raw per-value report counts into frequency estimates — the
-    /// single estimator shared by one-shot aggregation and the streaming
-    /// [`ldp_core::Aggregator`] state, which is what makes the two paths
-    /// bit-identical.
+    /// Approximate variance of one frequency estimate from `n` reports
+    /// (used for oracle selection and constrained-inference weights).
+    #[must_use]
+    pub fn estimate_variance(&self, n: usize) -> f64 {
+        Self::theoretical_variance(self.d, self.eps.get(), n.max(1))
+    }
+
+    /// Debiases raw per-value report counts into frequency estimates.
     pub(crate) fn estimate_from_counts(&self, counts: &[u64], n: u64) -> Vec<f64> {
         if n == 0 {
             return vec![0.0; self.d];
@@ -67,50 +76,11 @@ impl Grr {
     }
 }
 
-impl FrequencyOracle for Grr {
-    type Report = usize;
-
-    fn domain_size(&self) -> usize {
-        self.d
-    }
-
-    fn epsilon(&self) -> f64 {
-        self.eps
-    }
-
-    fn randomize<R: Rng + ?Sized>(&self, value: usize, rng: &mut R) -> Result<usize, CfoError> {
-        check_value(value, self.d)?;
-        if rng.gen::<f64>() < self.p {
-            Ok(value)
-        } else {
-            // Uniform over the d-1 other values: draw from [0, d-1) and skip
-            // the true value.
-            let mut other = rng.gen_range(0..self.d - 1);
-            if other >= value {
-                other += 1;
-            }
-            Ok(other)
-        }
-    }
-
-    fn aggregate(&self, reports: &[usize]) -> Vec<f64> {
-        let mut counts = vec![0u64; self.d];
-        for &r in reports {
-            if r < self.d {
-                counts[r] += 1;
-            }
-        }
-        self.estimate_from_counts(&counts, reports.len() as u64)
-    }
-
-    fn estimate_variance(&self, n: usize) -> f64 {
-        Self::theoretical_variance(self.d, self.eps, n.max(1))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mechanism::run;
+    use ldp_core::Mechanism;
     use ldp_numeric::SplitMix64;
 
     #[test]
@@ -133,7 +103,7 @@ mod tests {
     fn randomize_rejects_out_of_domain() {
         let g = Grr::new(4, 1.0).unwrap();
         let mut rng = SplitMix64::new(1);
-        assert!(g.randomize(4, &mut rng).is_err());
+        assert!(Mechanism::randomize(&g, &4, &mut rng).is_err());
     }
 
     #[test]
@@ -142,7 +112,7 @@ mod tests {
         let mut rng = SplitMix64::new(2);
         for v in 0..5 {
             for _ in 0..1000 {
-                let r = g.randomize(v, &mut rng).unwrap();
+                let r = Mechanism::randomize(&g, &v, &mut rng).unwrap();
                 assert!(r < 5);
             }
         }
@@ -156,7 +126,7 @@ mod tests {
         // 60% value 0, 40% value 5.
         let n = 200_000;
         let values: Vec<usize> = (0..n).map(|i| if i % 5 < 3 { 0 } else { 5 }).collect();
-        let est = g.run(&values, &mut rng).unwrap();
+        let est = run(&g, &values, &mut rng);
         assert!((est[0] - 0.6).abs() < 0.02, "est[0]={}", est[0]);
         assert!((est[5] - 0.4).abs() < 0.02, "est[5]={}", est[5]);
         for (v, &e) in est.iter().enumerate() {
@@ -180,7 +150,7 @@ mod tests {
         let mut errs = Vec::with_capacity(trials);
         for t in 0..trials {
             let mut rng = SplitMix64::new(1000 + t as u64);
-            let est = g.run(&values, &mut rng).unwrap();
+            let est = run(&g, &values, &mut rng);
             errs.push(est[0]); // true frequency of value 0 is 0.
         }
         let emp_var = ldp_numeric::stats::variance(&errs);
@@ -195,7 +165,7 @@ mod tests {
     #[test]
     fn aggregate_empty_reports_gives_zeros() {
         let g = Grr::new(4, 1.0).unwrap();
-        assert_eq!(g.aggregate(&[]), vec![0.0; 4]);
+        assert_eq!(Mechanism::aggregate(&g, &[]).unwrap(), vec![0.0; 4]);
     }
 
     #[test]
@@ -203,7 +173,7 @@ mod tests {
         let g = Grr::new(4, 20.0).unwrap();
         let mut rng = SplitMix64::new(9);
         let values = vec![2usize; 1000];
-        let est = g.run(&values, &mut rng).unwrap();
+        let est = run(&g, &values, &mut rng);
         assert!((est[2] - 1.0).abs() < 1e-3);
     }
 }

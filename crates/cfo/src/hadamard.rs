@@ -11,9 +11,7 @@
 //! "Hadamard random response" (§4.2).
 
 use crate::error::CfoError;
-use crate::oracle::{check_value, FrequencyOracle};
 use ldp_core::{Domain, Epsilon};
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Entry `φ[r, c] ∈ {-1, +1}` of the (Sylvester) Hadamard matrix of any
@@ -67,15 +65,16 @@ pub struct HrrReport {
     pub bit: i8,
 }
 
-/// The HRR frequency oracle.
+/// The HRR frequency oracle; its protocol is the
+/// [`ldp_core::Mechanism`] impl in [`crate::mechanism`].
 #[derive(Debug, Clone)]
 pub struct Hrr {
-    d: usize,
+    pub(crate) d: usize,
     /// Domain padded to a power of two.
-    padded: usize,
-    eps: f64,
+    pub(crate) padded: usize,
+    pub(crate) eps: Epsilon,
     /// Probability of keeping the true bit.
-    p: f64,
+    pub(crate) p: f64,
 }
 
 impl Hrr {
@@ -83,7 +82,7 @@ impl Hrr {
     /// next power of two).
     pub fn new(d: usize, eps: f64) -> Result<Self, CfoError> {
         Domain::new(d)?;
-        Epsilon::new(eps)?;
+        let eps = Epsilon::new(eps)?;
         let e = eps.exp();
         Ok(Hrr {
             d,
@@ -99,6 +98,18 @@ impl Hrr {
         self.padded
     }
 
+    /// Size `d` of the categorical input domain.
+    #[must_use]
+    pub fn domain_size(&self) -> usize {
+        self.d
+    }
+
+    /// Approximate variance of one frequency estimate from `n` reports.
+    #[must_use]
+    pub fn estimate_variance(&self, n: usize) -> f64 {
+        Self::theoretical_variance(self.eps.get(), n.max(1))
+    }
+
     /// Approximate per-estimate variance: HRR behaves like local hashing
     /// with g = 2, giving `(eᵉ+1)² / ((eᵉ-1)² n)`.
     #[must_use]
@@ -107,11 +118,8 @@ impl Hrr {
         (e + 1.0) * (e + 1.0) / ((e - 1.0) * (e - 1.0) * n as f64)
     }
 
-    /// Inverts integer per-row bit sums into frequency estimates; shared by
-    /// one-shot aggregation and the streaming state. Summing the ±1 bits in
-    /// `i64` is exact (so shard merges are exact), and converting each row
-    /// total to `f64` reproduces the sequential float accumulation bit for
-    /// bit because every intermediate is an integer below 2⁵³.
+    /// Inverts integer per-row bit sums into frequency estimates. Summing
+    /// the ±1 bits in `i64` is exact, so shard merges are exact too.
     pub(crate) fn estimate_from_spectrum(&self, spectrum: &[i64], n: u64) -> Vec<f64> {
         if n == 0 {
             return vec![0.0; self.d];
@@ -133,50 +141,11 @@ impl Hrr {
     }
 }
 
-impl FrequencyOracle for Hrr {
-    type Report = HrrReport;
-
-    fn domain_size(&self) -> usize {
-        self.d
-    }
-
-    fn epsilon(&self) -> f64 {
-        self.eps
-    }
-
-    fn randomize<R: Rng + ?Sized>(&self, value: usize, rng: &mut R) -> Result<HrrReport, CfoError> {
-        check_value(value, self.d)?;
-        let row = rng.gen_range(0..self.padded as u32);
-        let true_bit = hadamard_entry(row as usize, value);
-        let bit = if rng.gen::<f64>() < self.p {
-            true_bit
-        } else {
-            -true_bit
-        };
-        Ok(HrrReport {
-            row,
-            bit: bit as i8,
-        })
-    }
-
-    fn aggregate(&self, reports: &[HrrReport]) -> Vec<f64> {
-        // Per-row sums of the ±1 bits estimate the Walsh-Hadamard spectrum
-        // of the frequency vector.
-        let mut spectrum = vec![0i64; self.padded];
-        for r in reports {
-            spectrum[r.row as usize] += i64::from(r.bit);
-        }
-        self.estimate_from_spectrum(&spectrum, reports.len() as u64)
-    }
-
-    fn estimate_variance(&self, n: usize) -> f64 {
-        Self::theoretical_variance(self.eps, n.max(1))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mechanism::run;
+    use ldp_core::Mechanism;
     use ldp_numeric::SplitMix64;
 
     #[test]
@@ -251,7 +220,7 @@ mod tests {
         let mut rng = SplitMix64::new(21);
         let n = 150_000;
         let values: Vec<usize> = (0..n).map(|i| if i % 4 == 0 { 2 } else { 9 }).collect();
-        let est = h.run(&values, &mut rng).unwrap();
+        let est = run(&h, &values, &mut rng);
         assert!((est[2] - 0.25).abs() < 0.03, "est[2]={}", est[2]);
         assert!((est[9] - 0.75).abs() < 0.03, "est[9]={}", est[9]);
         for (v, &e) in est.iter().enumerate() {
@@ -272,7 +241,7 @@ mod tests {
         let mut errs = Vec::with_capacity(trials);
         for t in 0..trials {
             let mut rng = SplitMix64::new(3000 + t as u64);
-            let est = h.run(&values, &mut rng).unwrap();
+            let est = run(&h, &values, &mut rng);
             errs.push(est[0]);
         }
         let emp_var = ldp_numeric::stats::variance(&errs);
@@ -289,10 +258,10 @@ mod tests {
         let h = Hrr::new(10, 1.0).unwrap();
         let mut rng = SplitMix64::new(5);
         for v in 0..10 {
-            let r = h.randomize(v, &mut rng).unwrap();
+            let r = Mechanism::randomize(&h, &v, &mut rng).unwrap();
             assert!(r.row < 16);
             assert!(r.bit == 1 || r.bit == -1);
         }
-        assert!(h.randomize(10, &mut rng).is_err());
+        assert!(Mechanism::randomize(&h, &10, &mut rng).is_err());
     }
 }

@@ -16,10 +16,11 @@
 //! [`postprocess`] (Norm-Sub and friends, §4.1), and [`binning`] (the
 //! complete "CFO with binning" distribution estimator of §4.1).
 //!
-//! Every oracle also implements the workspace-wide
-//! [`ldp_core::Mechanism`] trait (see [`mechanism`]): streaming O(d)
-//! aggregation state, exact shard merges, and wire-format reports through
-//! the unified `Client`/`Aggregator` split.
+//! Every oracle and the binning estimator is driven through one API, the
+//! workspace-wide [`ldp_core::Mechanism`] trait (see [`mechanism`]):
+//! client randomization, streaming O(d) aggregation state, exact shard
+//! merges, and wire-format reports through the `Client`/`Aggregator`
+//! split.
 
 #![forbid(unsafe_code)]
 // `!(x > 0.0)` is used deliberately throughout: unlike `x <= 0.0` it is
@@ -33,7 +34,7 @@ pub mod grr;
 pub mod hadamard;
 pub mod mechanism;
 pub mod olh;
-pub mod oracle;
+mod oracle;
 pub mod oue;
 pub mod postprocess;
 pub mod select;
@@ -44,6 +45,5 @@ pub use grr::Grr;
 pub use hadamard::Hrr;
 pub use mechanism::{AdaptiveState, CountState, SpectrumState, SupportState};
 pub use olh::Olh;
-pub use oracle::FrequencyOracle;
 pub use oue::Oue;
 pub use select::{choose_oracle, AdaptiveOracle, OracleKind};

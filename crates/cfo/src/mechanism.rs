@@ -1,19 +1,17 @@
-//! [`Mechanism`] implementations for every frequency oracle.
+//! [`Mechanism`] implementations for every frequency oracle: the one API
+//! through which each protocol randomizes, aggregates and estimates.
 //!
-//! This adapts the crate-local [`FrequencyOracle`] protocols onto the
-//! workspace-wide `ldp-core` surface: each oracle gains a bounded streaming
-//! state (per-value counts, OLH support counts, or an integer Hadamard
-//! spectrum) so collectors ingest reports one at a time in O(d) memory and
-//! merge shards exactly. One-shot aggregation and streaming ingestion share
-//! the same debiasing helpers, which makes their estimates bit-identical by
-//! construction.
+//! Each oracle's client randomizer lives in its `Mechanism::randomize`.
+//! The server side is a bounded streaming state (per-value counts, OLH
+//! support counts, or an integer Hadamard spectrum), so collectors ingest
+//! reports one at a time in O(d) memory and merge shards exactly. One-shot
+//! aggregation is [`Mechanism::aggregate`] over the same state.
 
 use crate::binning::BinningEstimator;
-use crate::error::CfoError;
 use crate::grr::Grr;
-use crate::hadamard::{Hrr, HrrReport};
-use crate::olh::{Olh, OlhReport};
-use crate::oracle::FrequencyOracle;
+use crate::hadamard::{hadamard_entry, Hrr, HrrReport};
+use crate::olh::{olh_hash, Olh, OlhReport};
+use crate::oracle::check_value;
 use crate::oue::{Oue, OueReport};
 use crate::postprocess::norm_sub;
 use crate::select::{AdaptiveOracle, AdaptiveReport};
@@ -37,10 +35,6 @@ mod tag {
     pub const OUE: u64 = 0x03;
     pub const HRR: u64 = 0x04;
     pub const BINNING: u64 = 0x05;
-}
-
-fn input_err(e: CfoError) -> CoreError {
-    CoreError::InvalidInput(e.to_string())
 }
 
 /// Per-value report counts: the streaming state of GRR and OUE.
@@ -135,21 +129,27 @@ impl Mechanism for Grr {
     type Output = Vec<f64>;
 
     fn epsilon(&self) -> Epsilon {
-        Epsilon::new(FrequencyOracle::epsilon(self)).expect("validated at construction")
+        self.eps
     }
 
     fn fingerprint(&self) -> u64 {
-        fingerprint_fields(
-            tag::GRR,
-            &[
-                self.domain_size() as u64,
-                FrequencyOracle::epsilon(self).to_bits(),
-            ],
-        )
+        fingerprint_fields(tag::GRR, &[self.d as u64, self.eps.get().to_bits()])
     }
 
     fn randomize<R: Rng + ?Sized>(&self, input: &usize, rng: &mut R) -> Result<usize, CoreError> {
-        FrequencyOracle::randomize(self, *input, rng).map_err(input_err)
+        let value = *input;
+        check_value(value, self.d)?;
+        if rng.gen::<f64>() < self.p {
+            Ok(value)
+        } else {
+            // Uniform over the d-1 other values: draw from [0, d-1) and skip
+            // the true value.
+            let mut other = rng.gen_range(0..self.d - 1);
+            if other >= value {
+                other += 1;
+            }
+            Ok(other)
+        }
     }
 
     fn empty_state(&self) -> CountState {
@@ -190,17 +190,13 @@ impl Mechanism for Olh {
     type Output = Vec<f64>;
 
     fn epsilon(&self) -> Epsilon {
-        Epsilon::new(FrequencyOracle::epsilon(self)).expect("validated at construction")
+        self.eps
     }
 
     fn fingerprint(&self) -> u64 {
         fingerprint_fields(
             tag::OLH,
-            &[
-                self.domain_size() as u64,
-                FrequencyOracle::epsilon(self).to_bits(),
-                self.hash_range() as u64,
-            ],
+            &[self.d as u64, self.eps.get().to_bits(), self.g as u64],
         )
     }
 
@@ -209,7 +205,19 @@ impl Mechanism for Olh {
         input: &usize,
         rng: &mut R,
     ) -> Result<OlhReport, CoreError> {
-        FrequencyOracle::randomize(self, *input, rng).map_err(input_err)
+        check_value(*input, self.d)?;
+        let seed: u64 = rng.gen();
+        let h = olh_hash(seed, *input, self.g);
+        let y = if rng.gen::<f64>() < self.p {
+            h
+        } else {
+            let mut other = rng.gen_range(0..self.g as u32 - 1);
+            if other >= h {
+                other += 1;
+            }
+            other
+        };
+        Ok(OlhReport { seed, y })
     }
 
     fn empty_state(&self) -> SupportState {
@@ -276,17 +284,11 @@ impl Mechanism for Oue {
     type Output = Vec<f64>;
 
     fn epsilon(&self) -> Epsilon {
-        Epsilon::new(FrequencyOracle::epsilon(self)).expect("validated at construction")
+        self.eps
     }
 
     fn fingerprint(&self) -> u64 {
-        fingerprint_fields(
-            tag::OUE,
-            &[
-                self.domain_size() as u64,
-                FrequencyOracle::epsilon(self).to_bits(),
-            ],
-        )
+        fingerprint_fields(tag::OUE, &[self.d as u64, self.eps.get().to_bits()])
     }
 
     fn randomize<R: Rng + ?Sized>(
@@ -294,7 +296,32 @@ impl Mechanism for Oue {
         input: &usize,
         rng: &mut R,
     ) -> Result<OueReport, CoreError> {
-        FrequencyOracle::randomize(self, *input, rng).map_err(input_err)
+        let value = *input;
+        check_value(value, self.d)?;
+        let mut report = OueReport {
+            bits: vec![0u64; self.d.div_ceil(64)],
+            len: self.d,
+        };
+        // One unit draw per position, filled a packed word at a time so
+        // batched generators (SplitMix64's counter-based fill) amortize the
+        // stream. The draw order — and therefore the report — is identical
+        // to a per-position `gen::<f64>() < keep_prob` loop.
+        let mut draws = [0.0f64; 64];
+        for (w, word) in report.bits.iter_mut().enumerate() {
+            let base = w * 64;
+            let n = (self.d - base).min(64);
+            let draws = &mut draws[..n];
+            rng.fill_unit_f64s(draws);
+            let mut bits = 0u64;
+            for (i, &u) in draws.iter().enumerate() {
+                let keep_prob = if base + i == value { self.p } else { self.q };
+                if u < keep_prob {
+                    bits |= 1 << i;
+                }
+            }
+            *word = bits;
+        }
+        Ok(report)
     }
 
     fn empty_state(&self) -> CountState {
@@ -349,17 +376,11 @@ impl Mechanism for Hrr {
     type Output = Vec<f64>;
 
     fn epsilon(&self) -> Epsilon {
-        Epsilon::new(FrequencyOracle::epsilon(self)).expect("validated at construction")
+        self.eps
     }
 
     fn fingerprint(&self) -> u64 {
-        fingerprint_fields(
-            tag::HRR,
-            &[
-                self.domain_size() as u64,
-                FrequencyOracle::epsilon(self).to_bits(),
-            ],
-        )
+        fingerprint_fields(tag::HRR, &[self.d as u64, self.eps.get().to_bits()])
     }
 
     fn randomize<R: Rng + ?Sized>(
@@ -367,7 +388,18 @@ impl Mechanism for Hrr {
         input: &usize,
         rng: &mut R,
     ) -> Result<HrrReport, CoreError> {
-        FrequencyOracle::randomize(self, *input, rng).map_err(input_err)
+        check_value(*input, self.d)?;
+        let row = rng.gen_range(0..self.padded as u32);
+        let true_bit = hadamard_entry(row as usize, *input);
+        let bit = if rng.gen::<f64>() < self.p {
+            true_bit
+        } else {
+            -true_bit
+        };
+        Ok(HrrReport {
+            row,
+            bit: bit as i8,
+        })
     }
 
     fn empty_state(&self) -> SpectrumState {
@@ -786,70 +818,24 @@ impl WireReport for AdaptiveReport {
     }
 }
 
+/// Randomizes every input through one [`ldp_core::Client`] stream and
+/// aggregates the reports: the one-shot run the unit tests exercise.
+#[cfg(test)]
+pub(crate) fn run<M: Mechanism, R: Rng>(mech: &M, inputs: &[M::Input], rng: &mut R) -> M::Output
+where
+    M::Input: Sized,
+{
+    let reports = ldp_core::Client::new(mech)
+        .randomize_batch(inputs, rng)
+        .unwrap();
+    mech.aggregate(&reports).unwrap()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ldp_core::{encode_lines, Aggregator, Client};
+    use ldp_core::{encode_lines, Client};
     use ldp_numeric::SplitMix64;
-
-    /// Streaming ingestion must reproduce the legacy
-    /// `FrequencyOracle::run` estimate bit for bit when fed the same RNG
-    /// stream.
-    #[test]
-    fn streaming_matches_legacy_oracle_run() {
-        let values: Vec<usize> = (0..4_000).map(|i| (i * 7) % 12).collect();
-        let d = 12;
-        let eps = 1.0;
-
-        macro_rules! check {
-            ($oracle:expr) => {{
-                let oracle = $oracle;
-                let legacy = {
-                    let mut rng = SplitMix64::new(404);
-                    oracle.run(&values, &mut rng).unwrap()
-                };
-                let streamed = {
-                    let mut rng = SplitMix64::new(404);
-                    let client = Client::new(&oracle);
-                    let mut agg = Aggregator::new(&oracle);
-                    for v in &values {
-                        agg.push(&client.randomize(v, &mut rng).unwrap()).unwrap();
-                    }
-                    agg.finalize().unwrap()
-                };
-                assert_eq!(legacy.len(), streamed.len());
-                for (a, b) in legacy.iter().zip(&streamed) {
-                    assert_eq!(a.to_bits(), b.to_bits());
-                }
-            }};
-        }
-
-        check!(Grr::new(d, eps).unwrap());
-        check!(Olh::new(d, eps).unwrap());
-        check!(Oue::new(d, eps).unwrap());
-        check!(Hrr::new(d, eps).unwrap());
-        check!(AdaptiveOracle::new(d, eps).unwrap());
-    }
-
-    #[test]
-    fn binning_streaming_matches_legacy_estimate() {
-        let est = BinningEstimator::new(16, 64, 1.0).unwrap();
-        let values: Vec<f64> = (0..5_000).map(|i| (i % 97) as f64 / 97.0).collect();
-        let legacy = {
-            let mut rng = SplitMix64::new(77);
-            est.estimate(&values, &mut rng).unwrap()
-        };
-        let streamed = {
-            let mut rng = SplitMix64::new(77);
-            let client = Client::new(&est);
-            let mut agg = Aggregator::new(&est);
-            for v in &values {
-                agg.push(&client.randomize(v, &mut rng).unwrap()).unwrap();
-            }
-            agg.finalize().unwrap()
-        };
-        assert_eq!(legacy.probs(), streamed.probs());
-    }
 
     #[test]
     fn absorb_rejects_malformed_reports() {

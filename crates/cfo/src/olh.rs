@@ -13,10 +13,8 @@
 //! drawing an independent 64-bit seed provides it.
 
 use crate::error::CfoError;
-use crate::oracle::{check_value, FrequencyOracle};
 use ldp_core::{Domain, Epsilon};
 use ldp_numeric::rng::mix64;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// A single OLH report: the user's hash seed and the GRR-perturbed hashed
@@ -29,14 +27,15 @@ pub struct OlhReport {
     pub y: u32,
 }
 
-/// The OLH frequency oracle.
+/// The OLH frequency oracle; its protocol is the
+/// [`ldp_core::Mechanism`] impl in [`crate::mechanism`].
 #[derive(Debug, Clone)]
 pub struct Olh {
-    d: usize,
-    eps: f64,
-    g: usize,
+    pub(crate) d: usize,
+    pub(crate) eps: Epsilon,
+    pub(crate) g: usize,
     /// GRR keep-probability over the hashed domain.
-    p: f64,
+    pub(crate) p: f64,
 }
 
 /// Evaluates the OLH hash family: maps `value` into `{0, …, g-1}` under
@@ -61,7 +60,7 @@ impl Olh {
     /// (exposed for the ablation benches).
     pub fn with_hash_range(d: usize, eps: f64, g: usize) -> Result<Self, CfoError> {
         Domain::new(d)?;
-        Epsilon::new(eps)?;
+        let eps = Epsilon::new(eps)?;
         if g < 2 {
             return Err(CfoError::InvalidParameter(format!(
                 "hash range g must be at least 2, got {g}"
@@ -78,6 +77,19 @@ impl Olh {
         self.g
     }
 
+    /// Size `d` of the categorical input domain.
+    #[must_use]
+    pub fn domain_size(&self) -> usize {
+        self.d
+    }
+
+    /// Approximate variance of one frequency estimate from `n` reports
+    /// (used for oracle selection and constrained-inference weights).
+    #[must_use]
+    pub fn estimate_variance(&self, n: usize) -> f64 {
+        Self::theoretical_variance(self.eps.get(), n.max(1))
+    }
+
     /// The closed-form per-estimate variance for `n` users (paper §2.1).
     #[must_use]
     pub fn theoretical_variance(eps: f64, n: usize) -> f64 {
@@ -86,8 +98,7 @@ impl Olh {
     }
 
     /// Adds one report's support pattern to per-value support counts — the
-    /// O(d) inversion step shared by one-shot aggregation and streaming
-    /// absorption.
+    /// O(d) inversion step of a single absorb.
     pub(crate) fn add_support(&self, support: &mut [u64], report: &OlhReport) {
         for (v, s) in support.iter_mut().enumerate() {
             if olh_hash(report.seed, v, self.g) == report.y {
@@ -121,8 +132,7 @@ impl Olh {
         }
     }
 
-    /// Debiases support counts into frequency estimates; shared by both
-    /// aggregation paths so they are bit-identical.
+    /// Debiases support counts into frequency estimates.
     pub(crate) fn estimate_from_support(&self, support: &[u64], n: u64) -> Vec<f64> {
         if n == 0 {
             return vec![0.0; self.d];
@@ -136,49 +146,11 @@ impl Olh {
     }
 }
 
-impl FrequencyOracle for Olh {
-    type Report = OlhReport;
-
-    fn domain_size(&self) -> usize {
-        self.d
-    }
-
-    fn epsilon(&self) -> f64 {
-        self.eps
-    }
-
-    fn randomize<R: Rng + ?Sized>(&self, value: usize, rng: &mut R) -> Result<OlhReport, CfoError> {
-        check_value(value, self.d)?;
-        let seed: u64 = rng.gen();
-        let h = olh_hash(seed, value, self.g);
-        let y = if rng.gen::<f64>() < self.p {
-            h
-        } else {
-            let mut other = rng.gen_range(0..self.g as u32 - 1);
-            if other >= h {
-                other += 1;
-            }
-            other
-        };
-        Ok(OlhReport { seed, y })
-    }
-
-    fn aggregate(&self, reports: &[OlhReport]) -> Vec<f64> {
-        let mut support = vec![0u64; self.d];
-        for r in reports {
-            self.add_support(&mut support, r);
-        }
-        self.estimate_from_support(&support, reports.len() as u64)
-    }
-
-    fn estimate_variance(&self, n: usize) -> f64 {
-        Self::theoretical_variance(self.eps, n.max(1))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mechanism::run;
+    use ldp_core::Mechanism;
     use ldp_numeric::SplitMix64;
 
     #[test]
@@ -229,7 +201,7 @@ mod tests {
                 _ => 63,
             })
             .collect();
-        let est = o.run(&values, &mut rng).unwrap();
+        let est = run(&o, &values, &mut rng);
         assert!((est[3] - 0.5).abs() < 0.03, "est[3]={}", est[3]);
         assert!((est[40] - 0.3).abs() < 0.03, "est[40]={}", est[40]);
         assert!((est[63] - 0.2).abs() < 0.03, "est[63]={}", est[63]);
@@ -246,7 +218,7 @@ mod tests {
         let mut errs = Vec::with_capacity(trials);
         for t in 0..trials {
             let mut rng = SplitMix64::new(2000 + t as u64);
-            let est = o.run(&values, &mut rng).unwrap();
+            let est = run(&o, &values, &mut rng);
             errs.push(est[0]);
         }
         let emp_var = ldp_numeric::stats::variance(&errs);
@@ -271,12 +243,12 @@ mod tests {
     fn randomize_rejects_out_of_domain() {
         let o = Olh::new(8, 1.0).unwrap();
         let mut rng = SplitMix64::new(1);
-        assert!(o.randomize(8, &mut rng).is_err());
+        assert!(Mechanism::randomize(&o, &8, &mut rng).is_err());
     }
 
     #[test]
     fn aggregate_empty_reports_gives_zeros() {
         let o = Olh::new(8, 1.0).unwrap();
-        assert_eq!(o.aggregate(&[]), vec![0.0; 8]);
+        assert_eq!(Mechanism::aggregate(&o, &[]).unwrap(), vec![0.0; 8]);
     }
 }

@@ -1,53 +1,14 @@
-//! The [`FrequencyOracle`] abstraction shared by all CFO protocols.
+//! Input validation shared by every frequency-oracle protocol.
 
 use crate::error::CfoError;
-use rand::Rng;
+use ldp_core::CoreError;
 
-/// A categorical frequency oracle: a client-side randomizer plus the
-/// matching server-side unbiased estimator.
-///
-/// All oracles operate over the domain `{0, …, domain_size()-1}` and
-/// guarantee ε-LDP for [`FrequencyOracle::randomize`].
-pub trait FrequencyOracle {
-    /// What one user sends to the aggregator.
-    type Report;
-
-    /// Size `d` of the categorical input domain.
-    fn domain_size(&self) -> usize;
-
-    /// The privacy budget ε the randomizer satisfies.
-    fn epsilon(&self) -> f64;
-
-    /// Client side: randomizes one private value.
-    fn randomize<R: Rng + ?Sized>(
-        &self,
-        value: usize,
-        rng: &mut R,
-    ) -> Result<Self::Report, CfoError>;
-
-    /// Server side: turns all collected reports into unbiased frequency
-    /// estimates (one per domain value, approximately summing to 1; entries
-    /// may be negative before post-processing).
-    fn aggregate(&self, reports: &[Self::Report]) -> Vec<f64>;
-
-    /// Approximate variance of a single frequency estimate given `n`
-    /// reports, used for oracle selection and constrained inference weights.
-    fn estimate_variance(&self, n: usize) -> f64;
-
-    /// Convenience: randomizes every value in `values` and aggregates.
-    fn run<R: Rng + ?Sized>(&self, values: &[usize], rng: &mut R) -> Result<Vec<f64>, CfoError> {
-        let mut reports = Vec::with_capacity(values.len());
-        for &v in values {
-            reports.push(self.randomize(v, rng)?);
-        }
-        Ok(self.aggregate(&reports))
-    }
-}
-
-/// Checks a value against the oracle's domain; shared helper.
-pub(crate) fn check_value(value: usize, domain: usize) -> Result<(), CfoError> {
+/// Rejects a private value outside the oracle's domain `{0, …, d-1}`.
+pub(crate) fn check_value(value: usize, domain: usize) -> Result<(), CoreError> {
     if value >= domain {
-        return Err(CfoError::ValueOutOfDomain { value, domain });
+        return Err(CoreError::InvalidInput(
+            CfoError::ValueOutOfDomain { value, domain }.to_string(),
+        ));
     }
     Ok(())
 }

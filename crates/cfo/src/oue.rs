@@ -8,16 +8,14 @@
 //! `1/(eᵉ+1)`.
 
 use crate::error::CfoError;
-use crate::oracle::{check_value, FrequencyOracle};
 use ldp_core::{Domain, Epsilon};
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// One OUE report: a packed bit vector over the domain.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OueReport {
-    bits: Vec<u64>,
-    len: usize,
+    pub(crate) bits: Vec<u64>,
+    pub(crate) len: usize,
 }
 
 impl OueReport {
@@ -68,28 +66,41 @@ impl OueReport {
     }
 }
 
-/// The OUE frequency oracle.
+/// The OUE frequency oracle; its protocol is the
+/// [`ldp_core::Mechanism`] impl in [`crate::mechanism`].
 #[derive(Debug, Clone)]
 pub struct Oue {
-    d: usize,
-    eps: f64,
+    pub(crate) d: usize,
+    pub(crate) eps: Epsilon,
     /// P(report 1 | true position) = 1/2.
-    p: f64,
+    pub(crate) p: f64,
     /// P(report 1 | other position) = 1/(e^eps + 1).
-    q: f64,
+    pub(crate) q: f64,
 }
 
 impl Oue {
     /// Creates an OUE oracle over domain size `d`.
     pub fn new(d: usize, eps: f64) -> Result<Self, CfoError> {
         Domain::new(d)?;
-        Epsilon::new(eps)?;
+        let eps = Epsilon::new(eps)?;
         Ok(Oue {
             d,
             eps,
             p: 0.5,
             q: 1.0 / (eps.exp() + 1.0),
         })
+    }
+
+    /// Size `d` of the categorical input domain.
+    #[must_use]
+    pub fn domain_size(&self) -> usize {
+        self.d
+    }
+
+    /// Approximate variance of one frequency estimate from `n` reports.
+    #[must_use]
+    pub fn estimate_variance(&self, n: usize) -> f64 {
+        Self::theoretical_variance(self.eps.get(), n.max(1))
     }
 
     /// The closed-form per-estimate variance for `n` users.
@@ -99,8 +110,7 @@ impl Oue {
         4.0 * e / ((e - 1.0) * (e - 1.0) * n as f64)
     }
 
-    /// Adds one report's set bits to per-position counts; shared by both
-    /// aggregation paths.
+    /// Adds one report's set bits to per-position counts.
     pub(crate) fn add_counts(&self, counts: &mut [u64], report: &OueReport) {
         for (w, &word) in report.bits.iter().enumerate() {
             let mut bits = word;
@@ -115,8 +125,7 @@ impl Oue {
         }
     }
 
-    /// Debiases per-position counts into frequency estimates; shared by
-    /// both aggregation paths so they are bit-identical.
+    /// Debiases per-position counts into frequency estimates.
     pub(crate) fn estimate_from_counts(&self, counts: &[u64], n: u64) -> Vec<f64> {
         if n == 0 {
             return vec![0.0; self.d];
@@ -129,62 +138,13 @@ impl Oue {
     }
 }
 
-impl FrequencyOracle for Oue {
-    type Report = OueReport;
-
-    fn domain_size(&self) -> usize {
-        self.d
-    }
-
-    fn epsilon(&self) -> f64 {
-        self.eps
-    }
-
-    fn randomize<R: Rng + ?Sized>(&self, value: usize, rng: &mut R) -> Result<OueReport, CfoError> {
-        check_value(value, self.d)?;
-        let mut report = OueReport {
-            bits: vec![0u64; self.d.div_ceil(64)],
-            len: self.d,
-        };
-        // One unit draw per position, filled a packed word at a time so
-        // batched generators (SplitMix64's counter-based fill) amortize the
-        // stream. The draw order — and therefore the report — is identical
-        // to a per-position `gen::<f64>() < keep_prob` loop.
-        let mut draws = [0.0f64; 64];
-        for (w, word) in report.bits.iter_mut().enumerate() {
-            let base = w * 64;
-            let n = (self.d - base).min(64);
-            let draws = &mut draws[..n];
-            rng.fill_unit_f64s(draws);
-            let mut bits = 0u64;
-            for (i, &u) in draws.iter().enumerate() {
-                let keep_prob = if base + i == value { self.p } else { self.q };
-                if u < keep_prob {
-                    bits |= 1 << i;
-                }
-            }
-            *word = bits;
-        }
-        Ok(report)
-    }
-
-    fn aggregate(&self, reports: &[OueReport]) -> Vec<f64> {
-        let mut counts = vec![0u64; self.d];
-        for r in reports {
-            self.add_counts(&mut counts, r);
-        }
-        self.estimate_from_counts(&counts, reports.len() as u64)
-    }
-
-    fn estimate_variance(&self, n: usize) -> f64 {
-        Self::theoretical_variance(self.eps, n.max(1))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mechanism::run;
+    use ldp_core::Mechanism;
     use ldp_numeric::SplitMix64;
+    use rand::Rng;
 
     #[test]
     fn construction_validates() {
@@ -201,7 +161,7 @@ mod tests {
         // set across the word boundary at index 129.
         let mut saw_set = false;
         for _ in 0..64 {
-            let r = o.randomize(129, &mut rng).unwrap();
+            let r = Mechanism::randomize(&o, &129, &mut rng).unwrap();
             for i in 0..129 {
                 assert!(!r.get(i), "spurious bit {i}");
             }
@@ -219,7 +179,7 @@ mod tests {
             let o = Oue::new(d, 1.0).unwrap();
             let value = d / 2;
             let mut rng = SplitMix64::new(9000 + d as u64);
-            let r = o.randomize(value, &mut rng).unwrap();
+            let r = Mechanism::randomize(&o, &value, &mut rng).unwrap();
 
             let mut reference = SplitMix64::new(9000 + d as u64);
             let q = 1.0 / (1.0f64.exp() + 1.0);
@@ -239,7 +199,7 @@ mod tests {
         let mut rng = SplitMix64::new(32);
         let n = 60_000;
         let values: Vec<usize> = (0..n).map(|i| if i % 10 < 7 { 5 } else { 20 }).collect();
-        let est = o.run(&values, &mut rng).unwrap();
+        let est = run(&o, &values, &mut rng);
         assert!((est[5] - 0.7).abs() < 0.03, "est[5]={}", est[5]);
         assert!((est[20] - 0.3).abs() < 0.03, "est[20]={}", est[20]);
     }
@@ -255,7 +215,7 @@ mod tests {
         let mut errs = Vec::with_capacity(trials);
         for t in 0..trials {
             let mut rng = SplitMix64::new(4000 + t as u64);
-            let est = o.run(&values, &mut rng).unwrap();
+            let est = run(&o, &values, &mut rng);
             errs.push(est[0]);
         }
         let emp_var = ldp_numeric::stats::variance(&errs);
@@ -271,7 +231,7 @@ mod tests {
     fn out_of_domain_rejected_and_empty_aggregate() {
         let o = Oue::new(8, 1.0).unwrap();
         let mut rng = SplitMix64::new(3);
-        assert!(o.randomize(8, &mut rng).is_err());
-        assert_eq!(o.aggregate(&[]), vec![0.0; 8]);
+        assert!(Mechanism::randomize(&o, &8, &mut rng).is_err());
+        assert_eq!(Mechanism::aggregate(&o, &[]).unwrap(), vec![0.0; 8]);
     }
 }

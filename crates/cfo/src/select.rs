@@ -4,8 +4,6 @@
 use crate::error::CfoError;
 use crate::grr::Grr;
 use crate::olh::{Olh, OlhReport};
-use crate::oracle::FrequencyOracle;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Which base oracle the selector picked.
@@ -65,62 +63,20 @@ impl AdaptiveOracle {
             AdaptiveOracle::Olh(_) => OracleKind::Olh,
         }
     }
-}
 
-impl FrequencyOracle for AdaptiveOracle {
-    type Report = AdaptiveReport;
-
-    fn domain_size(&self) -> usize {
+    /// Size `d` of the categorical input domain.
+    #[must_use]
+    pub fn domain_size(&self) -> usize {
         match self {
             AdaptiveOracle::Grr(o) => o.domain_size(),
             AdaptiveOracle::Olh(o) => o.domain_size(),
         }
     }
 
-    fn epsilon(&self) -> f64 {
-        match self {
-            AdaptiveOracle::Grr(o) => o.epsilon(),
-            AdaptiveOracle::Olh(o) => o.epsilon(),
-        }
-    }
-
-    fn randomize<R: Rng + ?Sized>(
-        &self,
-        value: usize,
-        rng: &mut R,
-    ) -> Result<AdaptiveReport, CfoError> {
-        Ok(match self {
-            AdaptiveOracle::Grr(o) => AdaptiveReport::Grr(o.randomize(value, rng)?),
-            AdaptiveOracle::Olh(o) => AdaptiveReport::Olh(o.randomize(value, rng)?),
-        })
-    }
-
-    fn aggregate(&self, reports: &[AdaptiveReport]) -> Vec<f64> {
-        match self {
-            AdaptiveOracle::Grr(o) => {
-                let rs: Vec<usize> = reports
-                    .iter()
-                    .filter_map(|r| match r {
-                        AdaptiveReport::Grr(v) => Some(*v),
-                        AdaptiveReport::Olh(_) => None,
-                    })
-                    .collect();
-                o.aggregate(&rs)
-            }
-            AdaptiveOracle::Olh(o) => {
-                let rs: Vec<OlhReport> = reports
-                    .iter()
-                    .filter_map(|r| match r {
-                        AdaptiveReport::Olh(v) => Some(*v),
-                        AdaptiveReport::Grr(_) => None,
-                    })
-                    .collect();
-                o.aggregate(&rs)
-            }
-        }
-    }
-
-    fn estimate_variance(&self, n: usize) -> f64 {
+    /// Approximate variance of one frequency estimate from `n` reports, of
+    /// whichever protocol was selected.
+    #[must_use]
+    pub fn estimate_variance(&self, n: usize) -> f64 {
         match self {
             AdaptiveOracle::Grr(o) => o.estimate_variance(n),
             AdaptiveOracle::Olh(o) => o.estimate_variance(n),
@@ -131,6 +87,7 @@ impl FrequencyOracle for AdaptiveOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mechanism::run;
     use ldp_numeric::SplitMix64;
 
     #[test]
@@ -166,7 +123,7 @@ mod tests {
             let o = AdaptiveOracle::new(d, eps).unwrap();
             let mut rng = SplitMix64::new(51);
             let values: Vec<usize> = (0..50_000).map(|i| i % 2).collect();
-            let est = o.run(&values, &mut rng).unwrap();
+            let est = run(&o, &values, &mut rng);
             assert!((est[0] - 0.5).abs() < 0.05, "d={d}: est[0]={}", est[0]);
             assert!((est[1] - 0.5).abs() < 0.05, "d={d}: est[1]={}", est[1]);
         }

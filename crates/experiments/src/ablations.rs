@@ -19,7 +19,9 @@ use ldp_datasets::{DatasetKind, DatasetSpec};
 use ldp_metrics as metrics;
 use ldp_numeric::rng::mix64;
 use ldp_numeric::{Histogram, SplitMix64};
-use ldp_sw::{reconstruct, reconstruct_inversion, EmConfig, SmoothingKernel, SwPipeline};
+use ldp_sw::{
+    reconstruct, reconstruct_inversion, EmConfig, ShardAggregator, SmoothingKernel, SwPipeline,
+};
 
 fn first_dataset(config: &ExperimentConfig) -> DatasetKind {
     config
@@ -36,12 +38,11 @@ fn perturbed_counts(
     seed: u64,
 ) -> Result<Vec<f64>, ExperimentError> {
     let mut rng = SplitMix64::new(seed);
-    let mut counts = vec![0.0; pipeline.output_buckets()];
+    let mut agg = ShardAggregator::for_pipeline(pipeline);
     for &v in values {
-        let r = pipeline.randomize(v, &mut rng)?;
-        counts[pipeline.report_bucket(r)] += 1.0;
+        agg.push(pipeline.randomize(v, &mut rng)?)?;
     }
-    Ok(counts)
+    Ok(agg.to_counts())
 }
 
 /// EM stopping-threshold sensitivity (the paper's §5.5 motivation for EMS).

@@ -10,13 +10,14 @@
 use crate::config::ExperimentConfig;
 use crate::error::ExperimentError;
 use crate::methods::Method;
+use crate::registry::stream;
 use crate::report::{Chart, Figure, Series};
 use crate::runner::{parallel_jobs, run_grid, TrialMetrics};
 use ldp_datasets::{Dataset, DatasetKind, DatasetSpec};
 use ldp_metrics as metrics;
 use ldp_numeric::rng::mix64;
 use ldp_numeric::{Histogram, SplitMix64};
-use ldp_sw::{optimal_b, Reconstruction, SwPipeline, Wave, WaveShape};
+use ldp_sw::{optimal_b, Reconstruction, SwMechanism, SwPipeline, Wave, WaveShape};
 
 /// Materializes a dataset at the configured scale, together with its
 /// ground-truth histogram at granularity `d`.
@@ -160,9 +161,8 @@ fn wave_trial(
     d: usize,
     seed: u64,
 ) -> Result<f64, ExperimentError> {
-    let pipeline = SwPipeline::with_wave(wave, d, d)?;
-    let mut rng = SplitMix64::new(seed);
-    let est = pipeline.estimate(values, &Reconstruction::Ems, &mut rng)?;
+    let mech = SwMechanism::with_pipeline(SwPipeline::with_wave(wave, d, d)?, Reconstruction::Ems);
+    let est = stream(&mech, values.iter().copied(), &mut SplitMix64::new(seed))?;
     Ok(metrics::wasserstein(truth, &est)?)
 }
 

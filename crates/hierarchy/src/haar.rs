@@ -12,7 +12,7 @@
 
 use crate::error::HierarchyError;
 use crate::tree::TreeShape;
-use ldp_cfo::{FrequencyOracle, Hrr};
+use ldp_cfo::Hrr;
 use ldp_core::Mechanism;
 use rand::Rng;
 
@@ -167,16 +167,16 @@ impl HaarHrr {
             per_level[m].push(2 * k + right);
         }
 
-        // Randomize each height's group in order (the same RNG stream as
-        // `FrequencyOracle::run`), absorbing reports into the streaming
-        // state; coefficient estimation and the inverse transform are one
+        // Randomize each height's group in order through the height
+        // oracle's `Mechanism::randomize`, absorbing reports into the
+        // streaming state; coefficient estimation and the inverse transform are one
         // routine shared with `ldp_core::Mechanism::finalize`, so the
         // batch and streaming paths cannot drift.
         let mut state = Mechanism::empty_state(self);
         for (m, group) in per_level.iter().enumerate().skip(1) {
             let oracle = self.height_oracle(m);
             for &item in group {
-                let report = FrequencyOracle::randomize(oracle, item, rng)?;
+                let report = Mechanism::randomize(oracle, &item, rng)?;
                 Mechanism::absorb(oracle, state.level_mut(m), &report)?;
             }
         }

@@ -11,7 +11,7 @@
 use crate::consistency::{constrained_inference, RootPolicy};
 use crate::error::HierarchyError;
 use crate::tree::{TreeShape, TreeValues};
-use ldp_cfo::{AdaptiveOracle, FrequencyOracle};
+use ldp_cfo::AdaptiveOracle;
 use ldp_core::Mechanism;
 use rand::Rng;
 
@@ -130,9 +130,9 @@ impl HierarchicalHistogram {
             per_level[level].push(self.shape.ancestor_at_level(v, level));
         }
 
-        // Randomize each level's group in order (the same RNG stream as
-        // `FrequencyOracle::run`), absorbing reports into the streaming
-        // state; the estimation itself — per-level debiasing, empty-level
+        // Randomize each level's group in order through the level
+        // oracle's `Mechanism::randomize`, absorbing reports into the
+        // streaming state; the estimation itself — per-level debiasing, empty-level
         // uniform fallback, variance bookkeeping — is one routine shared
         // with `ldp_core::Mechanism::finalize`, so the batch and streaming
         // paths cannot drift.
@@ -140,7 +140,7 @@ impl HierarchicalHistogram {
         for (level, group) in per_level.iter().enumerate().skip(1) {
             let oracle = self.level_oracle(level);
             for &v in group {
-                let report = FrequencyOracle::randomize(oracle, v, rng)?;
+                let report = Mechanism::randomize(oracle, &v, rng)?;
                 Mechanism::absorb(oracle, state.level_mut(level), &report)?;
             }
         }

@@ -17,7 +17,7 @@ use crate::hh::{HhRaw, HierarchicalHistogram};
 use crate::tree::TreeValues;
 use ldp_cfo::hadamard::HrrReport;
 use ldp_cfo::select::AdaptiveReport;
-use ldp_cfo::{AdaptiveState, FrequencyOracle, SpectrumState};
+use ldp_cfo::{AdaptiveState, SpectrumState};
 use ldp_core::params::fingerprint_fields;
 use ldp_core::snapshot::{expect_tag, next_line, parse_snapshot_field, SnapshotState};
 use ldp_core::wire::parse_field;

@@ -121,23 +121,12 @@ impl Hybrid {
         };
         self.beta * pm_second + (1.0 - self.beta) * gamma - v * v
     }
-
-    /// Full protocol over values in `[-1, 1]`.
-    pub fn run<R: Rng + ?Sized>(&self, values: &[f64], rng: &mut R) -> Result<f64, MeanError> {
-        let mut sum = 0.0;
-        for &v in values {
-            sum += self.debias(self.randomize(v, rng)?);
-        }
-        if values.is_empty() {
-            return Ok(0.0);
-        }
-        Ok(sum / values.len() as f64)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mechanism::run;
     use ldp_numeric::SplitMix64;
 
     #[test]
@@ -184,7 +173,7 @@ mod tests {
                 .map(|i| if i % 4 == 0 { 0.9 } else { -0.1 })
                 .collect();
             // True mean: 0.25·0.9 − 0.75·0.1 = 0.15.
-            let est = h.run(&values, &mut rng).unwrap();
+            let est = run(&h, &values, &mut rng).unwrap();
             assert!((est - 0.15).abs() < 0.03, "eps={eps}: {est}");
         }
     }

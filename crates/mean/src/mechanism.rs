@@ -167,6 +167,17 @@ impl Mechanism for Sr {
     }
 }
 
+/// Randomizes every value through `mech` on one RNG stream and returns
+/// the aggregated mean estimate (`0` for no values).
+pub(crate) fn run<M, R>(mech: &M, values: &[f64], rng: &mut R) -> Result<f64, CoreError>
+where
+    M: Mechanism<Input = f64, Output = f64>,
+    R: Rng + ?Sized,
+{
+    let reports = ldp_core::Client::new(mech).randomize_batch(values, rng)?;
+    mech.aggregate(&reports)
+}
+
 /// Block size for the stack debias buffers of the bulk SR/Hybrid paths.
 const DEBIAS_BLOCK: usize = 512;
 
@@ -357,41 +368,6 @@ mod tests {
         (0..n)
             .map(|i| ((i * 29) % 201) as f64 / 100.0 - 1.0)
             .collect()
-    }
-
-    /// Streaming through the unified API must agree with the legacy `run`
-    /// protocols to within exact-summation rounding (the legacy path uses
-    /// naive accumulation; the streaming state is exactly rounded).
-    #[test]
-    fn streaming_agrees_with_legacy_run() {
-        let values = signed_values(4_000);
-
-        macro_rules! check {
-            ($mech:expr) => {{
-                let mech = $mech;
-                let legacy = {
-                    let mut rng = SplitMix64::new(88);
-                    mech.run(&values, &mut rng).unwrap()
-                };
-                let streamed = {
-                    let mut rng = SplitMix64::new(88);
-                    let client = Client::new(&mech);
-                    let mut agg = Aggregator::new(&mech);
-                    for v in &values {
-                        agg.push(&client.randomize(v, &mut rng).unwrap()).unwrap();
-                    }
-                    agg.finalize().unwrap()
-                };
-                assert!(
-                    (legacy - streamed).abs() <= 1e-12 * legacy.abs().max(1.0),
-                    "legacy {legacy} vs streamed {streamed}"
-                );
-            }};
-        }
-
-        check!(Sr::new(1.0).unwrap());
-        check!(Pm::new(1.0).unwrap());
-        check!(Hybrid::new(2.0).unwrap());
     }
 
     #[test]

@@ -107,18 +107,6 @@ impl Pm {
         let cube = |a: f64, b: f64| (b * b * b - a * a * a) / 3.0;
         d_low * cube(-self.s, lo) + d_high * cube(lo, hi) + d_low * cube(hi, self.s)
     }
-
-    /// Full protocol over values in `[-1, 1]`.
-    pub fn run<R: Rng + ?Sized>(&self, values: &[f64], rng: &mut R) -> Result<f64, MeanError> {
-        let mut sum = 0.0;
-        for &v in values {
-            sum += self.randomize(v, rng)?;
-        }
-        if values.is_empty() {
-            return Ok(0.0);
-        }
-        Ok(sum / values.len() as f64)
-    }
 }
 
 #[cfg(test)]

@@ -69,18 +69,6 @@ impl Sr {
         let gamma = 2.0 * self.p - 1.0;
         1.0 / (gamma * gamma) - v * v
     }
-
-    /// Full protocol over values in `[-1, 1]`.
-    pub fn run<R: Rng + ?Sized>(&self, values: &[f64], rng: &mut R) -> Result<f64, MeanError> {
-        let mut sum = 0.0;
-        for &v in values {
-            sum += self.debias(self.randomize(v, rng)?);
-        }
-        if values.is_empty() {
-            return Ok(0.0);
-        }
-        Ok(sum / values.len() as f64)
-    }
 }
 
 /// Maps a value from the dataset domain `[0, 1]` into the mechanism domain
@@ -99,6 +87,7 @@ pub fn from_signed(v: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mechanism::run;
     use ldp_numeric::SplitMix64;
 
     #[test]
@@ -129,7 +118,7 @@ mod tests {
         let values: Vec<f64> = (0..200_000)
             .map(|i| if i % 2 == 0 { 0.75 } else { -0.25 })
             .collect();
-        let est = sr.run(&values, &mut rng).unwrap();
+        let est = run(&sr, &values, &mut rng).unwrap();
         assert!((est - 0.25).abs() < 0.02, "est {est}");
     }
 

@@ -10,6 +10,7 @@
 //! are mapped to the mechanisms' `[-1, 1]` domain and back.
 
 use crate::error::MeanError;
+use crate::mechanism::run;
 use crate::pm::Pm;
 use crate::sr::{from_signed, to_signed, Sr};
 use rand::Rng;
@@ -129,8 +130,8 @@ impl MeanVariance {
         rng: &mut R,
     ) -> Result<f64, MeanError> {
         match self.mechanism {
-            MeanMechanism::Sr => Sr::new(self.eps)?.run(signed, rng),
-            MeanMechanism::Pm => Pm::new(self.eps)?.run(signed, rng),
+            MeanMechanism::Sr => Ok(run(&Sr::new(self.eps)?, signed, rng)?),
+            MeanMechanism::Pm => Ok(run(&Pm::new(self.eps)?, signed, rng)?),
         }
     }
 }

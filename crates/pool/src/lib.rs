@@ -1,8 +1,8 @@
 //! A shared, work-stealing worker pool for the whole workspace.
 //!
-//! Before this crate existed, every parallel entry point —
-//! `SwPipeline::randomize_batch`, the experiment grid's `parallel_jobs`,
-//! and (sequentially) the bootstrap — paid for its own `std::thread::scope`
+//! Before this crate existed, every parallel entry point — SW's batched
+//! randomization, the experiment grid's `parallel_jobs`, and
+//! (sequentially) the bootstrap — paid for its own `std::thread::scope`
 //! spawn/join round trip per call. Amortizing that setup across millions of
 //! reports is exactly what makes LDP aggregation practical at population
 //! scale, so the pool is **process-global and lazily initialized**
@@ -15,9 +15,9 @@
 //! [`Pool::run_capped`]) or through the structured [`Pool::scope`] /
 //! [`Pool::join`] APIs. Batches are registered in a shared injector list;
 //! idle workers scan it round-robin and **steal** jobs from whichever batch
-//! has work, so concurrent batches (e.g. a grid trial whose method calls
-//! `randomize_batch`) share the same workers instead of oversubscribing the
-//! host. The submitting thread always participates in its own batch, which
+//! has work, so concurrent batches (e.g. a grid trial whose method ingests
+//! through `Aggregator::push_slice_pooled`) share the same workers instead
+//! of oversubscribing the host. The submitting thread always participates in its own batch, which
 //! makes the design deadlock-free under arbitrary nesting: a batch can
 //! always be finished by its caller alone, workers are an acceleration.
 //!

@@ -224,18 +224,22 @@ mod tests {
     fn waker_crosses_threads_and_coalesces() {
         let poller = Poller::new().unwrap();
         let waker = poller.waker();
-        let handle = std::thread::spawn(move || {
+        // Every wake lands before the wait, so all 100 must coalesce into
+        // the one readable edge that wait drains (a wake still in flight
+        // after the drain would legitimately re-arm the fd).
+        std::thread::spawn(move || {
             for _ in 0..100 {
                 waker.wake();
             }
-        });
+        })
+        .join()
+        .unwrap();
         let mut events = Events::with_capacity(4);
         let woken = poller
             .wait(&mut events, Some(Duration::from_secs(5)))
             .unwrap();
         assert!(woken);
         assert_eq!(ready_events(&events).count(), 0, "wake token is filtered");
-        handle.join().unwrap();
         // Drained: the next wait times out instead of spinning.
         let started = Instant::now();
         let woken = poller

@@ -92,8 +92,8 @@ impl ShardAggregator {
     ///
     /// One validation pass over the slice up front, then a branch-free
     /// counting pass — no per-report `Result` plumbing in the hot loop,
-    /// which is what the batched randomization path and the experiment
-    /// runner feed through. All-or-nothing: on error the aggregator is
+    /// which is what the collector and the experiment runner feed
+    /// through. All-or-nothing: on error the aggregator is
     /// unchanged and the message names the first offending index.
     ///
     /// Both passes run through the `ldp_numeric::kernels` AVX2 kernels
@@ -186,6 +186,22 @@ mod tests {
     }
 
     #[test]
+    fn bucket_covers_output_domain() {
+        let p = SwPipeline::new(1.0, 16).unwrap();
+        let agg = ShardAggregator::for_pipeline(&p);
+        let (lo, hi) = (p.wave().output_lo(), p.wave().output_hi());
+        assert_eq!(agg.bucket(lo), 0);
+        assert_eq!(agg.bucket(hi), 15);
+        // Monotone.
+        let mut last = 0;
+        for k in 0..=100 {
+            let b = agg.bucket(lo + (hi - lo) * k as f64 / 100.0);
+            assert!(b >= last);
+            last = b;
+        }
+    }
+
+    #[test]
     fn incremental_matches_batch_aggregation() {
         let p = pipeline();
         let mut rng = SplitMix64::new(5001);
@@ -194,15 +210,19 @@ mod tests {
             .iter()
             .map(|&v| p.randomize(v, &mut rng).unwrap())
             .collect();
-        let batch = p.aggregate(&reports);
+        // The reference histogram, bucketed by hand with the paper's rule.
+        let (lo, hi) = (p.wave().output_lo(), p.wave().output_hi());
+        let d = p.output_buckets();
+        let mut batch = vec![0.0; d];
+        for &r in &reports {
+            batch[(((r - lo) / (hi - lo) * d as f64) as usize).min(d - 1)] += 1.0;
+        }
         let mut agg = ShardAggregator::for_pipeline(&p);
         for &r in &reports {
             agg.push(r).unwrap();
         }
         assert_eq!(agg.total(), reports.len() as u64);
-        for (a, b) in agg.to_counts().iter().zip(&batch) {
-            assert_eq!(a, b);
-        }
+        assert_eq!(agg.to_counts(), batch);
     }
 
     #[test]

@@ -195,11 +195,11 @@ mod tests {
         let values: Vec<f64> = (0..n)
             .map(|i| 0.3 + 0.4 * ((i % 97) as f64 / 97.0))
             .collect();
-        let mut counts = vec![0.0; d];
+        let mut agg = crate::aggregator::ShardAggregator::for_pipeline(&pipeline);
         for &v in &values {
-            let r = pipeline.randomize(v, &mut rng).unwrap();
-            counts[pipeline.report_bucket(r)] += 1.0;
+            agg.push(pipeline.randomize(v, &mut rng).unwrap()).unwrap();
         }
+        let counts = agg.to_counts();
         let truth = Histogram::from_samples(&values, d).unwrap();
         (pipeline, counts, truth)
     }

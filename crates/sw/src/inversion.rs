@@ -165,7 +165,9 @@ mod tests {
             .iter()
             .map(|&v| pipeline.randomize(v, &mut rng).unwrap())
             .collect();
-        let counts = pipeline.aggregate(&reports);
+        let mut agg = crate::aggregator::ShardAggregator::for_pipeline(&pipeline);
+        agg.push_slice(&reports).unwrap();
+        let counts = agg.to_counts();
         let inv = reconstruct_inversion(pipeline.transition(), &counts).unwrap();
         let ems = pipeline
             .reconstruct(&counts, &Reconstruction::Ems)

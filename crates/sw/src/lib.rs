@@ -15,25 +15,32 @@
 //!   the binomial S-step that turns it into EMS;
 //! - [`operator`] — the structured `baseline + band` form of the
 //!   transition matrix, giving `O(d)` EM iterations;
-//! - [`pipeline`] — the end-to-end client/aggregator API, including the
-//!   multi-threaded `randomize_batch` / `aggregate_batch` client path;
-//! - [`mechanism`] — [`SwMechanism`], the pipeline exposed through the
-//!   workspace-wide [`ldp_core::Mechanism`] trait (streaming
-//!   `Client`/`Aggregator` split with exact shard merges).
+//! - [`pipeline`] — [`SwPipeline`], the wave-plus-operator configuration
+//!   (custom waves, `d̃ ≠ d`, the lazy dense matrix) and its reconstruction;
+//! - [`aggregator`] — [`ShardAggregator`], the streaming, mergeable report
+//!   histogram;
+//! - [`mechanism`] — [`SwMechanism`], the one API through which SW
+//!   randomizes, aggregates and estimates: the workspace-wide
+//!   [`ldp_core::Mechanism`] trait with its streaming `Client`/`Aggregator`
+//!   split and exact shard merges.
 //!
 //! # Quick example
 //!
 //! ```
-//! use ldp_sw::{Reconstruction, SwPipeline};
+//! use ldp_core::{Aggregator, Client};
 //! use ldp_numeric::SplitMix64;
+//! use ldp_sw::SwMechanism;
 //!
 //! // 10k users with private values in [0, 1].
 //! let values: Vec<f64> = (0..10_000).map(|i| (i % 100) as f64 / 100.0).collect();
-//! let pipeline = SwPipeline::new(1.0, 64).expect("valid epsilon and granularity");
+//! let mechanism = SwMechanism::ems(1.0, 64).expect("valid epsilon and granularity");
 //! let mut rng = SplitMix64::new(7);
-//! let estimate = pipeline
-//!     .estimate(&values, &Reconstruction::Ems, &mut rng)
-//!     .expect("reconstruction succeeds");
+//! let reports = Client::new(&mechanism)
+//!     .randomize_batch(&values, &mut rng)
+//!     .expect("values lie in [0, 1]");
+//! let mut aggregator = Aggregator::new(&mechanism);
+//! aggregator.push_slice(&reports).expect("reports are well formed");
+//! let estimate = aggregator.finalize().expect("reconstruction succeeds");
 //! assert_eq!(estimate.len(), 64);
 //! ```
 
@@ -45,7 +52,6 @@
 
 pub mod aggregator;
 pub mod bandwidth;
-mod batch;
 pub mod bootstrap;
 pub mod discrete;
 pub mod em;
@@ -60,7 +66,6 @@ pub mod wave;
 
 pub use aggregator::ShardAggregator;
 pub use bandwidth::{mi_upper_bound, optimal_b, optimal_b_discrete};
-pub use batch::default_shards;
 pub use bootstrap::{bootstrap, BootstrapConfig, BootstrapResult};
 pub use discrete::DiscreteSw;
 pub use em::{reconstruct, EmConfig, EmResult};

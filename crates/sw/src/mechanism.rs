@@ -1,14 +1,13 @@
-//! [`Mechanism`] implementation for the Square Wave pipeline.
+//! [`Mechanism`] implementation for the Square Wave pipeline: the one API
+//! through which SW randomizes, aggregates and estimates.
 //!
 //! [`SwMechanism`] couples an [`SwPipeline`] with the reconstruction the
 //! aggregator runs, which is all the unified API needs: the client side is
-//! wave perturbation, the streaming state is the existing
-//! [`ShardAggregator`] (a d̃-bucket report histogram — O(d̃) regardless of
-//! the population), and `finalize` runs EM/EMS through the structured
-//! operator. The batched collection paths (`randomize_batch` /
-//! `aggregate_batch` on the shared `ldp-pool`) bridge into the same
-//! [`Aggregator`] type, so pooled shards and hand-pushed streams merge
-//! freely.
+//! wave perturbation, the streaming state is the [`ShardAggregator`] (a
+//! d̃-bucket report histogram — O(d̃) regardless of the population), and
+//! `finalize` runs EM/EMS through the structured operator. Pooled ingest
+//! goes through [`ldp_core::Aggregator::push_slice_pooled`], whose shards
+//! merge freely with hand-pushed streams.
 
 use crate::aggregator::ShardAggregator;
 use crate::bootstrap::{bootstrap, BootstrapConfig, BootstrapResult};
@@ -17,7 +16,7 @@ use crate::error::SwError;
 use crate::pipeline::{Reconstruction, SwPipeline};
 use crate::wave::WaveShape;
 use ldp_core::params::fingerprint_fields;
-use ldp_core::{Aggregator, CoreError, Domain, Epsilon, Mechanism};
+use ldp_core::{CoreError, Domain, Epsilon, Mechanism};
 use ldp_numeric::Histogram;
 use rand::Rng;
 
@@ -78,20 +77,6 @@ impl SwMechanism {
     #[must_use]
     pub fn reconstruction(&self) -> &Reconstruction {
         &self.reconstruction
-    }
-
-    /// Batched client path: perturbs `values` across `shards` deterministic
-    /// RNG streams on the shared worker pool and returns a ready-to-merge
-    /// [`Aggregator`] (see [`SwPipeline::aggregate_batch`]).
-    pub fn batch_aggregator(
-        &self,
-        values: &[f64],
-        shards: usize,
-        seed: u64,
-    ) -> Result<Aggregator<&SwMechanism>, SwError> {
-        let state = self.pipeline.aggregate_batch(values, shards, seed)?;
-        let count = state.total();
-        Ok(Aggregator::from_parts(self, state, count))
     }
 
     /// Poisson bootstrap over an aggregator's report histogram, running
@@ -217,60 +202,24 @@ impl Mechanism for SwMechanism {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ldp_core::Client;
+    use ldp_core::{Aggregator, Client};
     use ldp_numeric::SplitMix64;
 
     fn values(n: usize) -> Vec<f64> {
         (0..n).map(|i| (i % 173) as f64 / 173.0).collect()
     }
 
-    /// The unified streaming path must reproduce the legacy
-    /// `SwPipeline::estimate` bit for bit when fed the same RNG stream.
-    #[test]
-    fn streaming_matches_legacy_pipeline_estimate() {
-        for reconstruction in [Reconstruction::Em, Reconstruction::Ems] {
-            let pipeline = SwPipeline::new(1.0, 48).unwrap();
-            let mech = SwMechanism::with_pipeline(pipeline.clone(), reconstruction.clone());
-            let vals = values(8_000);
-            let legacy = {
-                let mut rng = SplitMix64::new(2020);
-                pipeline.estimate(&vals, &reconstruction, &mut rng).unwrap()
-            };
-            let streamed = {
-                let mut rng = SplitMix64::new(2020);
-                let client = Client::new(&mech);
-                let mut agg = Aggregator::new(&mech);
-                for v in &vals {
-                    agg.push(&client.randomize(v, &mut rng).unwrap()).unwrap();
-                }
-                agg.finalize().unwrap()
-            };
-            assert_eq!(legacy.probs(), streamed.probs());
-        }
-    }
-
-    #[test]
-    fn batch_aggregator_matches_batched_pipeline() {
-        let mech = SwMechanism::ems(1.0, 32).unwrap();
-        let vals = values(20_000);
-        let agg = mech.batch_aggregator(&vals, 4, 99).unwrap();
-        assert_eq!(agg.count(), vals.len() as u64);
-        let unified = agg.finalize().unwrap();
-        let legacy = mech
-            .pipeline()
-            .estimate_batch(&vals, &Reconstruction::Ems, 4, 99)
-            .unwrap();
-        assert_eq!(unified.probs(), legacy.probs());
-    }
-
     #[test]
     fn pooled_shards_merge_with_hand_pushed_streams() {
         let mech = SwMechanism::ems(1.0, 32).unwrap();
         let vals = values(6_000);
-        // First half collected through the pooled batch path...
-        let mut pooled = mech.batch_aggregator(&vals[..3_000], 2, 7).unwrap();
-        // ...second half pushed by hand on another "collector".
         let client = Client::new(&mech);
+        // First half absorbed on the shared worker pool...
+        let mut rng = SplitMix64::new(7);
+        let reports = client.randomize_batch(&vals[..3_000], &mut rng).unwrap();
+        let mut pooled = Aggregator::new(&mech);
+        pooled.push_slice_sharded(&reports, 2).unwrap();
+        // ...second half pushed by hand on another "collector".
         let mut rng = SplitMix64::new(8);
         let mut manual = Aggregator::new(&mech);
         for v in &vals[3_000..] {
@@ -301,7 +250,12 @@ mod tests {
     #[test]
     fn bootstrap_runs_over_aggregator_state() {
         let mech = SwMechanism::ems(1.0, 16).unwrap();
-        let agg = mech.batch_aggregator(&values(10_000), 2, 3).unwrap();
+        let mut rng = SplitMix64::new(3);
+        let reports = Client::new(&mech)
+            .randomize_batch(&values(10_000), &mut rng)
+            .unwrap();
+        let mut agg = Aggregator::new(&mech);
+        agg.push_slice(&reports).unwrap();
         let mut rng = SplitMix64::new(9);
         let config = BootstrapConfig {
             replicates: 5,

@@ -1,10 +1,13 @@
-//! End-to-end Square Wave pipeline: the public API a deployment would use.
+//! The Square Wave pipeline configuration: a wave plus the structured
+//! transition operator between its `d` input and `d̃` output buckets.
 //!
-//! Client side: [`SwPipeline::randomize`] perturbs one private value in
-//! `[0, 1]`. Server side: [`SwPipeline::aggregate`] histograms the perturbed
-//! reports ("randomize before bucketize", §5.4) and
-//! [`SwPipeline::reconstruct`] runs EM/EMS through the exact transition
-//! matrix to recover the input distribution.
+//! [`SwPipeline`] is what [`crate::SwMechanism`] runs. The client perturbs
+//! one private value in `[0, 1]` with [`SwPipeline::randomize`], the
+//! aggregator histograms the reports in a [`crate::ShardAggregator`]
+//! ("randomize before bucketize", §5.4), and [`SwPipeline::reconstruct`]
+//! runs EM/EMS through the transition operator to recover the input
+//! distribution. Build one directly for a custom wave, `d̃ ≠ d`, or the
+//! dense matrix of the inversion baseline.
 
 use crate::bandwidth::optimal_b;
 use crate::em::{reconstruct, EmConfig, EmResult};
@@ -12,7 +15,7 @@ use crate::error::SwError;
 use crate::operator::BandedBaselineOperator;
 use crate::transition::transition_matrix;
 use crate::wave::{Wave, WaveShape};
-use ldp_numeric::{Histogram, Matrix};
+use ldp_numeric::Matrix;
 use rand::Rng;
 use std::sync::OnceLock;
 
@@ -92,9 +95,9 @@ impl SwPipeline {
     /// The exact `d̃ × d` transition matrix (dense; kept for consumers that
     /// need entrywise access, e.g. the unbiased-inversion baseline).
     ///
-    /// Built lazily on the first call and cached; the estimation paths
-    /// ([`Self::estimate`], [`Self::estimate_batch`], [`Self::reconstruct`])
-    /// never trigger the construction. Check with
+    /// Built lazily on the first call and cached; estimation
+    /// ([`Self::reconstruct`], and through it [`crate::SwMechanism`]'s
+    /// finalize) never triggers the construction. Check with
     /// [`Self::dense_transition_built`].
     #[must_use]
     pub fn transition(&self) -> &Matrix {
@@ -127,25 +130,6 @@ impl SwPipeline {
         self.wave.randomize(v, rng)
     }
 
-    /// Output bucket index of a perturbed report.
-    #[must_use]
-    pub fn report_bucket(&self, v_tilde: f64) -> usize {
-        let lo = self.wave.output_lo();
-        let span = self.wave.output_hi() - lo;
-        let pos = ((v_tilde - lo) / span * self.d_tilde as f64) as isize;
-        pos.clamp(0, self.d_tilde as isize - 1) as usize
-    }
-
-    /// Server side: histograms perturbed reports into `d̃` buckets.
-    #[must_use]
-    pub fn aggregate(&self, reports: &[f64]) -> Vec<f64> {
-        let mut counts = vec![0.0; self.d_tilde];
-        for &r in reports {
-            counts[self.report_bucket(r)] += 1.0;
-        }
-        counts
-    }
-
     /// Server side: reconstructs the input distribution from aggregated
     /// counts.
     pub fn reconstruct(
@@ -159,26 +143,6 @@ impl SwPipeline {
             Reconstruction::Custom(c) => c.clone(),
         };
         reconstruct(&self.operator, counts, &config)
-    }
-
-    /// Full pipeline: randomize every value, aggregate, reconstruct.
-    pub fn estimate<R: Rng + ?Sized>(
-        &self,
-        values: &[f64],
-        method: &Reconstruction,
-        rng: &mut R,
-    ) -> Result<Histogram, SwError> {
-        if values.is_empty() {
-            return Err(SwError::Reconstruction(
-                "need at least one user report".into(),
-            ));
-        }
-        let mut counts = vec![0.0; self.d_tilde];
-        for &v in values {
-            let r = self.wave.randomize(v, rng)?;
-            counts[self.report_bucket(r)] += 1.0;
-        }
-        Ok(self.reconstruct(&counts, method)?.histogram)
     }
 }
 
@@ -195,33 +159,29 @@ pub fn pipeline_with_shape(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mechanism::SwMechanism;
+    use ldp_core::{Aggregator, Client, CoreError, Mechanism};
     use ldp_numeric::dist::{Beta, Sampler};
-    use ldp_numeric::SplitMix64;
+    use ldp_numeric::{Histogram, SplitMix64};
+
+    /// Randomizes `values` through a [`SwMechanism`] over `pipeline` and
+    /// aggregates the reports.
+    fn estimate(
+        pipeline: &SwPipeline,
+        values: &[f64],
+        method: Reconstruction,
+        rng: &mut SplitMix64,
+    ) -> Result<Histogram, CoreError> {
+        let mech = SwMechanism::with_pipeline(pipeline.clone(), method);
+        let reports = Client::new(&mech).randomize_batch(values, rng)?;
+        mech.aggregate(&reports)
+    }
 
     #[test]
     fn construction_validates() {
         assert!(SwPipeline::new(0.0, 64).is_err());
         assert!(SwPipeline::new(1.0, 1).is_err());
         assert!(SwPipeline::new(1.0, 64).is_ok());
-    }
-
-    #[test]
-    fn report_bucket_covers_output_domain() {
-        let p = SwPipeline::new(1.0, 16).unwrap();
-        let lo = p.wave().output_lo();
-        let hi = p.wave().output_hi();
-        assert_eq!(p.report_bucket(lo), 0);
-        assert_eq!(p.report_bucket(hi), 15);
-        assert_eq!(p.report_bucket(lo - 1.0), 0);
-        assert_eq!(p.report_bucket(hi + 1.0), 15);
-        // Monotone.
-        let mut last = 0;
-        for k in 0..=100 {
-            let v = lo + (hi - lo) * k as f64 / 100.0;
-            let b = p.report_bucket(v);
-            assert!(b >= last);
-            last = b;
-        }
     }
 
     #[test]
@@ -232,9 +192,7 @@ mod tests {
         let beta = Beta::new(5.0, 2.0).unwrap();
         let values = beta.sample_n(&mut rng, 100_000);
         let truth = Histogram::from_samples(&values, d).unwrap();
-        let est = pipeline
-            .estimate(&values, &Reconstruction::Ems, &mut rng)
-            .unwrap();
+        let est = estimate(&pipeline, &values, Reconstruction::Ems, &mut rng).unwrap();
         // Wasserstein distance between CDFs should be small.
         let mut w1 = 0.0;
         let (tc, ec) = (truth.cdf(), est.cdf());
@@ -260,7 +218,7 @@ mod tests {
         let mut rng = SplitMix64::new(132);
         let values: Vec<f64> = (0..20_000).map(|i| (i % 1000) as f64 / 1000.0).collect();
         for method in [Reconstruction::Em, Reconstruction::Ems] {
-            let h = pipeline.estimate(&values, &method, &mut rng).unwrap();
+            let h = estimate(&pipeline, &values, method, &mut rng).unwrap();
             assert_eq!(h.len(), 32);
             assert!((h.probs().iter().sum::<f64>() - 1.0).abs() < 1e-9);
         }
@@ -285,12 +243,8 @@ mod tests {
     fn estimate_rejects_empty_and_bad_values() {
         let pipeline = SwPipeline::new(1.0, 16).unwrap();
         let mut rng = SplitMix64::new(133);
-        assert!(pipeline
-            .estimate(&[], &Reconstruction::Ems, &mut rng)
-            .is_err());
-        assert!(pipeline
-            .estimate(&[2.0], &Reconstruction::Ems, &mut rng)
-            .is_err());
+        assert!(estimate(&pipeline, &[], Reconstruction::Ems, &mut rng).is_err());
+        assert!(estimate(&pipeline, &[2.0], Reconstruction::Ems, &mut rng).is_err());
     }
 
     #[test]
@@ -301,25 +255,25 @@ mod tests {
         assert_eq!(pipeline.output_buckets(), 24);
         let mut rng = SplitMix64::new(134);
         let values: Vec<f64> = (0..10_000).map(|i| (i % 100) as f64 / 100.0).collect();
-        let h = pipeline
-            .estimate(&values, &Reconstruction::Ems, &mut rng)
-            .unwrap();
+        let h = estimate(&pipeline, &values, Reconstruction::Ems, &mut rng).unwrap();
         assert_eq!(h.len(), 16);
     }
 
     #[test]
     fn estimation_paths_never_build_the_dense_matrix() {
-        let pipeline = SwPipeline::new(1.0, 32).unwrap();
+        let mech = SwMechanism::ems(1.0, 32).unwrap();
+        let pipeline = mech.pipeline();
         assert!(!pipeline.dense_transition_built());
         let mut rng = SplitMix64::new(900);
         let values: Vec<f64> = (0..5_000).map(|i| (i % 100) as f64 / 100.0).collect();
-        pipeline
-            .estimate(&values, &Reconstruction::Ems, &mut rng)
+        let reports = Client::new(&mech)
+            .randomize_batch(&values, &mut rng)
             .unwrap();
+        mech.aggregate(&reports).unwrap();
         assert!(!pipeline.dense_transition_built());
-        pipeline
-            .estimate_batch(&values, &Reconstruction::Ems, 3, 5)
-            .unwrap();
+        let mut pooled = Aggregator::new(&mech);
+        pooled.push_slice_sharded(&reports, 3).unwrap();
+        pooled.finalize().unwrap();
         assert!(!pipeline.dense_transition_built());
         pipeline
             .reconstruct(&vec![10.0; 32], &Reconstruction::Em)

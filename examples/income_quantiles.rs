@@ -33,10 +33,11 @@ fn main() {
 
     // --- SW + EMS ---------------------------------------------------------
     let mut rng = SplitMix64::new(3);
-    let pipeline = SwPipeline::new(epsilon, d).expect("valid parameters");
-    let sw_est = pipeline
-        .estimate(&dataset.values, &Reconstruction::Ems, &mut rng)
-        .expect("reconstruction succeeds");
+    let sw = SwMechanism::ems(epsilon, d).expect("valid parameters");
+    let reports = Client::new(&sw)
+        .randomize_batch(&dataset.values, &mut rng)
+        .expect("values in [0, 1]");
+    let sw_est = sw.aggregate(&reports).expect("reconstruction succeeds");
 
     // --- HH-ADMM ----------------------------------------------------------
     let hh = HierarchicalHistogram::new(4, d, epsilon).expect("1024 = 4^5");

@@ -56,10 +56,11 @@ fn main() {
         );
     }
 
-    let pipeline = SwPipeline::new(epsilon, d).expect("valid parameters");
-    let est = pipeline
-        .estimate(&dataset.values, &Reconstruction::Ems, &mut rng)
-        .expect("reconstruction succeeds");
+    let sw = SwMechanism::ems(epsilon, d).expect("valid parameters");
+    let reports = Client::new(&sw)
+        .randomize_batch(&dataset.values, &mut rng)
+        .expect("values in [0, 1]");
+    let est = sw.aggregate(&reports).expect("reconstruction succeeds");
     println!(
         "{:<8} {:>10.5} {:>10.5} {:>12.5} {:>12.5}",
         "SW-EMS",

@@ -90,11 +90,12 @@ fn main() {
     );
 
     // --- Low-level escape hatch ------------------------------------------
-    // The raw pipeline remains available when you need custom waves,
-    // d̃ ≠ d, or direct control over the reconstruction:
-    let pipeline = SwPipeline::new(epsilon, d).expect("valid parameters");
-    let counts = pipeline.aggregate(&reports);
-    let low_level = pipeline
+    // The pipeline behind the mechanism remains available when you need
+    // custom waves or d̃ ≠ d (wrap one with `SwMechanism::with_pipeline`),
+    // or direct control over reconstructing the aggregated counts:
+    let counts = shard_a.state().to_counts();
+    let low_level = mechanism
+        .pipeline()
         .reconstruct(&counts, &Reconstruction::Ems)
         .expect("reconstruction succeeds");
     println!(

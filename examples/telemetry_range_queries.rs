@@ -32,9 +32,12 @@ fn main() {
     let mut rng = SplitMix64::new(17);
 
     // SW + EMS gives a full valid distribution.
-    let pipeline = SwPipeline::new(epsilon, d).expect("valid parameters");
-    let sw = pipeline
-        .estimate(&dataset.values, &Reconstruction::Ems, &mut rng)
+    let mechanism = SwMechanism::ems(epsilon, d).expect("valid parameters");
+    let reports = Client::new(&mechanism)
+        .randomize_batch(&dataset.values, &mut rng)
+        .expect("values in [0, 1]");
+    let sw = mechanism
+        .aggregate(&reports)
         .expect("reconstruction succeeds");
 
     // HH and HaarHRR produce (possibly negative) leaf estimates designed

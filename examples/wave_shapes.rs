@@ -33,15 +33,11 @@ fn main() {
     ];
     for (name, shape) in shapes {
         let wave = Wave::new(shape, b, epsilon).expect("valid wave");
-        let pipeline = SwPipeline::with_wave(wave, d, d).expect("valid pipeline");
-        let mut rng = SplitMix64::new(37);
-        let est = pipeline
-            .estimate(&dataset.values, &Reconstruction::Ems, &mut rng)
-            .expect("reconstruction succeeds");
+        let q = wave.q();
+        let est = ems_estimate(wave, d, &dataset.values, 37);
         println!(
-            "  {name:<16} W1 = {:.5}  (q = {:.4})",
+            "  {name:<16} W1 = {:.5}  (q = {q:.4})",
             wasserstein(&truth, &est).unwrap(),
-            pipeline.wave().q()
         );
     }
 
@@ -49,11 +45,7 @@ fn main() {
     println!("\nbandwidth sweep (square wave, eps = {epsilon}), b* = {b:.3}:");
     for bb in [0.05, 0.15, b, 0.35, 0.45] {
         let wave = Wave::square(bb, epsilon).expect("valid wave");
-        let pipeline = SwPipeline::with_wave(wave, d, d).expect("valid pipeline");
-        let mut rng = SplitMix64::new(41);
-        let est = pipeline
-            .estimate(&dataset.values, &Reconstruction::Ems, &mut rng)
-            .expect("reconstruction succeeds");
+        let est = ems_estimate(wave, d, &dataset.values, 41);
         let marker = if (bb - b).abs() < 1e-9 {
             "  <-- b*"
         } else {
@@ -64,4 +56,17 @@ fn main() {
             wasserstein(&truth, &est).unwrap()
         );
     }
+}
+
+/// One EMS estimate through an explicit wave: every value randomized on
+/// the `seed` stream, aggregated, and finalized.
+fn ems_estimate(wave: Wave, d: usize, values: &[f64], seed: u64) -> Histogram {
+    let pipeline = SwPipeline::with_wave(wave, d, d).expect("valid pipeline");
+    let mechanism = SwMechanism::with_pipeline(pipeline, Reconstruction::Ems);
+    let reports = Client::new(&mechanism)
+        .randomize_batch(values, &mut SplitMix64::new(seed))
+        .expect("values in [0, 1]");
+    mechanism
+        .aggregate(&reports)
+        .expect("reconstruction succeeds")
 }

@@ -19,9 +19,12 @@
 //!
 //! // ε = 1, reconstruct a 64-bucket histogram with the paper's defaults
 //! // (square wave, MI-optimal bandwidth, EMS).
-//! let pipeline = SwPipeline::new(1.0, 64).unwrap();
+//! let mechanism = SwMechanism::ems(1.0, 64).unwrap();
 //! let mut rng = SplitMix64::new(42);
-//! let estimate = pipeline.estimate(&values, &Reconstruction::Ems, &mut rng).unwrap();
+//! let reports = Client::new(&mechanism).randomize_batch(&values, &mut rng).unwrap();
+//! let mut aggregator = Aggregator::new(&mechanism);
+//! aggregator.push_slice(&reports).unwrap();
+//! let estimate = aggregator.finalize().unwrap();
 //! assert!((estimate.mean() - 0.5).abs() < 0.05);
 //! ```
 
@@ -42,7 +45,7 @@ pub use ldp_sw as sw;
 
 /// The most commonly used types, re-exported flat.
 pub mod prelude {
-    pub use ldp_cfo::{BinningEstimator, FrequencyOracle, Grr, Hrr, Olh, Oue};
+    pub use ldp_cfo::{BinningEstimator, Grr, Hrr, Olh, Oue};
     pub use ldp_core::{Aggregator, Client, CoreError, Domain, Epsilon, Mechanism, WireReport};
     pub use ldp_datasets::{Dataset, DatasetKind, DatasetSpec};
     pub use ldp_experiments::{ExperimentConfig, Method, MethodRunner};

@@ -5,6 +5,15 @@
 use sw_ldp::hierarchy::range::range_query_tree;
 use sw_ldp::prelude::*;
 
+/// Randomizes every value through `mechanism` on `rng` and aggregates.
+fn estimate<M: Mechanism>(mechanism: &M, values: &[M::Input], rng: &mut SplitMix64) -> M::Output
+where
+    M::Input: Sized,
+{
+    let reports = Client::new(mechanism).randomize_batch(values, rng).unwrap();
+    mechanism.aggregate(&reports).unwrap()
+}
+
 fn beta_workload(n: usize) -> (Dataset, Histogram) {
     let ds = DatasetSpec {
         kind: DatasetKind::Beta,
@@ -19,11 +28,9 @@ fn beta_workload(n: usize) -> (Dataset, Histogram) {
 #[test]
 fn sw_ems_full_pipeline_recovers_beta() {
     let (ds, truth) = beta_workload(60_000);
-    let pipeline = SwPipeline::new(1.0, 256).unwrap();
+    let mechanism = SwMechanism::ems(1.0, 256).unwrap();
     let mut rng = SplitMix64::new(1);
-    let est = pipeline
-        .estimate(&ds.values, &Reconstruction::Ems, &mut rng)
-        .unwrap();
+    let est = estimate(&mechanism, &ds.values, &mut rng);
     let w1 = wasserstein(&truth, &est).unwrap();
     assert!(w1 < 0.02, "W1 = {w1}");
     assert!((est.mean() - truth.mean()).abs() < 0.02);
@@ -34,18 +41,13 @@ fn sw_ems_beats_cfo_binning_on_wasserstein() {
     // The paper's headline Figure 2 claim, at eps = 1 on Beta(5,2).
     let (ds, truth) = beta_workload(60_000);
     let mut rng = SplitMix64::new(2);
-    let pipeline = SwPipeline::new(1.0, 256).unwrap();
-    let sw = pipeline
-        .estimate(&ds.values, &Reconstruction::Ems, &mut rng)
-        .unwrap();
+    let sw = estimate(&SwMechanism::ems(1.0, 256).unwrap(), &ds.values, &mut rng);
     let w1_sw = wasserstein(&truth, &sw).unwrap();
 
     let mut worst_ratio: f64 = 0.0;
     for bins in [16, 32, 64] {
-        let est = BinningEstimator::new(bins, 256, 1.0)
-            .unwrap()
-            .estimate(&ds.values, &mut rng)
-            .unwrap();
+        let binning = BinningEstimator::new(bins, 256, 1.0).unwrap();
+        let est = estimate(&binning, &ds.values, &mut rng);
         let w1_bin = wasserstein(&truth, &est).unwrap();
         worst_ratio = worst_ratio.max(w1_sw / w1_bin);
         assert!(
@@ -64,18 +66,15 @@ fn sw_ems_beats_sw_em_on_smooth_data_on_average() {
     // stable", so the claim to verify is about the average, not every
     // single trial.
     let (ds, truth) = beta_workload(60_000);
-    let pipeline = SwPipeline::new(1.0, 256).unwrap();
+    let sw_ems = SwMechanism::ems(1.0, 256).unwrap();
+    let sw_em = SwMechanism::em(1.0, 256).unwrap();
     let mut w1_ems = 0.0;
     let mut w1_em = 0.0;
     let trials = 5;
     for seed in 0..trials {
         let mut rng = SplitMix64::new(300 + seed);
-        let ems = pipeline
-            .estimate(&ds.values, &Reconstruction::Ems, &mut rng)
-            .unwrap();
-        let em = pipeline
-            .estimate(&ds.values, &Reconstruction::Em, &mut rng)
-            .unwrap();
+        let ems = estimate(&sw_ems, &ds.values, &mut rng);
+        let em = estimate(&sw_em, &ds.values, &mut rng);
         w1_ems += wasserstein(&truth, &ems).unwrap();
         w1_em += wasserstein(&truth, &em).unwrap();
     }
@@ -147,10 +146,7 @@ fn discrete_and_continuous_sw_agree() {
     let eps = 1.0;
     let mut rng = SplitMix64::new(7);
 
-    let cont = SwPipeline::new(eps, d)
-        .unwrap()
-        .estimate(&ds.values, &Reconstruction::Ems, &mut rng)
-        .unwrap();
+    let cont = estimate(&SwMechanism::ems(eps, d).unwrap(), &ds.values, &mut rng);
 
     let dsw = DiscreteSw::new(d, eps).unwrap();
     let reports: Vec<usize> = ds

@@ -6,6 +6,15 @@
 use sw_ldp::prelude::*;
 use sw_ldp::sw::reconstruct;
 
+/// Randomizes every value through `mechanism` on `rng` and aggregates.
+fn estimate<M: Mechanism>(mechanism: &M, values: &[M::Input], rng: &mut SplitMix64) -> M::Output
+where
+    M::Input: Sized,
+{
+    let reports = Client::new(mechanism).randomize_batch(values, rng).unwrap();
+    mechanism.aggregate(&reports).unwrap()
+}
+
 #[test]
 fn em_handles_all_reports_in_one_bucket() {
     // All mass in a single output bucket: EM must converge to a valid
@@ -38,14 +47,11 @@ fn tiny_populations_still_produce_valid_distributions() {
     // Two users is the bare minimum for every method that needs one report.
     let values = [0.2, 0.8];
     let mut rng = SplitMix64::new(6001);
-    let pipeline = SwPipeline::new(1.0, 16).unwrap();
-    let h = pipeline
-        .estimate(&values, &Reconstruction::Ems, &mut rng)
-        .unwrap();
+    let h = estimate(&SwMechanism::ems(1.0, 16).unwrap(), &values, &mut rng);
     assert!((h.probs().iter().sum::<f64>() - 1.0).abs() < 1e-9);
 
     let est = BinningEstimator::new(4, 16, 1.0).unwrap();
-    let h = est.estimate(&values, &mut rng).unwrap();
+    let h = estimate(&est, &values, &mut rng);
     assert!((h.probs().iter().sum::<f64>() - 1.0).abs() < 1e-9);
 }
 
@@ -77,21 +83,17 @@ fn haarhrr_with_one_user_per_level_is_stable() {
 fn extreme_epsilons_do_not_break_mechanisms() {
     let mut rng = SplitMix64::new(6004);
     // Very small epsilon: mechanisms become nearly uniform but stay valid.
-    let tiny = SwPipeline::new(1e-4, 16).unwrap();
-    assert!(tiny.wave().b() > 0.49, "b should approach 1/2");
+    let tiny = SwMechanism::ems(1e-4, 16).unwrap();
+    assert!(tiny.pipeline().wave().b() > 0.49, "b should approach 1/2");
     let values: Vec<f64> = (0..2000).map(|i| (i % 100) as f64 / 100.0).collect();
-    let h = tiny
-        .estimate(&values, &Reconstruction::Ems, &mut rng)
-        .unwrap();
+    let h = estimate(&tiny, &values, &mut rng);
     assert!((h.probs().iter().sum::<f64>() - 1.0).abs() < 1e-9);
 
     // Very large epsilon: b approaches 0 and recovery is near-exact.
-    let large = SwPipeline::new(12.0, 16).unwrap();
-    assert!(large.wave().b() < 0.01);
+    let large = SwMechanism::ems(12.0, 16).unwrap();
+    assert!(large.pipeline().wave().b() < 0.01);
     let concentrated = vec![0.55; 5000];
-    let h = large
-        .estimate(&concentrated, &Reconstruction::Ems, &mut rng)
-        .unwrap();
+    let h = estimate(&large, &concentrated, &mut rng);
     assert!(h.range_mass(0.4, 0.7) > 0.95);
 }
 
@@ -121,9 +123,8 @@ fn pipeline_with_asymmetric_bucket_counts() {
     let mut rng = SplitMix64::new(6006);
     for (d, d_tilde) in [(32usize, 16usize), (16, 48)] {
         let pipeline = SwPipeline::with_wave(wave, d, d_tilde).unwrap();
-        let h = pipeline
-            .estimate(&values, &Reconstruction::Ems, &mut rng)
-            .unwrap();
+        let mechanism = SwMechanism::with_pipeline(pipeline, Reconstruction::Ems);
+        let h = estimate(&mechanism, &values, &mut rng);
         assert_eq!(h.len(), d);
         assert!((h.probs().iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }

@@ -1,0 +1,313 @@
+//! Golden estimate pins: literal fingerprints, report digests and
+//! estimate digests for every registry mechanism spec, plus two custom
+//! Square Wave configurations outside the registry.
+//!
+//! Each registry run goes `build_session` → `gen_reports` →
+//! `ingest_text` → `finalize_text` and pins three values:
+//!
+//! - the session's configuration `fingerprint()`;
+//! - FNV-1a-64 of the `gen_reports` text, which pins the client's
+//!   randomize draw order;
+//! - FNV-1a-64 of the `finalize_text` output, which pins every estimate
+//!   bit (the renderer writes `f64`s with round-trip `Display`).
+//!
+//! The constants were recorded once and must never be regenerated to make
+//! a refactor pass: a changed pin means a changed estimate. CI runs this
+//! suite with SIMD dispatch live, under `LDP_NO_SIMD=1`, and on a 2-worker
+//! pool, so the pins also prove that estimates do not depend on the SIMD
+//! mode or the pool size.
+
+use sw_ldp::collector::build_session;
+use sw_ldp::collector::registry::MECHANISMS;
+use sw_ldp::prelude::*;
+use sw_ldp::sw::pipeline_with_shape;
+
+/// FNV-1a 64-bit. Defined here rather than borrowed from the snapshot
+/// checksum so the pins cannot move with the snapshot format.
+fn fnv1a(text: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in text.bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// `(seed, n)` of every pinned run, in the order of each pin's digests.
+const RUNS: [(u64, u64); 4] = [(1, 1_000), (1, 20_000), (2, 1_000), (2, 20_000)];
+
+/// The spec every registry entry is pinned under.
+fn spec_for(name: &str) -> String {
+    match name {
+        "pm" | "sr" | "hybrid" => format!("{name}:eps=1"),
+        "cfo-binning" => format!("{name}:eps=1,d=64,bins=16"),
+        _ => format!("{name}:eps=1,d=64"),
+    }
+}
+
+/// `(registry name, fingerprint, [[reports digest, estimate digest]; RUNS])`.
+type Pin = (&'static str, u64, [[u64; 2]; 4]);
+
+const REGISTRY_PINS: &[Pin] = &[
+    (
+        "sw-ems",
+        0xfc093bbc02b02b61,
+        [
+            [0x914ee45a75845580, 0x2f7d9f97a2f78a09],
+            [0x1ac2f100653d1fb9, 0x3f7df4f63334dcc8],
+            [0xa32cd03c1a2acba9, 0x9139edd18325765e],
+            [0x38553bfe9c4e5ebc, 0xb486103f131489e1],
+        ],
+    ),
+    (
+        "sw-em",
+        0xfae0b6e0254d83e8,
+        [
+            [0x914ee45a75845580, 0xf8f0e129fbc394fd],
+            [0x1ac2f100653d1fb9, 0xec9320beea97d83f],
+            [0xa32cd03c1a2acba9, 0x496a6e20c4875d1c],
+            [0x38553bfe9c4e5ebc, 0x3dde52bbe33d0018],
+        ],
+    ),
+    (
+        "grr",
+        0x641da3032b43826b,
+        [
+            [0xb2ed0023c796591f, 0xf346a76169f5ecd6],
+            [0x583b9bd19f921c3c, 0xa0cd83f050b61548],
+            [0x51c49ad8cbb029e3, 0xb8af59256df707b0],
+            [0x3adca74e1773865f, 0x66de577b9729f9eb],
+        ],
+    ),
+    (
+        "olh",
+        0x5553c185e68c030d,
+        [
+            [0xd814c1e881059beb, 0x2c207d7e82ffdf63],
+            [0x4b48e97f371a0f55, 0xbf794b472d6fa3b3],
+            [0x104285615eacfaa3, 0x4f9b71d57b3611aa],
+            [0x22c272c4f47b4343, 0x4022cd1bad588cc9],
+        ],
+    ),
+    (
+        "oue",
+        0x37c8027111e1178f,
+        [
+            [0x60d1327cd6b3098f, 0x254de10bad1fdb2b],
+            [0xb05d91a904c5c0bc, 0xe4427e6c26245e31],
+            [0xd1d3df33db8068a4, 0xfc5c51910e12229e],
+            [0xe928336e23839537, 0xcd5910f5e5f287b2],
+        ],
+    ),
+    (
+        "hrr",
+        0xb62503d7406fe9e4,
+        [
+            [0xbbd3f013ba921699, 0x39a11b8603b854cc],
+            [0x528834c688f356f6, 0x98311ed9dfb82916],
+            [0xf1220e350d44760d, 0xb047995c3eb55fc4],
+            [0xc7612e7e33468e24, 0x0fde46dec5dd39c7],
+        ],
+    ),
+    (
+        "adaptive",
+        0x5553c185e68c030d,
+        [
+            [0x194e72348631b009, 0x2c207d7e82ffdf63],
+            [0x5bce89220aa9d0a9, 0xbf794b472d6fa3b3],
+            [0xd2169b8e8719f75f, 0x4f9b71d57b3611aa],
+            [0x0d560d3c5aa2105f, 0x4022cd1bad588cc9],
+        ],
+    ),
+    (
+        "cfo-binning",
+        0x3ba014e9cc7ca832,
+        [
+            [0xd92c11f09a51abce, 0x6e118f454676152d],
+            [0xfbcbb2706fd4fc8f, 0xdbc773cfd84e3389],
+            [0xa1014d5e9ea02674, 0xa4ddce91ccfab2a5],
+            [0x57f99acd9904e63c, 0xf864efb4acf45a69],
+        ],
+    ),
+    (
+        "pm",
+        0x254fbace2855b009,
+        [
+            [0xbc947887003f8ec6, 0x9a2fd6f5860485d7],
+            [0x87ff81824ca9d438, 0xf16dc1565812b53f],
+            [0x0676b4d3f2eb5f68, 0xc8dcb4e93d760cce],
+            [0x1481af4a2982f66f, 0x7b4ac6d36babf8a8],
+        ],
+    ),
+    (
+        "sr",
+        0x702bc7b2a46b1fb5,
+        [
+            [0x651f03f2ac3d851a, 0x6c387c14853d19db],
+            [0xc5a37ccfb294e053, 0x7ae1b7fff5912526],
+            [0x91a5fc3bb5049404, 0x7df454151d395cec],
+            [0xf212806f127d5290, 0x88f3083623c774c6],
+        ],
+    ),
+    (
+        "hybrid",
+        0xc89dc9f04330af64,
+        [
+            [0x029301abf84d96de, 0x3fe92191c1bf0574],
+            [0x9375fe0685edad92, 0x95d3141e97eeabf0],
+            [0xe1b7433944b0c678, 0x9f9ce7e3c7119094],
+            [0xb77b3536dfd09d8a, 0x106a08099e03612c],
+        ],
+    ),
+    (
+        "hh",
+        0xdcdddfd5f5fe3ad3,
+        [
+            [0x629dbae6e4e23422, 0xa36492778f63c7bb],
+            [0xd58df5d9f2e2a187, 0x5c7ebaae80c3fed8],
+            [0x192362e6520bcf7b, 0x02147547a1e4b501],
+            [0xeadd0b9de1204293, 0x826ad31b66363634],
+        ],
+    ),
+    (
+        "hh-admm",
+        0xdcdddfd5f5fe3ad3,
+        [
+            [0x629dbae6e4e23422, 0xa6f11dad24ea1275],
+            [0xd58df5d9f2e2a187, 0x08dc0a17fbcecf1a],
+            [0x192362e6520bcf7b, 0xdbfd0b2071bfd1b8],
+            [0xeadd0b9de1204293, 0xd77940c9557e03fd],
+        ],
+    ),
+    (
+        "haar-hrr",
+        0xcc6b9ebf2716b058,
+        [
+            [0xac1194324c72701f, 0x011864e6ec78b187],
+            [0x45c52fb296b73c6f, 0x36573a468be9aa80],
+            [0x941dd02ff429d46f, 0x52c0ddd753e7dbbe],
+            [0x8a6299cbbfc0470b, 0x9e999ffa54fcecce],
+        ],
+    ),
+];
+
+/// `(fingerprint, [[reports digest, estimate digest]; RUNS])` for the
+/// trapezoid-wave and `d̃ ≠ d` Square Wave configurations.
+type CustomPin = (u64, [[u64; 2]; 4]);
+
+const TRAPEZOID_PIN: CustomPin = (
+    0x17adc46bce79f65e,
+    [
+        [0x134097af72081d78, 0x33bc741e4f7bb777],
+        [0xf1d78488fbe264ce, 0x4e6f6e86e5d5f743],
+        [0xea84a019b66ae41e, 0xaf6676508f23eb06],
+        [0xc9fdedf6b682aaad, 0x87b3db1b489931cb],
+    ],
+);
+const WIDE_OUTPUT_PIN: CustomPin = (
+    0x4ea21e7b230b69a5,
+    [
+        [0x203edffd6cf571d6, 0x5ce4690af37924d3],
+        [0x63f864371898c6f3, 0x1aef1aa8d44c1e1a],
+        [0xf12e4990f9427ba9, 0xa6912f7f7f15afdf],
+        [0xf825fa269c3ce7c7, 0x03807ad8cc3e153f],
+    ],
+);
+
+/// Runs one registry spec through the collector session and returns its
+/// pin.
+fn registry_run(name: &'static str) -> Pin {
+    let spec = spec_for(name);
+    let mut digests = [[0; 2]; 4];
+    let mut fingerprint = 0;
+    for (slot, &(seed, n)) in digests.iter_mut().zip(&RUNS) {
+        let mut session = build_session(&spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
+        fingerprint = session.fingerprint();
+        let reports = session.gen_reports(n, seed).unwrap();
+        assert_eq!(session.ingest_text(&reports).unwrap(), n, "{spec}");
+        let estimate = session.finalize_text().unwrap();
+        *slot = [fnv1a(&reports), fnv1a(&estimate)];
+    }
+    (name, fingerprint, digests)
+}
+
+/// Runs a custom SW configuration through `Client`/`Aggregator`, drawing
+/// each private value and its randomization from one stream exactly like
+/// `gen_reports`.
+fn custom_run(mech: &SwMechanism) -> CustomPin {
+    use rand::Rng;
+    let mut digests = [[0; 2]; 4];
+    for (slot, &(seed, n)) in digests.iter_mut().zip(&RUNS) {
+        let client = Client::new(mech);
+        let mut agg = Aggregator::new(mech);
+        let mut rng = SplitMix64::new(seed);
+        let mut reports = String::new();
+        for _ in 0..n {
+            let value: f64 = rng.gen_range(0.0..1.0);
+            let report = client.randomize(&value, &mut rng).unwrap();
+            agg.push(&report).unwrap();
+            reports.push_str(&format!("{report}\n"));
+        }
+        let estimate: String = agg
+            .finalize()
+            .unwrap()
+            .probs()
+            .iter()
+            .map(|p| format!("{p}\n"))
+            .collect();
+        *slot = [fnv1a(&reports), fnv1a(&estimate)];
+    }
+    (mech.fingerprint(), digests)
+}
+
+fn render_pin(label: &str, fingerprint: u64, digests: &[[u64; 2]; 4]) -> String {
+    let runs: Vec<String> = digests
+        .iter()
+        .map(|[r, e]| format!("[0x{r:016x}, 0x{e:016x}]"))
+        .collect();
+    format!("({label}, 0x{fingerprint:016x}, [{}])", runs.join(", "))
+}
+
+#[test]
+fn registry_pins_cover_every_mechanism() {
+    let pinned: Vec<&str> = REGISTRY_PINS.iter().map(|p| p.0).collect();
+    let registered: Vec<&str> = MECHANISMS.iter().map(|m| m.0).collect();
+    assert_eq!(pinned, registered);
+}
+
+#[test]
+fn registry_estimates_match_golden_pins() {
+    let actual: Vec<Pin> = MECHANISMS.iter().map(|m| registry_run(m.0)).collect();
+    let rendered: Vec<String> = actual
+        .iter()
+        .map(|(name, fp, d)| render_pin(&format!("{name:?}"), *fp, d))
+        .collect();
+    assert!(
+        actual.as_slice() == REGISTRY_PINS,
+        "registry pins differ; actual:\n{}",
+        rendered.join(",\n")
+    );
+}
+
+#[test]
+fn trapezoid_wave_estimates_match_golden_pins() {
+    let pipeline = pipeline_with_shape(WaveShape::Trapezoid { ratio: 0.5 }, 0.25, 1.0, 32).unwrap();
+    let actual = custom_run(&SwMechanism::with_pipeline(pipeline, Reconstruction::Ems));
+    assert!(
+        actual == TRAPEZOID_PIN,
+        "trapezoid pin differs; actual: {}",
+        render_pin("trapezoid", actual.0, &actual.1)
+    );
+}
+
+#[test]
+fn wide_output_estimates_match_golden_pins() {
+    let wave = Wave::square(0.25, 1.0).unwrap();
+    let pipeline = SwPipeline::with_wave(wave, 16, 24).unwrap();
+    let actual = custom_run(&SwMechanism::with_pipeline(pipeline, Reconstruction::Ems));
+    assert!(
+        actual == WIDE_OUTPUT_PIN,
+        "d̃ ≠ d pin differs; actual: {}",
+        render_pin("wide output", actual.0, &actual.1)
+    );
+}

@@ -1,9 +1,9 @@
 //! Pool-backed execution invariants.
 //!
 //! Everything that fans out onto the shared `ldp-pool` worker pool —
-//! `SwPipeline::{randomize_batch, aggregate_batch}`, the experiment
-//! runner's `parallel_jobs`, and the bootstrap — derives per-job state
-//! from **job indices**, never from worker identity. These tests pin the
+//! `Aggregator::push_slice_sharded`, the experiment runner's
+//! `parallel_jobs`, and the bootstrap — derives per-job state from **job
+//! indices**, never from worker identity. These tests pin the
 //! consequences:
 //!
 //! 1. results are bit-identical no matter how large the pool is (the CI
@@ -57,30 +57,6 @@ fn indexed_jobs_are_bit_identical_across_pool_sizes() {
 }
 
 #[test]
-fn batch_randomization_is_independent_of_global_pool_size() {
-    // The global pool has whatever size `LDP_POOL_THREADS` / the host gave
-    // it; shard streams are index-derived, so the result must match a
-    // strictly sequential re-derivation of the same shards.
-    let p = SwPipeline::new(1.0, 32).unwrap();
-    let values: Vec<f64> = (0..4_096).map(|i| (i % 211) as f64 / 211.0).collect();
-    let shards = 7usize;
-    let seed = 99u64;
-    let pooled = p.randomize_batch(&values, shards, seed).unwrap();
-
-    let chunk = values.len().div_ceil(shards);
-    let mut sequential = Vec::with_capacity(values.len());
-    for (shard, vals) in values.chunks(chunk).enumerate() {
-        let mut rng = SplitMix64::new(sw_ldp::numeric::rng::mix64(
-            seed ^ sw_ldp::numeric::rng::mix64(shard as u64 + 1),
-        ));
-        for &v in vals {
-            sequential.push(p.randomize(v, &mut rng).unwrap());
-        }
-    }
-    assert_eq!(pooled, sequential);
-}
-
-#[test]
 fn parallel_jobs_results_do_not_depend_on_thread_cap() {
     let run = |threads: usize| {
         parallel_jobs(40, threads, |idx| {
@@ -97,12 +73,18 @@ fn parallel_jobs_results_do_not_depend_on_thread_cap() {
 
 #[test]
 fn bootstrap_is_deterministic_for_a_fixed_rng_state() {
-    let p = SwPipeline::new(1.0, 16).unwrap();
+    let mech = SwMechanism::ems(1.0, 16).unwrap();
     let values: Vec<f64> = (0..6_000).map(|i| (i % 89) as f64 / 89.0).collect();
-    let counts = p.aggregate_batch(&values, 4, 5).unwrap().to_counts();
+    let reports = Client::new(&mech)
+        .randomize_batch(&values, &mut SplitMix64::new(5))
+        .unwrap();
+    let mut agg = Aggregator::new(&mech);
+    agg.push_slice_sharded(&reports, 4).unwrap();
+    let counts = agg.state().to_counts();
+    let operator = mech.pipeline().operator();
     let run = || {
         let mut rng = SplitMix64::new(4242);
-        bootstrap(p.operator(), &counts, &BootstrapConfig::default(), &mut rng).unwrap()
+        bootstrap(operator, &counts, &BootstrapConfig::default(), &mut rng).unwrap()
     };
     let a = run();
     let b = run();
@@ -124,25 +106,35 @@ fn panicking_job_errors_without_poisoning_the_global_pool() {
     // ...and the *same global pool* keeps serving every pool consumer.
     let ok = parallel_jobs(24, 4, |idx| Ok(idx * 2)).unwrap();
     assert_eq!(ok.len(), 24);
-    let p = SwPipeline::new(1.0, 16).unwrap();
-    let reports = p.randomize_batch(&[0.1, 0.5, 0.9], 2, 3).unwrap();
-    assert_eq!(reports.len(), 3);
+    let mech = SwMechanism::ems(1.0, 16).unwrap();
+    let reports = Client::new(&mech)
+        .randomize_batch(&[0.2; 512], &mut SplitMix64::new(9))
+        .unwrap();
+    let mut agg = Aggregator::new(&mech);
+    agg.push_slice_sharded(&reports, 2).unwrap();
+    assert_eq!(agg.count(), 512);
     let mut rng = SplitMix64::new(7);
-    let counts = p.aggregate_batch(&[0.2; 512], 2, 9).unwrap().to_counts();
-    assert!(bootstrap(p.operator(), &counts, &BootstrapConfig::default(), &mut rng).is_ok());
+    let counts = agg.state().to_counts();
+    let operator = mech.pipeline().operator();
+    assert!(bootstrap(operator, &counts, &BootstrapConfig::default(), &mut rng).is_ok());
 }
 
 #[test]
 fn estimation_hot_path_skips_dense_matrix_but_inversion_gets_exact_entries() {
-    let p = SwPipeline::new(1.0, 48).unwrap();
+    let mech = SwMechanism::ems(1.0, 48).unwrap();
+    let p = mech.pipeline();
     let values: Vec<f64> = (0..20_000).map(|i| (i % 331) as f64 / 331.0).collect();
     let mut rng = SplitMix64::new(31);
-    p.estimate(&values, &Reconstruction::Ems, &mut rng).unwrap();
-    p.estimate_batch(&values, &Reconstruction::Ems, 4, 17)
+    let reports = Client::new(&mech)
+        .randomize_batch(&values, &mut rng)
         .unwrap();
+    mech.aggregate(&reports).unwrap();
+    let mut pooled = Aggregator::new(&mech);
+    pooled.push_slice_sharded(&reports, 4).unwrap();
+    pooled.finalize().unwrap();
     assert!(
         !p.dense_transition_built(),
-        "estimate/estimate_batch must stay matrix-free"
+        "one-shot and pooled estimation must stay matrix-free"
     );
     let eager = transition_matrix(p.wave(), 48, 48).unwrap();
     let lazy = p.transition();
@@ -401,27 +393,6 @@ mod pooled_absorb {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// For any (shard count, seed, input length): every pool size yields
-    /// the same randomized batch, and `aggregate_batch` stays consistent
-    /// with `randomize_batch` + sequential pushes.
-    #[test]
-    fn batch_pipeline_deterministic_across_pool_sizes(
-        shards in 1usize..9,
-        seed in 0u64..u64::MAX,
-        n in 1usize..2_000,
-    ) {
-        let p = SwPipeline::new(1.0, 16).unwrap();
-        let values: Vec<f64> = (0..n).map(|i| (i % 157) as f64 / 157.0).collect();
-        let reference = p.randomize_batch(&values, shards, seed).unwrap();
-        // Re-running on the same global pool is bit-stable...
-        prop_assert_eq!(&reference, &p.randomize_batch(&values, shards, seed).unwrap());
-        // ...and the fused aggregation sees exactly these reports.
-        let mut direct = sw_ldp::sw::ShardAggregator::for_pipeline(&p);
-        direct.push_slice(&reference).unwrap();
-        let fused = p.aggregate_batch(&values, shards, seed).unwrap();
-        prop_assert_eq!(fused, direct);
-    }
 
     /// `parallel_jobs` output is a pure function of the job index for any
     /// cap, including caps exceeding the job count.

@@ -48,10 +48,10 @@ fn grr_satisfies_ldp_empirically() {
     let mut rng = SplitMix64::new(2001);
     let trials = 200_000;
     let p1 = empirical_dist(0, 8, trials, |v| {
-        FrequencyOracle::randomize(&g, v, &mut rng).unwrap()
+        Mechanism::randomize(&g, &v, &mut rng).unwrap()
     });
     let p2 = empirical_dist(5, 8, trials, |v| {
-        FrequencyOracle::randomize(&g, v, &mut rng).unwrap()
+        Mechanism::randomize(&g, &v, &mut rng).unwrap()
     });
     assert_ldp_bound(&p1, &p2, eps, 0.1);
 }

@@ -193,7 +193,8 @@ proptest! {
         let g = Grr::new(d, 1.0).unwrap();
         let mut rng = SplitMix64::new(seed);
         let values: Vec<usize> = (0..500).map(|i| i % d).collect();
-        let est = g.run(&values, &mut rng).unwrap();
+        let reports = Client::new(&g).randomize_batch(&values, &mut rng).unwrap();
+        let est = g.aggregate(&reports).unwrap();
         // The GRR inverse estimator preserves the total exactly.
         prop_assert!((est.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
