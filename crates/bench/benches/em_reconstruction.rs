@@ -26,7 +26,7 @@
 //! `BENCH_SMOKE=1` switches to a seconds-long configuration for CI.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ldp_cfo::{Grr, Hrr, Olh, Oue};
+use ldp_cfo::{BinningEstimator, Grr, Hrr, Olh, Oue};
 use ldp_core::{Aggregator, Client, Mechanism};
 use ldp_experiments::{run_grid, ExperimentConfig, Method};
 use ldp_hierarchy::{HaarHrr, HierarchicalHistogram};
@@ -252,6 +252,10 @@ fn bench_absorb(c: &mut Criterion) {
     let hh_reports = absorb_reports(&hh, &cat(256), 48);
     let haar = HaarHrr::new(256, 1.0).unwrap();
     let haar_reports = absorb_reports(&haar, &cat(256), 49);
+    // CFO-binning at the paper's d = 256 with 64 bins: its OLH oracle walks
+    // 64 values per report.
+    let binning = BinningEstimator::new(64, 256, 1.0).unwrap();
+    let binning_reports = absorb_reports(&binning, &unit, 50);
 
     macro_rules! each_family {
         ($m:ident) => {
@@ -264,6 +268,7 @@ fn bench_absorb(c: &mut Criterion) {
             $m!(hybrid, hybrid_reports);
             $m!(hh, hh_reports);
             $m!(haar, haar_reports);
+            $m!(binning, binning_reports);
         };
     }
 

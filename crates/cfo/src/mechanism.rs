@@ -240,22 +240,9 @@ impl Mechanism for Olh {
         Ok(())
     }
 
-    fn absorb_slice(
-        &self,
-        state: &mut SupportState,
-        reports: &[OlhReport],
-    ) -> Result<(), CoreError> {
-        let g = self.hash_range();
-        if let Some(bad) = reports.iter().position(|r| r.y as usize >= g) {
-            return Err(CoreError::InvalidReport(format!(
-                "OLH report value {} (index {bad}) outside hash range {g}",
-                reports[bad].y
-            )));
-        }
-        self.add_support_slice(&mut state.support, reports);
-        state.n += reports.len() as u64;
-        Ok(())
-    }
+    // absorb_slice keeps the default report-at-a-time loop: every absorb
+    // already runs the 4-wide support walk over tables built at
+    // construction, so there is nothing left to hoist out of a slice.
 
     fn merge_state(&self, state: &mut SupportState, other: &SupportState) -> Result<(), CoreError> {
         if state.support.len() != other.support.len() {

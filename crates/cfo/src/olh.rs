@@ -16,6 +16,7 @@ use crate::error::CfoError;
 use ldp_core::{Domain, Epsilon};
 use ldp_numeric::rng::mix64;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// A single OLH report: the user's hash seed and the GRR-perturbed hashed
 /// value.
@@ -29,13 +30,29 @@ pub struct OlhReport {
 
 /// The OLH frequency oracle; its protocol is the
 /// [`ldp_core::Mechanism`] impl in [`crate::mechanism`].
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Olh {
     pub(crate) d: usize,
     pub(crate) eps: Epsilon,
     pub(crate) g: usize,
     /// GRR keep-probability over the hashed domain.
     pub(crate) p: f64,
+    /// `x % g` by multiplication, for the support walk.
+    rem_g: FastRemainder,
+    /// `value_mix[v] = mix64(v)`: the report-independent inner hash of
+    /// every domain value, computed once at construction.
+    value_mix: Box<[u64]>,
+}
+
+impl fmt::Debug for Olh {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Olh")
+            .field("d", &self.d)
+            .field("eps", &self.eps)
+            .field("g", &self.g)
+            .field("p", &self.p)
+            .finish_non_exhaustive()
+    }
 }
 
 /// Evaluates the OLH hash family: maps `value` into `{0, …, g-1}` under
@@ -46,29 +63,84 @@ pub fn olh_hash(seed: u64, value: usize, g: usize) -> u32 {
     (mix64(seed ^ mix64(value as u64)) % g as u64) as u32
 }
 
+/// Exact `x % g` without a divide: the round-up multiply-high division of
+/// Granlund and Montgomery, "Division by Invariant Integers using
+/// Multiplication" (PLDI 1994, Figure 4.1), then `x - q·g`.
+///
+/// With `l = ⌈log₂ g⌉` and `m = ⌊2⁶⁴·(2ˡ - g)/g⌋ + 1 < 2⁶⁴`, the quotient is
+/// `q = (t + ((x - t) >> 1)) >> (l - 1)` where `t` is the high word of
+/// `m·x`. Their Theorem 4.2 makes `q = ⌊x/g⌋` for every 64-bit `x` and
+/// every 64-bit `g ≥ 2`; the cost is one 64×64→128 multiply and one 64-bit
+/// multiply.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FastRemainder {
+    g: u64,
+    m: u64,
+    /// `l - 1`.
+    shift: u32,
+}
+
+impl FastRemainder {
+    /// Precomputes the reciprocal of `g`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g < 2`.
+    #[must_use]
+    pub fn new(g: u64) -> Self {
+        assert!(g >= 2, "remainder by {g}");
+        let l = u64::BITS - (g - 1).leading_zeros();
+        let excess = (1u128 << l) - u128::from(g);
+        FastRemainder {
+            g,
+            m: ((excess << 64) / u128::from(g) + 1) as u64,
+            shift: l - 1,
+        }
+    }
+
+    /// `x % g`.
+    #[inline]
+    #[must_use]
+    pub fn reduce(self, x: u64) -> u64 {
+        let t = ((u128::from(self.m) * u128::from(x)) >> 64) as u64;
+        let q = (t + ((x - t) >> 1)) >> self.shift;
+        x - q * self.g
+    }
+}
+
 impl Olh {
     /// Creates an OLH oracle with the variance-optimal hash range
-    /// `g = round(eᵉ) + 1`.
+    /// `g = round(eᵉ) + 1`, clamped to `[2, u32::MAX]` so hashed values fit
+    /// a report's `u32` (from ε ≈ 22.2 up). A smaller `g` keeps ε-LDP: the
+    /// keep-probability still has odds exactly eᵉ against each other value.
     pub fn new(d: usize, eps: f64) -> Result<Self, CfoError> {
         Domain::new(d)?;
         Epsilon::new(eps)?;
-        let g = ((eps.exp()).round() as usize + 1).max(2);
+        let g = (eps.exp().round() + 1.0).clamp(2.0, f64::from(u32::MAX)) as usize;
         Self::with_hash_range(d, eps, g)
     }
 
-    /// Creates an OLH oracle with an explicit hash range `g >= 2`
-    /// (exposed for the ablation benches).
+    /// Creates an OLH oracle with an explicit hash range
+    /// `2 <= g <= u32::MAX` (exposed for the ablation benches).
     pub fn with_hash_range(d: usize, eps: f64, g: usize) -> Result<Self, CfoError> {
         Domain::new(d)?;
         let eps = Epsilon::new(eps)?;
-        if g < 2 {
+        if !(2..=u32::MAX as usize).contains(&g) {
             return Err(CfoError::InvalidParameter(format!(
-                "hash range g must be at least 2, got {g}"
+                "hash range g must be in [2, {}], got {g}",
+                u32::MAX
             )));
         }
         let e = eps.exp();
         let p = e / (e + g as f64 - 1.0);
-        Ok(Olh { d, eps, g, p })
+        Ok(Olh {
+            d,
+            eps,
+            g,
+            p,
+            rem_g: FastRemainder::new(g as u64),
+            value_mix: (0..d as u64).map(mix64).collect(),
+        })
     }
 
     /// The hash range g.
@@ -98,37 +170,23 @@ impl Olh {
     }
 
     /// Adds one report's support pattern to per-value support counts — the
-    /// O(d) inversion step of a single absorb.
+    /// O(d) inversion step of a single absorb. A 4-wide branch-free walk
+    /// over the cached value mixes with a divide-free remainder; exact u64
+    /// additions, so the counts equal a reference loop over [`olh_hash`].
     pub(crate) fn add_support(&self, support: &mut [u64], report: &OlhReport) {
-        for (v, s) in support.iter_mut().enumerate() {
-            if olh_hash(report.seed, v, self.g) == report.y {
-                *s += 1;
-            }
+        let seed = report.seed;
+        let y = u64::from(report.y);
+        let rem = self.rem_g;
+        let mut counts = support.chunks_exact_mut(4);
+        let mut mixes = self.value_mix.chunks_exact(4);
+        for (s4, m4) in (&mut counts).zip(&mut mixes) {
+            s4[0] += u64::from(rem.reduce(mix64(seed ^ m4[0])) == y);
+            s4[1] += u64::from(rem.reduce(mix64(seed ^ m4[1])) == y);
+            s4[2] += u64::from(rem.reduce(mix64(seed ^ m4[2])) == y);
+            s4[3] += u64::from(rem.reduce(mix64(seed ^ m4[3])) == y);
         }
-    }
-
-    /// Bulk [`Olh::add_support`]: hoists the report-independent inner hash
-    /// `mix64(v)` out of the per-report scan (it is recomputed `d` times
-    /// per report on the serial path) and runs a 4-wide branch-free
-    /// unrolled match loop. Exact u64 additions in the same per-report
-    /// order — bit-identical to serial absorption.
-    pub(crate) fn add_support_slice(&self, support: &mut [u64], reports: &[OlhReport]) {
-        let value_mix: Vec<u64> = (0..support.len()).map(|v| mix64(v as u64)).collect();
-        let g = self.g as u64;
-        for report in reports {
-            let seed = report.seed;
-            let y = report.y;
-            let mut counts = support.chunks_exact_mut(4);
-            let mut mixes = value_mix.chunks_exact(4);
-            for (s4, m4) in (&mut counts).zip(&mut mixes) {
-                s4[0] += u64::from((mix64(seed ^ m4[0]) % g) as u32 == y);
-                s4[1] += u64::from((mix64(seed ^ m4[1]) % g) as u32 == y);
-                s4[2] += u64::from((mix64(seed ^ m4[2]) % g) as u32 == y);
-                s4[3] += u64::from((mix64(seed ^ m4[3]) % g) as u32 == y);
-            }
-            for (s, m) in counts.into_remainder().iter_mut().zip(mixes.remainder()) {
-                *s += u64::from((mix64(seed ^ m) % g) as u32 == y);
-            }
+        for (s, m) in counts.into_remainder().iter_mut().zip(mixes.remainder()) {
+            *s += u64::from(rem.reduce(mix64(seed ^ m)) == y);
         }
     }
 
@@ -161,6 +219,50 @@ mod tests {
         let o = Olh::new(16, 1.0).unwrap();
         // g = round(e) + 1 = 4.
         assert_eq!(o.hash_range(), 4);
+    }
+
+    #[test]
+    fn hash_range_saturates_at_u32_max_for_huge_epsilon() {
+        // round(eᵉ) + 1 passes u32::MAX near ε = 22.2 and usize near
+        // ε = 44.4; both clamp instead of truncating or wrapping.
+        for eps in [22.2, 30.0, 43.7, 44.4, 50.0, 700.0, f64::MAX] {
+            let o = Olh::new(8, eps).unwrap();
+            assert_eq!(o.hash_range(), u32::MAX as usize, "eps = {eps}");
+        }
+        let below = Olh::new(8, 22.1).unwrap().hash_range();
+        assert_eq!(below, 22.1f64.exp().round() as usize + 1);
+        assert!(below < u32::MAX as usize);
+    }
+
+    #[test]
+    fn point_mass_is_unbiased_at_epsilon_30() {
+        let o = Olh::new(16, 30.0).unwrap();
+        let mut rng = SplitMix64::new(30);
+        let est = run(&o, &[5usize; 2_000], &mut rng);
+        assert!((est[5] - 1.0).abs() < 0.005, "est[5] = {}", est[5]);
+        for (v, e) in est.iter().enumerate().filter(|&(v, _)| v != 5) {
+            assert!(e.abs() < 0.005, "est[{v}] = {e}");
+        }
+    }
+
+    #[test]
+    fn explicit_hash_range_past_u32_is_rejected() {
+        assert!(Olh::with_hash_range(8, 1.0, 1 << 32).is_err());
+        // The largest allowed range randomizes (no `g as u32 - 1` overflow)
+        // and absorbs like the reference hash.
+        let g = u32::MAX as usize;
+        let o = Olh::with_hash_range(8, 1.0, g).unwrap();
+        let mut rng = SplitMix64::new(3);
+        let mut st = o.empty_state();
+        let mut expected = [0u64; 8];
+        for v in 0..200 {
+            let r = Mechanism::randomize(&o, &(v % 8), &mut rng).unwrap();
+            o.absorb(&mut st, &r).unwrap();
+            for (u, e) in expected.iter_mut().enumerate() {
+                *e += u64::from(olh_hash(r.seed, u, g) == r.y);
+            }
+        }
+        assert_eq!(st.support(), expected);
     }
 
     #[test]

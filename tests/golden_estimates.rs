@@ -1,6 +1,7 @@
 //! Golden estimate pins: literal fingerprints, report digests and
 //! estimate digests for every registry mechanism spec, plus two custom
-//! Square Wave configurations outside the registry.
+//! Square Wave configurations outside the registry, plus three OLH-backed
+//! specs whose hash range `g` is not a power of two.
 //!
 //! Each registry run goes `build_session` → `gen_reports` →
 //! `ingest_text` → `finalize_text` and pins three values:
@@ -214,21 +215,65 @@ const WIDE_OUTPUT_PIN: CustomPin = (
     ],
 );
 
+/// Specs whose OLH hash range `g = round(eᵉ) + 1` is odd (the registry pins
+/// all run at ε = 1, where `g = 4`), pinned under the same scheme:
+/// `(spec, fingerprint, [[reports digest, estimate digest]; RUNS])`.
+const ODD_HASH_RANGE_PINS: &[Pin] = &[
+    // g = 3.
+    (
+        "olh:eps=0.5,d=64",
+        0x09e669471c4ea3f4,
+        [
+            [0x29d6ef54bf2a56aa, 0xef6957556a76ae9c],
+            [0x3e701df93593c7e7, 0x40d2ae407b9003fd],
+            [0x5c5d5435d8ac8261, 0xc08554ad410b7a54],
+            [0xb3da60ef6da3bd44, 0xabfc63a38fbd978d],
+        ],
+    ),
+    // g = 5 on the 64-bin OLH oracle.
+    (
+        "cfo-binning:eps=1.5,d=256,bins=64",
+        0xc54251fc74fb32da,
+        [
+            [0x6c422f2e9891f49f, 0x2e81e6abcdbb96bd],
+            [0x03ef73523c236260, 0xae02f6d240c20e21],
+            [0x5f7b00657cbcc0aa, 0xa0dcdc9409181141],
+            [0xe08a7f1d86fc5ac7, 0x29ed82689fbf7695],
+        ],
+    ),
+    // g = 13 on the OLH levels (sizes 64 and 256).
+    (
+        "hh:eps=2.5,d=256",
+        0x2d6c90745fcb6ee4,
+        [
+            [0x14b491a7008700f2, 0xbb7920e8586592fb],
+            [0xdbc04c8192121bcc, 0x232c9e3b06c78f26],
+            [0xd268a3d4bc528303, 0x1bc540f0bfd0e4a2],
+            [0x16103601f337f752, 0x9c30ab0072edc128],
+        ],
+    ),
+];
+
 /// Runs one registry spec through the collector session and returns its
 /// pin.
 fn registry_run(name: &'static str) -> Pin {
-    let spec = spec_for(name);
+    spec_run(name, &spec_for(name))
+}
+
+/// Runs `spec` through the collector session and returns its pin under
+/// `label`.
+fn spec_run(label: &'static str, spec: &str) -> Pin {
     let mut digests = [[0; 2]; 4];
     let mut fingerprint = 0;
     for (slot, &(seed, n)) in digests.iter_mut().zip(&RUNS) {
-        let mut session = build_session(&spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
+        let mut session = build_session(spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
         fingerprint = session.fingerprint();
         let reports = session.gen_reports(n, seed).unwrap();
         assert_eq!(session.ingest_text(&reports).unwrap(), n, "{spec}");
         let estimate = session.finalize_text().unwrap();
         *slot = [fnv1a(&reports), fnv1a(&estimate)];
     }
-    (name, fingerprint, digests)
+    (label, fingerprint, digests)
 }
 
 /// Runs a custom SW configuration through `Client`/`Aggregator`, drawing
@@ -285,6 +330,23 @@ fn registry_estimates_match_golden_pins() {
     assert!(
         actual.as_slice() == REGISTRY_PINS,
         "registry pins differ; actual:\n{}",
+        rendered.join(",\n")
+    );
+}
+
+#[test]
+fn odd_hash_range_estimates_match_golden_pins() {
+    let actual: Vec<Pin> = ODD_HASH_RANGE_PINS
+        .iter()
+        .map(|p| spec_run(p.0, p.0))
+        .collect();
+    let rendered: Vec<String> = actual
+        .iter()
+        .map(|(spec, fp, d)| render_pin(&format!("{spec:?}"), *fp, d))
+        .collect();
+    assert!(
+        actual.as_slice() == ODD_HASH_RANGE_PINS,
+        "odd hash range pins differ; actual:\n{}",
         rendered.join(",\n")
     );
 }

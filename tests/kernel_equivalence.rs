@@ -1,7 +1,8 @@
 //! Kernel-equivalence differential suite: every vectorized / unrolled
 //! kernel in `ldp_numeric::kernels`, the batched `SplitMix64` fills, and
 //! `ExactSum::add_slice` are pinned **bit-for-bit** against their scalar
-//! serial references.
+//! serial references, and the OLH support walk (divide-free remainder over
+//! cached value mixes) is pinned against a reference loop over `olh_hash`.
 //!
 //! The suite sweeps domain sizes `d ∈ {1, 2, 7, 64, 257, 1024}`, every
 //! lane-remainder length (0..=17 and beyond the 4-lane / 7-row block
@@ -15,6 +16,10 @@
 
 use proptest::prelude::*;
 use rand::Rng;
+use sw_ldp::cfo::olh::{olh_hash, FastRemainder, OlhReport};
+use sw_ldp::cfo::{AdaptiveOracle, BinningEstimator, Olh, OracleKind};
+use sw_ldp::core_api::{Aggregator, Client, Mechanism};
+use sw_ldp::hierarchy::HierarchicalHistogram;
 use sw_ldp::numeric::kernels;
 use sw_ldp::numeric::{ExactSum, SplitMix64};
 
@@ -316,6 +321,114 @@ fn batched_rng_golden_vector_pin() {
 }
 
 // ---------------------------------------------------------------------------
+// OLH support walk: divide-free remainder over cached value mixes
+// ---------------------------------------------------------------------------
+
+/// Numerators at the edges of the remainder: zero, either side of `g`, and
+/// the top of the u64 range.
+fn remainder_edges(g: u64) -> [u64; 5] {
+    [0, g - 1, g, u64::MAX - 1, u64::MAX]
+}
+
+#[test]
+fn fast_remainder_equals_modulo_at_the_edges() {
+    let near_u32_max = (u64::from(u32::MAX) - 8)..=u64::from(u32::MAX);
+    let wide = [1 << 32, 1 << 63, (1 << 63) + 1, u64::MAX];
+    for g in (2..=64).chain(near_u32_max).chain(wide) {
+        let rem = FastRemainder::new(g);
+        for x in remainder_edges(g) {
+            assert_eq!(rem.reduce(x), x % g, "x = {x}, g = {g}");
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "remainder by 1")]
+fn fast_remainder_rejects_a_divisor_below_two() {
+    let _ = FastRemainder::new(1);
+}
+
+/// Per-value support counts by the definition: report `(seed, y)` supports
+/// `v` iff `olh_hash(seed, v, g) == y`.
+fn reference_support(d: usize, g: usize, reports: &[OlhReport]) -> Vec<u64> {
+    let mut support = vec![0u64; d];
+    for r in reports {
+        for (v, s) in support.iter_mut().enumerate() {
+            if olh_hash(r.seed, v, g) == r.y {
+                *s += 1;
+            }
+        }
+    }
+    support
+}
+
+#[test]
+fn olh_support_walk_equals_the_hash_reference() {
+    // d = 1 is not a valid domain; 2..=9 lands every 4-lane remainder.
+    assert!(Olh::with_hash_range(1, 1.0, 2).is_err());
+    let mut rng = SplitMix64::new(0x01F);
+    for d in (2..=9).chain([256]) {
+        for g in 2..=13 {
+            let olh = Olh::with_hash_range(d, 1.0, g).unwrap();
+            let reports: Vec<_> = (0..64)
+                .map(|i| Mechanism::randomize(&olh, &(i % d), &mut rng).unwrap())
+                .collect();
+            let mut state = olh.empty_state();
+            for r in &reports {
+                olh.absorb(&mut state, r).unwrap();
+            }
+            assert_eq!(
+                state.support(),
+                reference_support(d, g, &reports),
+                "d = {d}, g = {g}"
+            );
+        }
+    }
+}
+
+/// Pushes `inputs` through `mech` report by report and as one slice, and
+/// returns both final states.
+fn push_vs_push_slice<M>(mech: &M, inputs: &[M::Input]) -> (M::State, M::State)
+where
+    M: Mechanism,
+    M::Input: Sized,
+{
+    let client = Client::new(mech);
+    let mut rng = SplitMix64::new(0xA11);
+    let reports: Vec<M::Report> = inputs
+        .iter()
+        .map(|x| client.randomize(x, &mut rng).unwrap())
+        .collect();
+    let mut one = Aggregator::new(mech);
+    for r in &reports {
+        one.push(r).unwrap();
+    }
+    let mut bulk = Aggregator::new(mech);
+    bulk.push_slice(&reports).unwrap();
+    (one.into_parts().1, bulk.into_parts().1)
+}
+
+#[test]
+fn olh_consumers_push_equals_push_slice() {
+    let values: Vec<usize> = (0..1_500).map(|i| (i * 37) % 256).collect();
+
+    let adaptive = AdaptiveOracle::new(256, 1.5).unwrap();
+    assert_eq!(adaptive.kind(), OracleKind::Olh);
+    let (one, bulk) = push_vs_push_slice(&adaptive, &values);
+    assert_eq!(one, bulk, "adaptive");
+
+    let binning = BinningEstimator::new(64, 256, 1.5).unwrap();
+    assert_eq!(binning.oracle_kind(), OracleKind::Olh);
+    let points: Vec<f64> = values.iter().map(|&v| v as f64 / 256.0).collect();
+    let (one, bulk) = push_vs_push_slice(&binning, &points);
+    assert_eq!(one, bulk, "cfo-binning");
+
+    let hh = HierarchicalHistogram::new(4, 256, 2.5).unwrap();
+    let (one, bulk) = push_vs_push_slice(&hh, &values);
+    assert_eq!(one, bulk, "hh");
+}
+
+// ---------------------------------------------------------------------------
 // Dispatch plumbing
 // ---------------------------------------------------------------------------
 
@@ -355,6 +468,18 @@ fn hostile_vec(seed: u64, n: usize) -> Vec<f64> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn prop_fast_remainder_equals_modulo(
+        x in 0u64..=u64::MAX,
+        g_hash in 2u64..=u64::from(u32::MAX),
+        g_small in 2u64..=64,
+        g_any in 2u64..=u64::MAX,
+    ) {
+        for g in [g_hash, g_small, g_any] {
+            prop_assert_eq!(FastRemainder::new(g).reduce(x), x % g);
+        }
+    }
 
     #[test]
     fn prop_dot4_bit_identical(seed in 0u64..u64::MAX, n in 0usize..80) {
