@@ -5,10 +5,14 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ldp_bench::{bench_dataset, sw_ems_trial, BENCH_N};
 use ldp_cfo::postprocess::{norm_mul, norm_sub};
+use ldp_core::{Client, Mechanism};
 use ldp_datasets::DatasetKind;
 use ldp_hierarchy::{hh_admm, AdmmConfig, HierarchicalHistogram};
 use ldp_numeric::SplitMix64;
-use ldp_sw::{reconstruct, DiscreteSw, EmConfig, ShardAggregator, SmoothingKernel, SwPipeline};
+use ldp_sw::{
+    reconstruct, transition_matrix, DiscreteSw, EmConfig, ShardAggregator, SmoothingKernel,
+    SwPipeline,
+};
 use std::time::Duration;
 
 const D: usize = 256;
@@ -26,12 +30,12 @@ fn bench_smoothing_kernels(c: &mut Criterion) {
     let reports: Vec<f64> = ds
         .values
         .iter()
-        .map(|&v| pipeline.randomize(v, &mut rng).unwrap())
+        .map(|&v| pipeline.wave().randomize(v, &mut rng).unwrap())
         .collect();
     let mut agg = ShardAggregator::for_pipeline(&pipeline);
     agg.push_slice(&reports).unwrap();
     let counts = agg.to_counts();
-    let m = pipeline.transition();
+    let m = &transition_matrix(pipeline.wave(), D, D).unwrap();
 
     let configs = [
         ("none_em", EmConfig::em(1.0)),
@@ -90,18 +94,14 @@ fn bench_rb_vs_br(c: &mut Criterion) {
 
     group.bench_function("bucketize_before_randomize", |b| {
         let sw = DiscreteSw::new(D, 1.0).unwrap();
-        let m = sw.transition_matrix().unwrap();
         let buckets = ds.bucket_values(D);
         let mut seed = 800u64;
         b.iter(|| {
             seed += 1;
-            let mut rng = SplitMix64::new(seed);
-            let reports: Vec<usize> = buckets
-                .iter()
-                .map(|&v| sw.randomize(v, &mut rng).unwrap())
-                .collect();
-            let counts = sw.aggregate(&reports).unwrap();
-            reconstruct(&m, &counts, &EmConfig::ems()).unwrap()
+            let reports = Client::new(&sw)
+                .randomize_batch(&buckets, &mut SplitMix64::new(seed))
+                .unwrap();
+            sw.aggregate(&reports).unwrap()
         })
     });
     group.finish();
@@ -117,7 +117,10 @@ fn bench_admm_iterations(c: &mut Criterion) {
     let buckets = ds.bucket_values(D);
     let hh = HierarchicalHistogram::new(4, D, 1.0).unwrap();
     let mut rng = SplitMix64::new(900);
-    let raw = hh.collect(&buckets, &mut rng).unwrap();
+    let reports = Client::new(&hh)
+        .randomize_batch(&buckets, &mut rng)
+        .unwrap();
+    let raw = hh.aggregate(&reports).unwrap();
     for iters in [50usize, 300] {
         group.bench_function(format!("admm_{iters}_iters"), |b| {
             let config = AdmmConfig {

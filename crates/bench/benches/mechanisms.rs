@@ -6,7 +6,7 @@ use ldp_cfo::{Grr, Hrr, Olh, Oue};
 use ldp_core::Mechanism;
 use ldp_mean::{Pm, Sr};
 use ldp_numeric::SplitMix64;
-use ldp_sw::{DiscreteSw, ShardAggregator, SwPipeline};
+use ldp_sw::{DiscreteSw, ShardAggregator, SwMechanism};
 use std::time::Duration;
 
 fn bench_randomizers(c: &mut Criterion) {
@@ -17,16 +17,16 @@ fn bench_randomizers(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2));
 
     let eps = 1.0;
-    let sw = SwPipeline::new(eps, 256).unwrap();
+    let sw = SwMechanism::ems(eps, 256).unwrap();
     group.bench_function("sw_continuous", |b| {
         let mut rng = SplitMix64::new(1);
-        b.iter(|| sw.randomize(black_box(0.37), &mut rng).unwrap())
+        b.iter(|| sw.randomize(black_box(&0.37), &mut rng).unwrap())
     });
 
     let dsw = DiscreteSw::new(256, eps).unwrap();
     group.bench_function("sw_discrete", |b| {
         let mut rng = SplitMix64::new(2);
-        b.iter(|| dsw.randomize(black_box(97), &mut rng).unwrap())
+        b.iter(|| dsw.randomize(black_box(&97), &mut rng).unwrap())
     });
 
     let grr = Grr::new(256, eps).unwrap();
@@ -104,13 +104,16 @@ fn bench_aggregation(c: &mut Criterion) {
         )
     });
 
-    let sw = SwPipeline::new(eps, 256).unwrap();
+    let sw = SwMechanism::ems(eps, 256).unwrap();
     let sw_reports: Vec<f64> = (0..n)
-        .map(|i| sw.randomize((i % 1000) as f64 / 1000.0, &mut rng).unwrap())
+        .map(|i| {
+            sw.randomize(&((i % 1000) as f64 / 1000.0), &mut rng)
+                .unwrap()
+        })
         .collect();
     group.bench_function("sw_bucketize_n20k_d256", |b| {
         b.iter(|| {
-            let mut agg = ShardAggregator::for_pipeline(&sw);
+            let mut agg = ShardAggregator::for_pipeline(sw.pipeline());
             agg.push_slice(black_box(&sw_reports)).unwrap();
             agg
         })

@@ -3,6 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ldp_bench::{bench_dataset, BENCH_D, BENCH_N};
+use ldp_core::{Client, Mechanism};
 use ldp_datasets::DatasetKind;
 use ldp_hierarchy::{hh_admm, AdmmConfig, HierarchicalHistogram};
 use ldp_numeric::SplitMix64;
@@ -44,7 +45,7 @@ fn bench_em_ems(c: &mut Criterion) {
     let reports: Vec<f64> = ds
         .values
         .iter()
-        .map(|&v| pipeline.randomize(v, &mut rng).unwrap())
+        .map(|&v| pipeline.wave().randomize(v, &mut rng).unwrap())
         .collect();
     let mut agg = ShardAggregator::for_pipeline(&pipeline);
     agg.push_slice(&reports).unwrap();
@@ -70,7 +71,10 @@ fn bench_hierarchy_postprocessing(c: &mut Criterion) {
     let buckets = ds.bucket_values(BENCH_D);
     let hh = HierarchicalHistogram::new(4, BENCH_D, 1.0).unwrap();
     let mut rng = SplitMix64::new(11);
-    let raw = hh.collect(&buckets, &mut rng).unwrap();
+    let reports = Client::new(&hh)
+        .randomize_batch(&buckets, &mut rng)
+        .unwrap();
+    let raw = hh.aggregate(&reports).unwrap();
 
     group.bench_function("constrained_inference_d256", |b| {
         b.iter(|| hh.make_consistent(black_box(&raw)).unwrap())

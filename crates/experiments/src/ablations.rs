@@ -15,12 +15,13 @@ use crate::config::ExperimentConfig;
 use crate::error::ExperimentError;
 use crate::report::{Chart, Figure, Series};
 use crate::runner::parallel_jobs;
+use ldp_core::Mechanism;
 use ldp_datasets::{DatasetKind, DatasetSpec};
 use ldp_metrics as metrics;
 use ldp_numeric::rng::mix64;
 use ldp_numeric::{Histogram, SplitMix64};
 use ldp_sw::{
-    reconstruct, reconstruct_inversion, EmConfig, ShardAggregator, SmoothingKernel, SwPipeline,
+    reconstruct, reconstruct_inversion, transition_matrix, EmConfig, SmoothingKernel, SwMechanism,
 };
 
 fn first_dataset(config: &ExperimentConfig) -> DatasetKind {
@@ -31,18 +32,21 @@ fn first_dataset(config: &ExperimentConfig) -> DatasetKind {
         .unwrap_or(DatasetKind::Beta)
 }
 
-/// Generates one set of perturbed counts for a (dataset, ε, trial seed).
+/// Generates one set of perturbed counts for a (dataset, ε, trial seed):
+/// every value randomized through `mech` on one `seed` stream and absorbed
+/// into its report histogram.
 fn perturbed_counts(
-    pipeline: &SwPipeline,
+    mech: &SwMechanism,
     values: &[f64],
     seed: u64,
 ) -> Result<Vec<f64>, ExperimentError> {
     let mut rng = SplitMix64::new(seed);
-    let mut agg = ShardAggregator::for_pipeline(pipeline);
-    for &v in values {
-        agg.push(pipeline.randomize(v, &mut rng)?)?;
+    let mut state = mech.empty_state();
+    for v in values {
+        let report = mech.randomize(v, &mut rng)?;
+        mech.absorb(&mut state, &report)?;
     }
-    Ok(agg.to_counts())
+    Ok(state.to_counts())
 }
 
 /// EM stopping-threshold sensitivity (the paper's §5.5 motivation for EMS).
@@ -58,7 +62,7 @@ pub fn ablation_em_threshold(config: &ExperimentConfig) -> Result<Figure, Experi
     let spec = DatasetSpec::scaled(kind, config.scale, mix64(config.seed ^ 0xAB1));
     let ds = spec.generate();
     let truth = ds.histogram(d)?;
-    let pipeline = SwPipeline::new(eps, d)?;
+    let mech = SwMechanism::ems(eps, d)?;
 
     let thresholds: Vec<f64> = vec![1e-6, 1e-4, 1e-2, 1e0, 1e2];
     let variants: Vec<(&str, bool)> = vec![("EM", false), ("EMS", true)];
@@ -72,7 +76,7 @@ pub fn ablation_em_threshold(config: &ExperimentConfig) -> Result<Figure, Experi
         // Reuse the same reports across thresholds within a trial so the
         // comparison isolates the stopping rule.
         let counts = perturbed_counts(
-            &pipeline,
+            &mech,
             &ds.values,
             mix64(config.seed ^ mix64(trial as u64 + 0xE41)),
         )?;
@@ -86,7 +90,7 @@ pub fn ablation_em_threshold(config: &ExperimentConfig) -> Result<Figure, Experi
                 None
             },
         };
-        let est = reconstruct(pipeline.operator(), &counts, &em_config)?;
+        let est = reconstruct(mech.pipeline().operator(), &counts, &em_config)?;
         let w1 = metrics::wasserstein(&truth, &est.histogram)?;
         Ok((vi, ti, w1))
     })?;
@@ -156,16 +160,19 @@ pub fn ablation_reconstruction(config: &ExperimentConfig) -> Result<Figure, Expe
         let ei = rest % config.epsilons.len();
         let vi = rest / config.epsilons.len();
         let eps = config.epsilons[ei];
-        let pipeline = SwPipeline::new(eps, d)?;
+        let mech = SwMechanism::ems(eps, d)?;
         let counts = perturbed_counts(
-            &pipeline,
+            &mech,
             &ds.values,
             mix64(config.seed ^ mix64((trial as u64) << 8 ^ ei as u64 ^ 0xE42)),
         )?;
+        let pipeline = mech.pipeline();
         let hist: Histogram = match variants[vi].1 {
             Rec::Ems => reconstruct(pipeline.operator(), &counts, &EmConfig::ems())?.histogram,
             Rec::Em => reconstruct(pipeline.operator(), &counts, &EmConfig::em(eps))?.histogram,
-            Rec::Inversion => reconstruct_inversion(pipeline.transition(), &counts)?,
+            Rec::Inversion => {
+                reconstruct_inversion(&transition_matrix(pipeline.wave(), d, d)?, &counts)?
+            }
         };
         let w1 = metrics::wasserstein(&truth, &hist)?;
         Ok((vi, ei, w1))
@@ -228,9 +235,9 @@ pub fn ablation_smoothing(config: &ExperimentConfig) -> Result<Figure, Experimen
         let ei = rest % config.epsilons.len();
         let vi = rest / config.epsilons.len();
         let eps = config.epsilons[ei];
-        let pipeline = SwPipeline::new(eps, d)?;
+        let mech = SwMechanism::ems(eps, d)?;
         let counts = perturbed_counts(
-            &pipeline,
+            &mech,
             &ds.values,
             mix64(config.seed ^ mix64((trial as u64) << 8 ^ ei as u64 ^ 0xE43)),
         )?;
@@ -244,7 +251,7 @@ pub fn ablation_smoothing(config: &ExperimentConfig) -> Result<Figure, Experimen
             min_iterations: 2,
             smoothing: variants[vi].1.clone(),
         };
-        let est = reconstruct(pipeline.operator(), &counts, &em_config)?;
+        let est = reconstruct(mech.pipeline().operator(), &counts, &em_config)?;
         let w1 = metrics::wasserstein(&truth, &est.histogram)?;
         Ok((vi, ei, w1))
     })?;

@@ -367,7 +367,8 @@ mod tests {
             let mut rng = SplitMix64::new(1234);
             let mut agg = ldp_sw::ShardAggregator::for_pipeline(&pipeline);
             for &v in &vals {
-                agg.push(pipeline.randomize(v, &mut rng).unwrap()).unwrap();
+                agg.push(pipeline.wave().randomize(v, &mut rng).unwrap())
+                    .unwrap();
             }
             let legacy = pipeline
                 .reconstruct(&agg.to_counts(), &reconstruction)

@@ -161,14 +161,21 @@ pub fn hh_admm_histogram(
 mod tests {
     use super::*;
     use crate::hh::HierarchicalHistogram;
+    use ldp_core::{Client, Mechanism};
     use ldp_numeric::SplitMix64;
+
+    /// Randomizes every value through `hh` on `rng` and aggregates.
+    fn collect_raw(hh: &HierarchicalHistogram, values: &[usize], rng: &mut SplitMix64) -> HhRaw {
+        let reports = Client::new(hh).randomize_batch(values, rng).unwrap();
+        hh.aggregate(&reports).unwrap()
+    }
 
     fn run_raw(eps: f64, seed: u64, d: usize) -> (HierarchicalHistogram, HhRaw) {
         let hh = HierarchicalHistogram::new(4, d, eps).unwrap();
         let mut rng = SplitMix64::new(seed);
         // Mass concentrated on the first quarter of the domain.
         let values: Vec<usize> = (0..40_000).map(|i| (i * 7) % (d / 4)).collect();
-        let raw = hh.collect(&values, &mut rng).unwrap();
+        let raw = collect_raw(&hh, &values, &mut rng);
         (hh, raw)
     }
 
@@ -207,7 +214,7 @@ mod tests {
         for &v in &values {
             truth[v] += 1.0 / values.len() as f64;
         }
-        let raw = hh.collect(&values, &mut rng).unwrap();
+        let raw = collect_raw(&hh, &values, &mut rng);
         let raw_leaves = hh.make_consistent(&raw).unwrap().leaves().to_vec();
         let admm = hh_admm_histogram(hh.shape(), &raw, AdmmConfig::default()).unwrap();
         let err_raw: f64 = raw_leaves

@@ -40,13 +40,7 @@ pub fn constrained_inference(
     root: RootPolicy,
 ) -> Result<TreeValues, HierarchyError> {
     let h = shape.height();
-    if noisy.levels.len() != h + 1 {
-        return Err(HierarchyError::InvalidParameter(format!(
-            "tree has {} levels, expected {}",
-            noisy.levels.len(),
-            h + 1
-        )));
-    }
+    noisy.check_shape(shape)?;
     if level_variances.len() != h + 1 {
         return Err(HierarchyError::InvalidParameter(format!(
             "got {} level variances, expected {}",
@@ -219,5 +213,17 @@ mod tests {
             levels: vec![vec![0.0]],
         };
         assert!(constrained_inference(&s, &bad, &[1.0; 4], RootPolicy::Estimated).is_err());
+    }
+
+    #[test]
+    fn wrong_width_level_is_rejected_instead_of_panicking() {
+        // Right number of levels, but level 1 holds one node instead of 2.
+        let s = TreeShape::new(2, 4).unwrap();
+        let t = TreeValues {
+            levels: vec![vec![1.0], vec![0.5], vec![0.25; 4]],
+        };
+        let err = constrained_inference(&s, &t, &[1.0; 3], RootPolicy::Fixed(1.0)).unwrap_err();
+        assert!(matches!(err, HierarchyError::InvalidParameter(_)), "{err}");
+        assert!(project_consistent(&s, &t).is_err());
     }
 }

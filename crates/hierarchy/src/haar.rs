@@ -13,8 +13,6 @@
 use crate::error::HierarchyError;
 use crate::tree::TreeShape;
 use ldp_cfo::Hrr;
-use ldp_core::Mechanism;
-use rand::Rng;
 
 /// Haar coefficients of a length-`2^h` vector.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,8 +91,7 @@ pub struct HaarHrr {
     shape: TreeShape,
     eps: f64,
     /// Per-height HRR oracles over the (coefficient, sign) item domains
-    /// (index `m - 1` for heights 1..=h), built once at construction and
-    /// shared by the batch and streaming collection paths.
+    /// (index `m - 1` for heights 1..=h), built once at construction.
     oracles: Vec<Hrr>,
 }
 
@@ -131,63 +128,24 @@ impl HaarHrr {
     pub fn epsilon(&self) -> f64 {
         self.eps
     }
-
-    /// Full pipeline: the population is split uniformly over coefficient
-    /// levels; each user reports its (coefficient, sign) pair through HRR;
-    /// the aggregator estimates every Haar coefficient and inverts the
-    /// transform. Returns leaf-level frequency estimates (possibly negative
-    /// — HaarHRR is evaluated on range queries only, paper Table 2).
-    #[allow(clippy::needless_range_loop)] // levels are indexed by height m
-    pub fn estimate_leaves<R: Rng + ?Sized>(
-        &self,
-        values: &[usize],
-        rng: &mut R,
-    ) -> Result<Vec<f64>, HierarchyError> {
-        if values.is_empty() {
-            return Err(HierarchyError::InvalidParameter(
-                "need at least one user report".into(),
-            ));
-        }
-        let d = self.shape.leaves();
-        let h = self.shape.height();
-        for &v in values {
-            if v >= d {
-                return Err(HierarchyError::InvalidParameter(format!(
-                    "value {v} outside domain of {d} buckets"
-                )));
-            }
-        }
-        // Assign users to coefficient heights m = 1..=h uniformly.
-        let mut per_level: Vec<Vec<usize>> = vec![Vec::new(); h + 1];
-        for &v in values {
-            let m = rng.gen_range(1..=h);
-            // Coefficient index and sign for value v at height m.
-            let k = v >> m;
-            let right = (v >> (m - 1)) & 1;
-            per_level[m].push(2 * k + right);
-        }
-
-        // Randomize each height's group in order through the height
-        // oracle's `Mechanism::randomize`, absorbing reports into the
-        // streaming state; coefficient estimation and the inverse transform are one
-        // routine shared with `ldp_core::Mechanism::finalize`, so the
-        // batch and streaming paths cannot drift.
-        let mut state = Mechanism::empty_state(self);
-        for (m, group) in per_level.iter().enumerate().skip(1) {
-            let oracle = self.height_oracle(m);
-            for &item in group {
-                let report = Mechanism::randomize(oracle, &item, rng)?;
-                Mechanism::absorb(oracle, state.level_mut(m), &report)?;
-            }
-        }
-        Ok(Mechanism::finalize(self, &state)?)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ldp_core::{Client, CoreError, Mechanism};
     use ldp_numeric::SplitMix64;
+
+    /// Randomizes every value through `est` on `rng` and aggregates the
+    /// leaf estimates.
+    fn stream_leaves(
+        est: &HaarHrr,
+        values: &[usize],
+        rng: &mut SplitMix64,
+    ) -> Result<Vec<f64>, CoreError> {
+        let reports = Client::new(est).randomize_batch(values, rng)?;
+        est.aggregate(&reports)
+    }
 
     #[test]
     fn forward_inverse_roundtrip() {
@@ -256,7 +214,7 @@ mod tests {
         let values: Vec<usize> = (0..80_000)
             .map(|i| if i % 4 == 0 { 3 } else { 12 })
             .collect();
-        let leaves = est.estimate_leaves(&values, &mut rng).unwrap();
+        let leaves = stream_leaves(&est, &values, &mut rng).unwrap();
         assert!((leaves[3] - 0.25).abs() < 0.05, "leaf3={}", leaves[3]);
         assert!((leaves[12] - 0.75).abs() < 0.05, "leaf12={}", leaves[12]);
         let sum: f64 = leaves.iter().sum();
@@ -272,7 +230,7 @@ mod tests {
         let est = HaarHrr::new(32, 0.5).unwrap();
         let mut rng = SplitMix64::new(82);
         let values: Vec<usize> = (0..5_000).map(|i| i % 32).collect();
-        let leaves = est.estimate_leaves(&values, &mut rng).unwrap();
+        let leaves = stream_leaves(&est, &values, &mut rng).unwrap();
         let sum: f64 = leaves.iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
     }
@@ -281,7 +239,7 @@ mod tests {
     fn haarhrr_rejects_bad_input() {
         let est = HaarHrr::new(16, 1.0).unwrap();
         let mut rng = SplitMix64::new(83);
-        assert!(est.estimate_leaves(&[], &mut rng).is_err());
-        assert!(est.estimate_leaves(&[16], &mut rng).is_err());
+        assert!(stream_leaves(&est, &[], &mut rng).is_err());
+        assert!(stream_leaves(&est, &[16], &mut rng).is_err());
     }
 }

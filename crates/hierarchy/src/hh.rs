@@ -12,8 +12,6 @@ use crate::consistency::{constrained_inference, RootPolicy};
 use crate::error::HierarchyError;
 use crate::tree::{TreeShape, TreeValues};
 use ldp_cfo::AdaptiveOracle;
-use ldp_core::Mechanism;
-use rand::Rng;
 
 /// Noisy per-level estimates collected from the population, before
 /// consistency.
@@ -28,15 +26,18 @@ pub struct HhRaw {
 
 impl HhRaw {
     /// Assembles a raw estimate from parts (level 0 of `tree` must hold the
-    /// public total; one variance per level).
+    /// public total; every level must match `shape`; one variance per
+    /// level).
     pub fn new(
         shape: TreeShape,
         tree: TreeValues,
         level_variances: Vec<f64>,
     ) -> Result<Self, HierarchyError> {
-        if tree.levels.len() != shape.height() + 1 || level_variances.len() != shape.height() + 1 {
+        tree.check_shape(&shape)?;
+        if level_variances.len() != shape.height() + 1 {
             return Err(HierarchyError::InvalidParameter(format!(
-                "tree/variance levels must both be {}",
+                "got {} level variances, expected {}",
+                level_variances.len(),
                 shape.height() + 1
             )));
         }
@@ -60,8 +61,7 @@ pub struct HierarchicalHistogram {
     shape: TreeShape,
     eps: f64,
     /// Per-level adaptive oracles (index `level - 1` for levels 1..=h),
-    /// built once at construction and shared by the batch and streaming
-    /// collection paths.
+    /// built once at construction.
     oracles: Vec<AdaptiveOracle>,
 }
 
@@ -98,55 +98,6 @@ impl HierarchicalHistogram {
         self.eps
     }
 
-    /// Client + server side: randomizes every user's bucket index and
-    /// aggregates per-level frequency estimates.
-    ///
-    /// Each user is assigned a uniformly random level; this sampling is part
-    /// of the mechanism (it introduces the sampling error the paper
-    /// discusses) and is driven by `rng` like the randomizers themselves.
-    pub fn collect<R: Rng + ?Sized>(
-        &self,
-        values: &[usize],
-        rng: &mut R,
-    ) -> Result<HhRaw, HierarchyError> {
-        if values.is_empty() {
-            return Err(HierarchyError::InvalidParameter(
-                "need at least one user report".into(),
-            ));
-        }
-        let h = self.shape.height();
-        let d = self.shape.leaves();
-        for &v in values {
-            if v >= d {
-                return Err(HierarchyError::InvalidParameter(format!(
-                    "value {v} outside domain of {d} buckets"
-                )));
-            }
-        }
-        // Partition users over levels 1..=h uniformly at random.
-        let mut per_level: Vec<Vec<usize>> = vec![Vec::new(); h + 1];
-        for &v in values {
-            let level = rng.gen_range(1..=h);
-            per_level[level].push(self.shape.ancestor_at_level(v, level));
-        }
-
-        // Randomize each level's group in order through the level
-        // oracle's `Mechanism::randomize`, absorbing reports into the
-        // streaming state; the estimation itself — per-level debiasing, empty-level
-        // uniform fallback, variance bookkeeping — is one routine shared
-        // with `ldp_core::Mechanism::finalize`, so the batch and streaming
-        // paths cannot drift.
-        let mut state = Mechanism::empty_state(self);
-        for (level, group) in per_level.iter().enumerate().skip(1) {
-            let oracle = self.level_oracle(level);
-            for &v in group {
-                let report = Mechanism::randomize(oracle, &v, rng)?;
-                Mechanism::absorb(oracle, state.level_mut(level), &report)?;
-            }
-        }
-        Ok(Mechanism::finalize(self, &state)?)
-    }
-
     /// Applies constrained inference (root fixed to 1) to raw estimates,
     /// yielding the consistent tree used for range queries.
     pub fn make_consistent(&self, raw: &HhRaw) -> Result<TreeValues, HierarchyError> {
@@ -157,25 +108,23 @@ impl HierarchicalHistogram {
             RootPolicy::Fixed(1.0),
         )
     }
-
-    /// Full pipeline: collect then enforce consistency, returning leaf-level
-    /// frequency estimates (possibly negative — HH is evaluated on range
-    /// queries only, see paper Table 2).
-    pub fn estimate_leaves<R: Rng + ?Sized>(
-        &self,
-        values: &[usize],
-        rng: &mut R,
-    ) -> Result<Vec<f64>, HierarchyError> {
-        let raw = self.collect(values, rng)?;
-        let consistent = self.make_consistent(&raw)?;
-        Ok(consistent.leaves().to_vec())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ldp_core::{Client, CoreError, Mechanism};
     use ldp_numeric::SplitMix64;
+
+    /// Randomizes every value through `hh` on `rng` and aggregates.
+    fn collect_raw(
+        hh: &HierarchicalHistogram,
+        values: &[usize],
+        rng: &mut SplitMix64,
+    ) -> Result<HhRaw, CoreError> {
+        let reports = Client::new(hh).randomize_batch(values, rng)?;
+        hh.aggregate(&reports)
+    }
 
     #[test]
     fn construction_validates() {
@@ -188,8 +137,20 @@ mod tests {
     fn collect_rejects_bad_input() {
         let hh = HierarchicalHistogram::new(2, 8, 1.0).unwrap();
         let mut rng = SplitMix64::new(71);
-        assert!(hh.collect(&[], &mut rng).is_err());
-        assert!(hh.collect(&[8], &mut rng).is_err());
+        assert!(collect_raw(&hh, &[], &mut rng).is_err());
+        assert!(collect_raw(&hh, &[8], &mut rng).is_err());
+    }
+
+    #[test]
+    fn raw_rejects_levels_of_the_wrong_width() {
+        let shape = TreeShape::new(2, 4).unwrap();
+        let tree = TreeValues {
+            levels: vec![vec![1.0], vec![0.5], vec![0.25; 4]],
+        };
+        let err = HhRaw::new(shape, tree, vec![1.0; 3]).unwrap_err();
+        assert!(matches!(err, HierarchyError::InvalidParameter(_)), "{err}");
+        assert!(HhRaw::new(shape, TreeValues::zeros(&shape), vec![1.0; 2]).is_err());
+        assert!(HhRaw::new(shape, TreeValues::zeros(&shape), vec![1.0; 3]).is_ok());
     }
 
     #[test]
@@ -197,7 +158,7 @@ mod tests {
         let hh = HierarchicalHistogram::new(4, 64, 1.0).unwrap();
         let mut rng = SplitMix64::new(72);
         let values: Vec<usize> = (0..30_000).map(|i| i % 64).collect();
-        let raw = hh.collect(&values, &mut rng).unwrap();
+        let raw = collect_raw(&hh, &values, &mut rng).unwrap();
         let consistent = hh.make_consistent(&raw).unwrap();
         assert!(consistent.consistency_gap(hh.shape()) < 1e-9);
         let leaf_sum: f64 = consistent.leaves().iter().sum();
@@ -212,7 +173,8 @@ mod tests {
         let values: Vec<usize> = (0..60_000)
             .map(|i| if i % 2 == 0 { 2 } else { 11 })
             .collect();
-        let leaves = hh.estimate_leaves(&values, &mut rng).unwrap();
+        let raw = collect_raw(&hh, &values, &mut rng).unwrap();
+        let leaves = hh.make_consistent(&raw).unwrap().leaves().to_vec();
         assert!((leaves[2] - 0.5).abs() < 0.05, "leaf2={}", leaves[2]);
         assert!((leaves[11] - 0.5).abs() < 0.05, "leaf11={}", leaves[11]);
         for (i, &l) in leaves.iter().enumerate() {
@@ -227,7 +189,7 @@ mod tests {
         let hh = HierarchicalHistogram::new(4, 256, 1.0).unwrap();
         let mut rng = SplitMix64::new(74);
         let values: Vec<usize> = (0..10_000).map(|i| i % 256).collect();
-        let raw = hh.collect(&values, &mut rng).unwrap();
+        let raw = collect_raw(&hh, &values, &mut rng).unwrap();
         assert_eq!(raw.level_variances.len(), 5);
         // Every estimated level has a real positive variance.
         for level in 1..=4 {

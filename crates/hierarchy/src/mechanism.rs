@@ -54,12 +54,6 @@ impl HhState {
         self.levels[level - 1].total()
     }
 
-    /// Mutable access to one level's oracle state (shared with the batch
-    /// collection path in `hh.rs`).
-    pub(crate) fn level_mut(&mut self, level: usize) -> &mut AdaptiveState {
-        &mut self.levels[level - 1]
-    }
-
     /// Total reports absorbed across all levels.
     #[must_use]
     pub fn total(&self) -> u64 {
@@ -160,7 +154,7 @@ impl Mechanism for HierarchicalHistogram {
             let n = state.level_total(level);
             tree.levels[level] = if n == 0 {
                 // No user sampled this level: fall back to the
-                // uninformative uniform estimate, as the batch path does.
+                // uninformative uniform estimate.
                 let domain = self.shape().level_size(level);
                 vec![1.0 / domain as f64; domain]
             } else {
@@ -196,12 +190,6 @@ impl HaarState {
     #[must_use]
     pub fn total(&self) -> u64 {
         self.levels.iter().map(SpectrumState::total).sum()
-    }
-
-    /// Mutable access to one height's spectrum state (shared with the
-    /// batch collection path in `haar.rs`).
-    pub(crate) fn level_mut(&mut self, m: usize) -> &mut SpectrumState {
-        &mut self.levels[m - 1]
     }
 }
 
@@ -298,8 +286,8 @@ impl Mechanism for HaarHrr {
         for m in 1..=h {
             let coeff_count = d >> m;
             let scale = 2f64.powf(m as f64 / 2.0);
-            // An empty height finalizes to all-zero frequencies, matching
-            // the batch path's uninformative zero coefficients.
+            // An empty height finalizes to all-zero frequencies: its
+            // coefficients are uninformative zeros.
             let freqs = self.height_oracle(m).finalize(&state.levels[m - 1])?;
             let det: Vec<f64> = (0..coeff_count)
                 .map(|k| (freqs[2 * k] - freqs[2 * k + 1]) / scale)

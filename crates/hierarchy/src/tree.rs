@@ -201,6 +201,28 @@ impl TreeValues {
         Ok(TreeValues { levels })
     }
 
+    /// Checks that these values fit `shape`: `height + 1` levels, level `l`
+    /// holding exactly `shape.level_size(l)` nodes.
+    pub(crate) fn check_shape(&self, shape: &TreeShape) -> Result<(), HierarchyError> {
+        if self.levels.len() != shape.height() + 1 {
+            return Err(HierarchyError::InvalidParameter(format!(
+                "tree has {} levels, expected {}",
+                self.levels.len(),
+                shape.height() + 1
+            )));
+        }
+        for (l, level) in self.levels.iter().enumerate() {
+            if level.len() != shape.level_size(l) {
+                return Err(HierarchyError::InvalidParameter(format!(
+                    "tree level {l} has {} nodes, expected {}",
+                    level.len(),
+                    shape.level_size(l)
+                )));
+            }
+        }
+        Ok(())
+    }
+
     /// The leaf level values.
     #[must_use]
     pub fn leaves(&self) -> &[f64] {

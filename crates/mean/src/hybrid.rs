@@ -97,16 +97,6 @@ impl Hybrid {
         }
     }
 
-    /// Server side: the unbiased mean estimate.
-    #[must_use]
-    pub fn estimate_mean(&self, reports: &[HybridReport]) -> f64 {
-        if reports.is_empty() {
-            return 0.0;
-        }
-        let sum: f64 = reports.iter().map(|&r| self.debias(r)).sum();
-        sum / reports.len() as f64
-    }
-
     /// Variance of one debiased report for input `v`: the β-mixture of the
     /// component variances (both components are unbiased, so the mixture
     /// variance is the mixture of second moments minus `v²`).
@@ -127,6 +117,7 @@ impl Hybrid {
 mod tests {
     use super::*;
     use crate::mechanism::run;
+    use ldp_core::Mechanism;
     use ldp_numeric::SplitMix64;
 
     #[test]
@@ -214,6 +205,6 @@ mod tests {
         let h = Hybrid::new(1.0).unwrap();
         let mut rng = SplitMix64::new(7004);
         assert!(h.randomize(1.2, &mut rng).is_err());
-        assert_eq!(h.estimate_mean(&[]), 0.0);
+        assert_eq!(h.aggregate(&[]).unwrap(), 0.0);
     }
 }

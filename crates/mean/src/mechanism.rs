@@ -67,8 +67,7 @@ impl MeanState {
         self.n += other.n;
     }
 
-    /// The mean estimate: `0` when empty (matching the legacy
-    /// `estimate_mean` behavior on an empty report set).
+    /// The mean estimate: `0` when empty.
     fn mean(&self) -> f64 {
         if self.n == 0 {
             return 0.0;
@@ -421,7 +420,7 @@ mod tests {
     fn empty_state_finalizes_to_zero_like_legacy() {
         let sr = Sr::new(1.0).unwrap();
         assert_eq!(sr.finalize(&sr.empty_state()).unwrap(), 0.0);
-        assert_eq!(sr.estimate_mean(&[]), 0.0);
+        assert_eq!(sr.aggregate(&[]).unwrap(), 0.0);
     }
 
     #[test]

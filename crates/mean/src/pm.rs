@@ -79,16 +79,6 @@ impl Pm {
         }
     }
 
-    /// Server side: PM reports are already unbiased, so the mean estimate is
-    /// the plain average.
-    #[must_use]
-    pub fn estimate_mean(&self, reports: &[f64]) -> f64 {
-        if reports.is_empty() {
-            return 0.0;
-        }
-        reports.iter().sum::<f64>() / reports.len() as f64
-    }
-
     /// Worst-case variance of a single report (at `v = ±1`); from Wang et
     /// al.: `v²·(…) + (e^{ε/2}+3)/(3(e^{ε/2}-1)²)` evaluated via the exact
     /// second moment below.
@@ -112,6 +102,7 @@ impl Pm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ldp_core::Mechanism;
     use ldp_numeric::SplitMix64;
 
     #[test]
@@ -223,6 +214,6 @@ mod tests {
     #[test]
     fn empty_reports_give_zero() {
         let pm = Pm::new(1.0).unwrap();
-        assert_eq!(pm.estimate_mean(&[]), 0.0);
+        assert_eq!(pm.aggregate(&[]).unwrap(), 0.0);
     }
 }

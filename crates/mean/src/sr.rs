@@ -52,16 +52,6 @@ impl Sr {
         report / (2.0 * self.p - 1.0)
     }
 
-    /// Server side: the unbiased mean estimate from raw ±1 reports.
-    #[must_use]
-    pub fn estimate_mean(&self, reports: &[f64]) -> f64 {
-        if reports.is_empty() {
-            return 0.0;
-        }
-        let sum: f64 = reports.iter().map(|&r| self.debias(r)).sum();
-        sum / reports.len() as f64
-    }
-
     /// Variance of one debiased report for input `v`:
     /// `1/(p-q)² − v²`.
     #[must_use]
@@ -88,6 +78,7 @@ pub fn from_signed(v: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::mechanism::run;
+    use ldp_core::Mechanism;
     use ldp_numeric::SplitMix64;
 
     #[test]
@@ -178,6 +169,6 @@ mod tests {
     #[test]
     fn empty_reports_give_zero() {
         let sr = Sr::new(1.0).unwrap();
-        assert_eq!(sr.estimate_mean(&[]), 0.0);
+        assert_eq!(sr.aggregate(&[]).unwrap(), 0.0);
     }
 }

@@ -208,7 +208,7 @@ mod tests {
         let values: Vec<f64> = (0..5_000).map(|i| (i % 100) as f64 / 100.0).collect();
         let reports: Vec<f64> = values
             .iter()
-            .map(|&v| p.randomize(v, &mut rng).unwrap())
+            .map(|&v| p.wave().randomize(v, &mut rng).unwrap())
             .collect();
         // The reference histogram, bucketed by hand with the paper's rule.
         let (lo, hi) = (p.wave().output_lo(), p.wave().output_hi());
@@ -230,7 +230,11 @@ mod tests {
         let p = pipeline();
         let mut rng = SplitMix64::new(5002);
         let reports: Vec<f64> = (0..3_000)
-            .map(|i| p.randomize((i % 97) as f64 / 97.0, &mut rng).unwrap())
+            .map(|i| {
+                p.wave()
+                    .randomize((i % 97) as f64 / 97.0, &mut rng)
+                    .unwrap()
+            })
             .collect();
         let mut single = ShardAggregator::for_pipeline(&p);
         for &r in &reports {
@@ -254,7 +258,11 @@ mod tests {
         let p = pipeline();
         let mut rng = SplitMix64::new(5004);
         let reports: Vec<f64> = (0..4_000)
-            .map(|i| p.randomize((i % 89) as f64 / 89.0, &mut rng).unwrap())
+            .map(|i| {
+                p.wave()
+                    .randomize((i % 89) as f64 / 89.0, &mut rng)
+                    .unwrap()
+            })
             .collect();
         let mut bulk = ShardAggregator::for_pipeline(&p);
         bulk.push_slice(&reports).unwrap();
@@ -306,8 +314,12 @@ mod tests {
         let mut rng = SplitMix64::new(5005);
         let mut agg = ShardAggregator::for_pipeline(&p);
         for i in 0..2_000 {
-            agg.push(p.randomize((i % 83) as f64 / 83.0, &mut rng).unwrap())
-                .unwrap();
+            agg.push(
+                p.wave()
+                    .randomize((i % 83) as f64 / 83.0, &mut rng)
+                    .unwrap(),
+            )
+            .unwrap();
         }
         let mut text = String::new();
         agg.encode_state(&mut text);
@@ -318,7 +330,7 @@ mod tests {
         // Continued ingestion behaves identically (domain bounds intact).
         let mut a = agg.clone();
         let mut b = restored;
-        let r = p.randomize(0.5, &mut rng).unwrap();
+        let r = p.wave().randomize(0.5, &mut rng).unwrap();
         a.push(r).unwrap();
         b.push(r).unwrap();
         assert_eq!(a, b);
@@ -339,7 +351,7 @@ mod tests {
         let mut agg = ShardAggregator::for_pipeline(&p);
         for i in 0..20_000 {
             let v = 0.3 + 0.4 * ((i % 500) as f64 / 500.0);
-            agg.push(p.randomize(v, &mut rng).unwrap()).unwrap();
+            agg.push(p.wave().randomize(v, &mut rng).unwrap()).unwrap();
         }
         let result = p
             .reconstruct(&agg.to_counts(), &Reconstruction::Ems)

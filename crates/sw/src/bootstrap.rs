@@ -187,7 +187,15 @@ pub fn bootstrap<R: Rng + ?Sized, M: LinearOperator + Sync + ?Sized>(
 mod tests {
     use super::*;
     use crate::pipeline::{Reconstruction, SwPipeline};
+    use crate::transition::transition_matrix;
+    use ldp_numeric::Matrix;
     use ldp_numeric::SplitMix64;
+
+    /// The dense transition matrix of `pipeline`.
+    fn dense(pipeline: &SwPipeline) -> Matrix {
+        let d = pipeline.input_buckets();
+        transition_matrix(pipeline.wave(), d, d).unwrap()
+    }
 
     fn counts_for(n: usize, seed: u64, d: usize) -> (SwPipeline, Vec<f64>, Histogram) {
         let pipeline = SwPipeline::new(1.0, d).unwrap();
@@ -197,7 +205,8 @@ mod tests {
             .collect();
         let mut agg = crate::aggregator::ShardAggregator::for_pipeline(&pipeline);
         for &v in &values {
-            agg.push(pipeline.randomize(v, &mut rng).unwrap()).unwrap();
+            agg.push(pipeline.wave().randomize(v, &mut rng).unwrap())
+                .unwrap();
         }
         let counts = agg.to_counts();
         let truth = Histogram::from_samples(&values, d).unwrap();
@@ -226,7 +235,7 @@ mod tests {
         let (pipeline, counts, _) = counts_for(20_000, 8002, 32);
         let mut rng = SplitMix64::new(8003);
         let result = bootstrap(
-            pipeline.transition(),
+            &dense(&pipeline),
             &counts,
             &BootstrapConfig {
                 replicates: 30,
@@ -257,7 +266,7 @@ mod tests {
         let mut width = |n: usize, seed: u64| -> f64 {
             let (pipeline, counts, _) = counts_for(n, seed, 16);
             let r = bootstrap(
-                pipeline.transition(),
+                &dense(&pipeline),
                 &counts,
                 &BootstrapConfig {
                     replicates: 30,
@@ -285,7 +294,7 @@ mod tests {
         let (pipeline, counts, truth) = counts_for(60_000, 8007, 32);
         let mut rng = SplitMix64::new(8008);
         let result = bootstrap(
-            pipeline.transition(),
+            &dense(&pipeline),
             &counts,
             &BootstrapConfig::default(),
             &mut rng,
@@ -309,12 +318,12 @@ mod tests {
             replicates: 1,
             ..BootstrapConfig::default()
         };
-        assert!(bootstrap(pipeline.transition(), &counts, &bad, &mut rng).is_err());
+        assert!(bootstrap(&dense(&pipeline), &counts, &bad, &mut rng).is_err());
         let bad = BootstrapConfig {
             confidence: 1.5,
             ..BootstrapConfig::default()
         };
-        assert!(bootstrap(pipeline.transition(), &counts, &bad, &mut rng).is_err());
+        assert!(bootstrap(&dense(&pipeline), &counts, &bad, &mut rng).is_err());
     }
 
     #[test]

@@ -7,14 +7,21 @@
 //! position `j - b`), reporting near outputs (`|v - (ṽ - b)| ≤ b`, i.e.
 //! `ṽ ∈ [v, v+2b]`) with probability `p = eᵉ/((2b+1)eᵉ + d - 1)` and far
 //! outputs with `q = 1/((2b+1)eᵉ + d - 1)`.
+//!
+//! [`DiscreteSw`] implements [`Mechanism`]: the streaming state is the
+//! `d + 2b` output-bucket counts and `finalize` runs EMS through the
+//! structured [`BandedBaselineOperator`].
 
 use crate::bandwidth::optimal_b_discrete;
+use crate::em::{reconstruct, EmConfig};
 use crate::error::SwError;
 use crate::operator::BandedBaselineOperator;
-use crate::transition::discrete_transition_matrix;
-use ldp_core::Epsilon;
-use ldp_numeric::Matrix;
+use ldp_core::params::fingerprint_fields;
+use ldp_core::{CoreError, Epsilon, Mechanism};
+use ldp_numeric::Histogram;
 use rand::Rng;
+
+const TAG_DISCRETE_SW: u64 = 0x23;
 
 /// The discrete square wave randomizer.
 #[derive(Debug, Clone)]
@@ -85,10 +92,37 @@ impl DiscreteSw {
         self.eps
     }
 
-    /// Client side: randomizes a bucket index.
-    pub fn randomize<R: Rng + ?Sized>(&self, v: usize, rng: &mut R) -> Result<usize, SwError> {
+    /// The matching structured operator: the discrete band is a pure
+    /// plateau (`p` near / `q` far), so both matvecs are strictly `O(d)`.
+    pub fn banded_operator(&self) -> Result<BandedBaselineOperator, SwError> {
+        BandedBaselineOperator::from_discrete(self.d, self.b, self.eps)
+    }
+}
+
+impl Mechanism for DiscreteSw {
+    type Input = usize;
+    type Report = usize;
+    /// Report counts per output bucket (`d + 2b` entries).
+    type State = Vec<u64>;
+    type Output = Histogram;
+
+    fn epsilon(&self) -> Epsilon {
+        Epsilon::new(self.eps).expect("validated at construction")
+    }
+
+    fn fingerprint(&self) -> u64 {
+        fingerprint_fields(
+            TAG_DISCRETE_SW,
+            &[self.d as u64, self.b as u64, self.eps.to_bits()],
+        )
+    }
+
+    fn randomize<R: Rng + ?Sized>(&self, input: &usize, rng: &mut R) -> Result<usize, CoreError> {
+        let v = *input;
         if v >= self.d {
-            return Err(SwError::ValueOutOfDomain(v as f64));
+            return Err(CoreError::InvalidInput(
+                SwError::ValueOutOfDomain(v as f64).to_string(),
+            ));
         }
         let near = 2 * self.b + 1;
         let near_mass = near as f64 * self.p;
@@ -107,37 +141,55 @@ impl DiscreteSw {
         }
     }
 
-    /// The matching transition matrix for EM/EMS reconstruction.
-    pub fn transition_matrix(&self) -> Result<Matrix, SwError> {
-        discrete_transition_matrix(self.d, self.b, self.eps)
+    fn empty_state(&self) -> Vec<u64> {
+        vec![0; self.output_size()]
     }
 
-    /// The matching structured operator: the discrete band is a pure
-    /// plateau (`p` near / `q` far), so both matvecs are strictly `O(d)`.
-    pub fn banded_operator(&self) -> Result<BandedBaselineOperator, SwError> {
-        BandedBaselineOperator::from_discrete(self.d, self.b, self.eps)
-    }
-
-    /// Aggregates raw reports into output-bucket counts.
-    pub fn aggregate(&self, reports: &[usize]) -> Result<Vec<f64>, SwError> {
-        let mut counts = vec![0.0; self.output_size()];
-        for &r in reports {
-            if r >= self.output_size() {
-                return Err(SwError::InvalidParameter(format!(
-                    "report {r} outside output domain of size {}",
-                    self.output_size()
-                )));
-            }
-            counts[r] += 1.0;
+    fn absorb(&self, state: &mut Vec<u64>, report: &usize) -> Result<(), CoreError> {
+        let r = *report;
+        if r >= self.output_size() {
+            return Err(CoreError::InvalidReport(format!(
+                "report {r} outside output domain of size {}",
+                self.output_size()
+            )));
         }
-        Ok(counts)
+        state[r] += 1;
+        Ok(())
+    }
+
+    fn merge_state(&self, state: &mut Vec<u64>, other: &Vec<u64>) -> Result<(), CoreError> {
+        if state.len() != other.len() {
+            return Err(CoreError::ShardMismatch(format!(
+                "discrete SW states over {} vs {} output buckets",
+                state.len(),
+                other.len()
+            )));
+        }
+        for (a, b) in state.iter_mut().zip(other) {
+            *a += b;
+        }
+        Ok(())
+    }
+
+    fn finalize(&self, state: &Vec<u64>) -> Result<Histogram, CoreError> {
+        if state.iter().all(|&c| c == 0) {
+            return Err(CoreError::Aggregation(
+                "need at least one report to reconstruct a distribution".into(),
+            ));
+        }
+        let counts: Vec<f64> = state.iter().map(|&c| c as f64).collect();
+        self.banded_operator()
+            .and_then(|op| reconstruct(&op, &counts, &EmConfig::ems()))
+            .map(|r| r.histogram)
+            .map_err(|e| CoreError::Aggregation(e.to_string()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::em::{reconstruct, EmConfig};
+    use crate::transition::discrete_transition_matrix;
+    use ldp_core::{Aggregator, Client};
     use ldp_numeric::SplitMix64;
 
     #[test]
@@ -171,7 +223,7 @@ mod tests {
         let mut counts = vec![0u64; sw.output_size()];
         let n = 200_000;
         for _ in 0..n {
-            counts[sw.randomize(v, &mut rng).unwrap()] += 1;
+            counts[sw.randomize(&v, &mut rng).unwrap()] += 1;
         }
         for (j, &c) in counts.iter().enumerate() {
             let expect = if (v..=v + 4).contains(&j) {
@@ -188,7 +240,7 @@ mod tests {
     fn randomize_rejects_out_of_domain() {
         let sw = DiscreteSw::with_bandwidth(8, 2, 1.0).unwrap();
         let mut rng = SplitMix64::new(122);
-        assert!(sw.randomize(8, &mut rng).is_err());
+        assert!(sw.randomize(&8, &mut rng).is_err());
     }
 
     #[test]
@@ -201,7 +253,7 @@ mod tests {
             let mut near = 0u64;
             let n = 50_000;
             for _ in 0..n {
-                let r = sw.randomize(v, &mut rng).unwrap();
+                let r = sw.randomize(&v, &mut rng).unwrap();
                 if (v..=v + 4).contains(&r) {
                     near += 1;
                 }
@@ -223,20 +275,19 @@ mod tests {
                 ((x * 0.5 + 0.25) * 32.0) as usize // uniform over buckets 8..24
             })
             .collect();
-        let reports: Vec<usize> = values
-            .iter()
-            .map(|&v| sw.randomize(v, &mut rng).unwrap())
-            .collect();
-        let counts = sw.aggregate(&reports).unwrap();
-        let m = sw.transition_matrix().unwrap();
+        let reports = Client::new(&sw).randomize_batch(&values, &mut rng).unwrap();
+        let mut agg = Aggregator::new(&sw);
+        agg.push_slice(&reports).unwrap();
+        let counts: Vec<f64> = agg.state().iter().map(|&c| c as f64).collect();
+        let m = discrete_transition_matrix(sw.domain_size(), sw.bandwidth(), sw.epsilon()).unwrap();
         let result = reconstruct(&m, &counts, &EmConfig::ems()).unwrap();
         let probs = result.histogram.probs();
         let mass_in_range: f64 = probs[8..24].iter().sum();
         assert!(mass_in_range > 0.8, "mass {mass_in_range}");
-        // The structured operator reconstructs the same distribution.
-        let op = sw.banded_operator().unwrap();
-        let structured = reconstruct(&op, &counts, &EmConfig::ems()).unwrap();
-        for (a, b) in probs.iter().zip(structured.histogram.probs()) {
+        // Finalize reconstructs the same distribution through the
+        // structured operator.
+        let structured = agg.finalize().unwrap();
+        for (a, b) in probs.iter().zip(structured.probs()) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }
     }
@@ -244,7 +295,14 @@ mod tests {
     #[test]
     fn aggregate_validates_reports() {
         let sw = DiscreteSw::with_bandwidth(8, 2, 1.0).unwrap();
-        assert!(sw.aggregate(&[12]).is_err());
-        assert_eq!(sw.aggregate(&[0, 11]).unwrap().len(), 12);
+        let mut state = sw.empty_state();
+        assert!(sw.absorb(&mut state, &12).is_err());
+        sw.absorb_slice(&mut state, &[0, 11]).unwrap();
+        assert_eq!(state.len(), 12);
+        assert_eq!((state[0], state[11]), (1, 1));
+        assert!(matches!(
+            Aggregator::new(&sw).finalize(),
+            Err(CoreError::Aggregation(_))
+        ));
     }
 }

@@ -163,12 +163,14 @@ mod tests {
 
         let reports: Vec<f64> = values
             .iter()
-            .map(|&v| pipeline.randomize(v, &mut rng).unwrap())
+            .map(|&v| pipeline.wave().randomize(v, &mut rng).unwrap())
             .collect();
         let mut agg = crate::aggregator::ShardAggregator::for_pipeline(&pipeline);
         agg.push_slice(&reports).unwrap();
         let counts = agg.to_counts();
-        let inv = reconstruct_inversion(pipeline.transition(), &counts).unwrap();
+        let inv =
+            reconstruct_inversion(&transition_matrix(pipeline.wave(), d, d).unwrap(), &counts)
+                .unwrap();
         let ems = pipeline
             .reconstruct(&counts, &Reconstruction::Ems)
             .unwrap()

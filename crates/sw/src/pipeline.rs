@@ -2,22 +2,17 @@
 //! transition operator between its `d` input and `d̃` output buckets.
 //!
 //! [`SwPipeline`] is what [`crate::SwMechanism`] runs. The client perturbs
-//! one private value in `[0, 1]` with [`SwPipeline::randomize`], the
+//! one private value in `[0, 1]` with the pipeline's [`Wave`], the
 //! aggregator histograms the reports in a [`crate::ShardAggregator`]
 //! ("randomize before bucketize", §5.4), and [`SwPipeline::reconstruct`]
 //! runs EM/EMS through the transition operator to recover the input
-//! distribution. Build one directly for a custom wave, `d̃ ≠ d`, or the
-//! dense matrix of the inversion baseline.
+//! distribution. Build one directly for a custom wave or `d̃ ≠ d`.
 
 use crate::bandwidth::optimal_b;
 use crate::em::{reconstruct, EmConfig, EmResult};
 use crate::error::SwError;
 use crate::operator::BandedBaselineOperator;
-use crate::transition::transition_matrix;
 use crate::wave::{Wave, WaveShape};
-use ldp_numeric::Matrix;
-use rand::Rng;
-use std::sync::OnceLock;
 
 /// Which reconstruction the aggregator runs.
 #[derive(Debug, Clone)]
@@ -33,17 +28,15 @@ pub enum Reconstruction {
 /// A configured Square Wave (or general wave) estimation pipeline.
 ///
 /// Reconstruction runs through the structured
-/// [`BandedBaselineOperator`]; the dense `d̃ × d` matrix is only needed by
-/// entrywise consumers (the inversion baseline, [`SwPipeline::transition`])
-/// and is built **lazily on first access**, so the estimation hot path
-/// never pays its `O(d̃·d)` construction or memory.
+/// [`BandedBaselineOperator`], so it never pays the `O(d̃·d)` construction
+/// or memory of the dense matrix. Entrywise consumers (the inversion
+/// baseline) build that matrix themselves with
+/// [`crate::transition::transition_matrix`].
 #[derive(Debug, Clone)]
 pub struct SwPipeline {
     wave: Wave,
     d: usize,
     d_tilde: usize,
-    /// Dense transition matrix, built on first [`Self::transition`] call.
-    dense: OnceLock<Matrix>,
     operator: BandedBaselineOperator,
 }
 
@@ -69,7 +62,6 @@ impl SwPipeline {
             wave,
             d,
             d_tilde,
-            dense: OnceLock::new(),
             operator,
         })
     }
@@ -92,30 +84,6 @@ impl SwPipeline {
         self.d_tilde
     }
 
-    /// The exact `d̃ × d` transition matrix (dense; kept for consumers that
-    /// need entrywise access, e.g. the unbiased-inversion baseline).
-    ///
-    /// Built lazily on the first call and cached; estimation
-    /// ([`Self::reconstruct`], and through it [`crate::SwMechanism`]'s
-    /// finalize) never triggers the construction. Check with
-    /// [`Self::dense_transition_built`].
-    #[must_use]
-    pub fn transition(&self) -> &Matrix {
-        self.dense.get_or_init(|| {
-            transition_matrix(&self.wave, self.d, self.d_tilde)
-                .expect("bucket counts were validated at pipeline construction")
-        })
-    }
-
-    /// Whether the dense transition matrix has been materialized. The
-    /// estimation hot path must keep this `false`; only
-    /// [`Self::transition`] (and through it the inversion baseline) flips
-    /// it.
-    #[must_use]
-    pub fn dense_transition_built(&self) -> bool {
-        self.dense.get().is_some()
-    }
-
     /// The structured `O(d)`-matvec form of the transition matrix. This is
     /// what [`Self::reconstruct`] applies; use it wherever a
     /// [`ldp_numeric::LinearOperator`] is accepted (e.g.
@@ -123,11 +91,6 @@ impl SwPipeline {
     #[must_use]
     pub fn operator(&self) -> &BandedBaselineOperator {
         &self.operator
-    }
-
-    /// Client side: perturbs one private value.
-    pub fn randomize<R: Rng + ?Sized>(&self, v: f64, rng: &mut R) -> Result<f64, SwError> {
-        self.wave.randomize(v, rng)
     }
 
     /// Server side: reconstructs the input distribution from aggregated
@@ -160,7 +123,7 @@ pub fn pipeline_with_shape(
 mod tests {
     use super::*;
     use crate::mechanism::SwMechanism;
-    use ldp_core::{Aggregator, Client, CoreError, Mechanism};
+    use ldp_core::{Client, CoreError, Mechanism};
     use ldp_numeric::dist::{Beta, Sampler};
     use ldp_numeric::{Histogram, SplitMix64};
 
@@ -257,44 +220,6 @@ mod tests {
         let values: Vec<f64> = (0..10_000).map(|i| (i % 100) as f64 / 100.0).collect();
         let h = estimate(&pipeline, &values, Reconstruction::Ems, &mut rng).unwrap();
         assert_eq!(h.len(), 16);
-    }
-
-    #[test]
-    fn estimation_paths_never_build_the_dense_matrix() {
-        let mech = SwMechanism::ems(1.0, 32).unwrap();
-        let pipeline = mech.pipeline();
-        assert!(!pipeline.dense_transition_built());
-        let mut rng = SplitMix64::new(900);
-        let values: Vec<f64> = (0..5_000).map(|i| (i % 100) as f64 / 100.0).collect();
-        let reports = Client::new(&mech)
-            .randomize_batch(&values, &mut rng)
-            .unwrap();
-        mech.aggregate(&reports).unwrap();
-        assert!(!pipeline.dense_transition_built());
-        let mut pooled = Aggregator::new(&mech);
-        pooled.push_slice_sharded(&reports, 3).unwrap();
-        pooled.finalize().unwrap();
-        assert!(!pipeline.dense_transition_built());
-        pipeline
-            .reconstruct(&vec![10.0; 32], &Reconstruction::Em)
-            .unwrap();
-        assert!(!pipeline.dense_transition_built());
-    }
-
-    #[test]
-    fn lazy_transition_equals_eager_construction() {
-        let pipeline = SwPipeline::new(1.5, 24).unwrap();
-        let eager = transition_matrix(pipeline.wave(), 24, 24).unwrap();
-        let lazy = pipeline.transition();
-        assert!(pipeline.dense_transition_built());
-        assert_eq!((lazy.rows(), lazy.cols()), (eager.rows(), eager.cols()));
-        for j in 0..lazy.rows() {
-            for i in 0..lazy.cols() {
-                assert_eq!(lazy.get(j, i), eager.get(j, i), "entry ({j}, {i})");
-            }
-        }
-        // Repeated access returns the cached instance, not a rebuild.
-        assert!(std::ptr::eq(pipeline.transition(), lazy));
     }
 
     #[test]

@@ -3,15 +3,15 @@
 //! Paper §5.4: when the attribute is already discrete (age in years), the
 //! client can bucketize *before* randomizing — the discrete Square Wave
 //! mechanism works directly on bucket indices with `p = eᵉ/((2b+1)eᵉ+d−1)`.
-//! This example also demonstrates the streaming [`ShardAggregator`]-style
-//! aggregation for the discrete mechanism via plain counts.
+//! It plugs into the same `Client`/`Aggregator` split as every other
+//! mechanism: the aggregator streams output-bucket counts and finalizes
+//! with EMS.
 //!
 //! ```sh
 //! cargo run --release --example discrete_ages
 //! ```
 
 use sw_ldp::prelude::*;
-use sw_ldp::sw::reconstruct;
 
 /// Synthesizes an age distribution over 0..=99: working-age bulge plus a
 /// retirement shoulder.
@@ -57,17 +57,16 @@ fn main() {
         sw.bandwidth(),
         sw.output_size()
     );
-    let reports: Vec<usize> = ages
-        .iter()
-        .map(|&a| sw.randomize(a, &mut rng).expect("age in domain"))
-        .collect();
+    let reports = Client::new(&sw)
+        .randomize_batch(&ages, &mut rng)
+        .expect("ages in domain");
 
     // --- Server side -------------------------------------------------------
-    let counts = sw.aggregate(&reports).expect("reports are in range");
-    let m = sw.transition_matrix().expect("valid mechanism");
-    let est = reconstruct(&m, &counts, &EmConfig::ems())
-        .expect("reconstruction succeeds")
-        .histogram;
+    let mut aggregator = Aggregator::new(&sw);
+    aggregator
+        .push_slice(&reports)
+        .expect("reports are in range");
+    let est = aggregator.finalize().expect("reconstruction succeeds");
 
     println!(
         "\nW1 = {:.5}, KS = {:.5}",

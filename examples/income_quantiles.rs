@@ -42,7 +42,10 @@ fn main() {
     // --- HH-ADMM ----------------------------------------------------------
     let hh = HierarchicalHistogram::new(4, d, epsilon).expect("1024 = 4^5");
     let buckets = dataset.bucket_values(d);
-    let raw = hh.collect(&buckets, &mut rng).expect("collection succeeds");
+    let hh_reports = Client::new(&hh)
+        .randomize_batch(&buckets, &mut rng)
+        .expect("buckets in domain");
+    let raw = hh.aggregate(&hh_reports).expect("collection succeeds");
     let admm_est =
         hh_admm_histogram(hh.shape(), &raw, AdmmConfig::default()).expect("ADMM converges");
 

@@ -41,16 +41,24 @@ fn main() {
         .expect("reconstruction succeeds");
 
     // HH and HaarHRR produce (possibly negative) leaf estimates designed
-    // specifically for range queries.
+    // specifically for range queries. They run through the same
+    // client/aggregator split; HH then enforces tree consistency.
     let buckets = dataset.bucket_values(d);
     let hh = HierarchicalHistogram::new(4, d, epsilon).expect("1024 = 4^5");
+    let hh_reports = Client::new(&hh)
+        .randomize_batch(&buckets, &mut rng)
+        .expect("buckets in domain");
+    let hh_raw = hh.aggregate(&hh_reports).expect("collection succeeds");
     let hh_leaves = hh
-        .estimate_leaves(&buckets, &mut rng)
-        .expect("collection succeeds");
+        .make_consistent(&hh_raw)
+        .expect("raw tree matches its shape")
+        .leaves()
+        .to_vec();
     let haar = HaarHrr::new(d, epsilon).expect("1024 = 2^10");
-    let haar_leaves = haar
-        .estimate_leaves(&buckets, &mut rng)
-        .expect("collection succeeds");
+    let haar_reports = Client::new(&haar)
+        .randomize_batch(&buckets, &mut rng)
+        .expect("buckets in domain");
+    let haar_leaves = haar.aggregate(&haar_reports).expect("collection succeeds");
 
     // Business queries: "fraction of pickups in [t1, t2)".
     let queries: [(&str, f64, f64); 4] = [

@@ -13,7 +13,14 @@
 #                                    # BENCH_em.smoke.json instead
 #   scripts/bench_record.sh compare  # diffs the last two snapshots in
 #                                    # BENCH_em.json and exits non-zero on
-#                                    # a >25% per-iteration regression
+#                                    # a >25% per-iteration regression, or
+#                                    # when the two were recorded on
+#                                    # different hosts (re-baseline then)
+#
+# Each snapshot records a `host` identity: nproc, the CPU model from
+# /proc/cpuinfo, and the SIMD dispatch (`avx2` when the CPU has AVX2 and
+# LDP_NO_SIMD is unset or `0`, else `scalar`). Snapshots recorded before
+# that field existed are identified by `host_threads` alone.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,6 +40,24 @@ if not snapshots or len(snapshots) < 2:
           f"(found {len(snapshots or [])}); nothing to gate", file=sys.stderr)
     sys.exit(1)
 prev, last = snapshots[-2], snapshots[-1]
+
+# Timings from different hosts are not comparable: a changed host is a
+# re-baseline, not a regression. Older snapshots carry no `host` object,
+# so a pair involving one compares on `host_threads` alone.
+if "host" in prev and "host" in last:
+    prev_id, last_id = prev["host"], last["host"]
+else:
+    prev_id = {"host_threads": prev.get("host_threads")}
+    last_id = {"host_threads": last.get("host_threads")}
+changed = sorted(k for k in set(prev_id) | set(last_id)
+                 if prev_id.get(k) != last_id.get(k))
+if changed:
+    for key in changed:
+        print(f"bench compare: host {key}: {prev_id.get(key)!r} -> "
+              f"{last_id.get(key)!r}", file=sys.stderr)
+    print(f"bench compare: host changed: re-baseline (differing: "
+          f"{', '.join(changed)})", file=sys.stderr)
+    sys.exit(1)
 
 GATED = [
     ("em_iteration_ns", "ns/EM-iteration"),
@@ -94,6 +119,28 @@ for line in os.environ["RAW"].splitlines():
     if len(parts) >= 3 and parts[0] == "bench:":
         ns[parts[1]] = float(parts[2])
 
+def host_identity():
+    model, avx2 = "unknown", False
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                key, _, value = line.partition(":")
+                key = key.strip()
+                if key == "model name" and model == "unknown":
+                    model = value.strip()
+                elif key == "flags" and "avx2" in value.split():
+                    avx2 = True
+    except OSError:
+        pass
+    # Mirrors the kernels' dispatch rule: LDP_NO_SIMD set to anything but
+    # "" or "0" forces the scalar path.
+    forced_off = os.environ.get("LDP_NO_SIMD", "") not in ("", "0")
+    return {
+        "nproc": os.cpu_count() or 1,
+        "cpu_model": model,
+        "simd": "avx2" if avx2 and not forced_off else "scalar",
+    }
+
 def env_threads():
     override = os.environ.get("LDP_POOL_THREADS", "").strip()
     if override.isdigit() and int(override) >= 1:
@@ -105,6 +152,7 @@ snapshot = {
     "recorded_at": datetime.datetime.now(datetime.timezone.utc)
         .strftime("%Y-%m-%dT%H:%M:%SZ"),
     "host_threads": os.cpu_count() or 1,
+    "host": host_identity(),
     "pool_threads": env_threads(),
     "em_iters_per_call": 32,
     "median_ns_per_call": {k: round(v, 1) for k, v in sorted(ns.items())},

@@ -99,7 +99,7 @@ fn hh_admm_beats_plain_hh_on_range_queries() {
     let buckets = ds.bucket_values(d);
     let hh = HierarchicalHistogram::new(4, d, 0.5).unwrap();
     let mut rng = SplitMix64::new(4);
-    let raw = hh.collect(&buckets, &mut rng).unwrap();
+    let raw = estimate(&hh, &buckets, &mut rng);
     let plain_leaves = hh.make_consistent(&raw).unwrap().leaves().to_vec();
     let admm = hh_admm_histogram(hh.shape(), &raw, AdmmConfig::default()).unwrap();
 
@@ -127,7 +127,7 @@ fn consistent_hierarchy_answers_range_queries_from_any_level() {
     let buckets = ds.bucket_values(d);
     let hh = HierarchicalHistogram::new(4, d, 2.0).unwrap();
     let mut rng = SplitMix64::new(6);
-    let raw = hh.collect(&buckets, &mut rng).unwrap();
+    let raw = estimate(&hh, &buckets, &mut rng);
     let tree = hh.make_consistent(&raw).unwrap();
     // Decomposed tree answers equal plain leaf sums.
     for (lo, hi) in [(0usize, 64usize), (5, 20), (17, 18), (32, 64)] {
@@ -149,16 +149,7 @@ fn discrete_and_continuous_sw_agree() {
     let cont = estimate(&SwMechanism::ems(eps, d).unwrap(), &ds.values, &mut rng);
 
     let dsw = DiscreteSw::new(d, eps).unwrap();
-    let reports: Vec<usize> = ds
-        .bucket_values(d)
-        .iter()
-        .map(|&v| dsw.randomize(v, &mut rng).unwrap())
-        .collect();
-    let counts = dsw.aggregate(&reports).unwrap();
-    let m = dsw.transition_matrix().unwrap();
-    let disc = sw_ldp::sw::reconstruct(&m, &counts, &EmConfig::ems())
-        .unwrap()
-        .histogram;
+    let disc = estimate(&dsw, &ds.bucket_values(d), &mut rng);
 
     let w1_cont = wasserstein(&truth, &cont).unwrap();
     let w1_disc = wasserstein(&truth, &disc).unwrap();

@@ -4,7 +4,7 @@
 //! estimates.
 
 use sw_ldp::prelude::*;
-use sw_ldp::sw::reconstruct;
+use sw_ldp::sw::{reconstruct, transition_matrix};
 
 /// Randomizes every value through `mechanism` on `rng` and aggregates.
 fn estimate<M: Mechanism>(mechanism: &M, values: &[M::Input], rng: &mut SplitMix64) -> M::Output
@@ -61,7 +61,7 @@ fn hh_with_fewer_users_than_levels_fills_empty_levels_uniformly() {
     // still succeed and produce a consistent tree.
     let hh = HierarchicalHistogram::new(4, 256, 1.0).unwrap();
     let mut rng = SplitMix64::new(6002);
-    let raw = hh.collect(&[3, 200], &mut rng).unwrap();
+    let raw = estimate(&hh, &[3, 200], &mut rng);
     let consistent = hh.make_consistent(&raw).unwrap();
     assert!(consistent.consistency_gap(hh.shape()) < 1e-9);
     let sum: f64 = consistent.leaves().iter().sum();
@@ -72,7 +72,7 @@ fn hh_with_fewer_users_than_levels_fills_empty_levels_uniformly() {
 fn haarhrr_with_one_user_per_level_is_stable() {
     let est = HaarHrr::new(16, 1.0).unwrap();
     let mut rng = SplitMix64::new(6003);
-    let leaves = est.estimate_leaves(&[5, 6, 7, 8], &mut rng).unwrap();
+    let leaves = estimate(&est, &[5, 6, 7, 8], &mut rng);
     assert_eq!(leaves.len(), 16);
     assert!(leaves.iter().all(|l| l.is_finite()));
     // Leaves always sum to the public total.
@@ -106,7 +106,7 @@ fn discrete_sw_minimum_domain() {
     let mut kept = 0;
     let n = 50_000;
     for _ in 0..n {
-        if sw.randomize(1, &mut rng).unwrap() == 1 {
+        if sw.randomize(&1, &mut rng).unwrap() == 1 {
             kept += 1;
         }
     }
@@ -163,15 +163,15 @@ fn wave_with_very_wide_bandwidth_is_valid() {
 fn out_of_domain_bucket_values_are_rejected_by_hierarchy_methods() {
     let hh = HierarchicalHistogram::new(4, 64, 1.0).unwrap();
     let mut rng = SplitMix64::new(6009);
-    assert!(hh.collect(&[64], &mut rng).is_err());
+    assert!(Client::new(&hh).randomize(&64, &mut rng).is_err());
     let haar = HaarHrr::new(64, 1.0).unwrap();
-    assert!(haar.estimate_leaves(&[64], &mut rng).is_err());
+    assert!(Client::new(&haar).randomize(&64, &mut rng).is_err());
 }
 
 #[test]
 fn reconstruct_rejects_malformed_counts() {
     let pipeline = SwPipeline::new(1.0, 16).unwrap();
-    let m = pipeline.transition();
+    let m = &transition_matrix(pipeline.wave(), 16, 16).unwrap();
     assert!(reconstruct(m, &[f64::NAN; 16], &EmConfig::ems()).is_err());
     assert!(reconstruct(m, &[-1.0; 16], &EmConfig::ems()).is_err());
     assert!(reconstruct(m, &[0.0; 16], &EmConfig::ems()).is_err());

@@ -1,7 +1,8 @@
 //! Golden estimate pins: literal fingerprints, report digests and
 //! estimate digests for every registry mechanism spec, plus two custom
 //! Square Wave configurations outside the registry, plus three OLH-backed
-//! specs whose hash range `g` is not a power of two.
+//! specs whose hash range `g` is not a power of two, plus the discrete
+//! Square Wave.
 //!
 //! Each registry run goes `build_session` → `gen_reports` →
 //! `ingest_text` → `finalize_text` and pins three values:
@@ -18,6 +19,7 @@
 //! pool, so the pins also prove that estimates do not depend on the SIMD
 //! mode or the pool size.
 
+use rand::Rng;
 use sw_ldp::collector::build_session;
 use sw_ldp::collector::registry::MECHANISMS;
 use sw_ldp::prelude::*;
@@ -215,6 +217,18 @@ const WIDE_OUTPUT_PIN: CustomPin = (
     ],
 );
 
+/// `[[reports digest, estimate digest]; RUNS]` for `DiscreteSw::new(64, 1.0)`.
+/// Recorded before the discrete randomizer moved into
+/// `Mechanism::randomize`, through the inherent randomizer, plain counts
+/// and EMS over the banded operator, so the pin proves the move kept both
+/// the draw order and every estimate bit.
+const DISCRETE_SW_PIN: [[u64; 2]; 4] = [
+    [0x66c60028323be12e, 0x9a024e8018bba3aa],
+    [0xf10132b55b22ca3c, 0x26c9c59b273785ed],
+    [0x066f980b5a9546b1, 0x4fc22a444f2f8019],
+    [0x7c29f3367177a8d0, 0xd46a9fc365746adb],
+];
+
 /// Specs whose OLH hash range `g = round(eᵉ) + 1` is odd (the registry pins
 /// all run at ε = 1, where `g = 4`), pinned under the same scheme:
 /// `(spec, fingerprint, [[reports digest, estimate digest]; RUNS])`.
@@ -276,11 +290,23 @@ fn spec_run(label: &'static str, spec: &str) -> Pin {
     (label, fingerprint, digests)
 }
 
-/// Runs a custom SW configuration through `Client`/`Aggregator`, drawing
-/// each private value and its randomization from one stream exactly like
-/// `gen_reports`.
+/// Runs a custom SW configuration through `Client`/`Aggregator`.
 fn custom_run(mech: &SwMechanism) -> CustomPin {
-    use rand::Rng;
+    (
+        mech.fingerprint(),
+        stream_digests(mech, |rng| rng.gen_range(0.0..1.0)),
+    )
+}
+
+/// Runs `mech` through `Client`/`Aggregator`, drawing each private value
+/// (with `draw`) and its randomization from one stream exactly like
+/// `gen_reports`, and returns the digests of every run.
+fn stream_digests<M>(mech: &M, draw: impl Fn(&mut SplitMix64) -> M::Input) -> [[u64; 2]; 4]
+where
+    M: Mechanism<Output = Histogram>,
+    M::Input: Sized,
+    M::Report: std::fmt::Display,
+{
     let mut digests = [[0; 2]; 4];
     for (slot, &(seed, n)) in digests.iter_mut().zip(&RUNS) {
         let client = Client::new(mech);
@@ -288,7 +314,7 @@ fn custom_run(mech: &SwMechanism) -> CustomPin {
         let mut rng = SplitMix64::new(seed);
         let mut reports = String::new();
         for _ in 0..n {
-            let value: f64 = rng.gen_range(0.0..1.0);
+            let value = draw(&mut rng);
             let report = client.randomize(&value, &mut rng).unwrap();
             agg.push(&report).unwrap();
             reports.push_str(&format!("{report}\n"));
@@ -302,7 +328,7 @@ fn custom_run(mech: &SwMechanism) -> CustomPin {
             .collect();
         *slot = [fnv1a(&reports), fnv1a(&estimate)];
     }
-    (mech.fingerprint(), digests)
+    digests
 }
 
 fn render_pin(label: &str, fingerprint: u64, digests: &[[u64; 2]; 4]) -> String {
@@ -371,5 +397,16 @@ fn wide_output_estimates_match_golden_pins() {
         actual == WIDE_OUTPUT_PIN,
         "d̃ ≠ d pin differs; actual: {}",
         render_pin("wide output", actual.0, &actual.1)
+    );
+}
+
+#[test]
+fn discrete_sw_estimates_match_golden_pins() {
+    let mech = DiscreteSw::new(64, 1.0).unwrap();
+    let actual = stream_digests(&mech, |rng| rng.gen_range(0..64usize));
+    assert!(
+        actual == DISCRETE_SW_PIN,
+        "discrete SW pin differs; actual: {}",
+        render_pin("discrete SW", 0, &actual)
     );
 }

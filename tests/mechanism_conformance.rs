@@ -12,11 +12,12 @@
 //!     for shard counts {1, 2, 7} (the CI matrix additionally varies the
 //!     global pool size via `LDP_POOL_THREADS`).
 
-use sw_ldp::cfo::{Grr, Hrr, Olh, Oue};
+use sw_ldp::cfo::{AdaptiveOracle, BinningEstimator, Grr, Hrr, Olh, Oue};
 use sw_ldp::core_api::{Aggregator, Client, Mechanism};
+use sw_ldp::hierarchy::{HaarHrr, HhRaw, HierarchicalHistogram};
 use sw_ldp::mean::{Hybrid, Pm, Sr};
 use sw_ldp::numeric::SplitMix64;
-use sw_ldp::sw::SwMechanism;
+use sw_ldp::sw::{DiscreteSw, SwMechanism};
 
 /// Bitwise comparison that treats equal-bit NaNs as equal (no mechanism
 /// emits NaN, so any NaN mismatch is a real failure).
@@ -155,6 +156,17 @@ fn sw_conforms() {
 }
 
 #[test]
+fn discrete_sw_conforms() {
+    conformance(
+        "DiscreteSW",
+        DiscreteSw::new(32, 1.0).unwrap(),
+        &categorical_values(3_000, 32),
+        |h| h.probs().to_vec(),
+        111,
+    );
+}
+
+#[test]
 fn grr_conforms() {
     conformance(
         "GRR",
@@ -195,6 +207,68 @@ fn hadamard_conforms() {
         &categorical_values(3_000, 20),
         Clone::clone,
         106,
+    );
+}
+
+#[test]
+fn adaptive_conforms() {
+    // Small domains select GRR, large ones OLH: cover both branches.
+    conformance(
+        "Adaptive-GRR",
+        AdaptiveOracle::new(4, 1.0).unwrap(),
+        &categorical_values(3_000, 4),
+        Clone::clone,
+        112,
+    );
+    conformance(
+        "Adaptive-OLH",
+        AdaptiveOracle::new(64, 1.0).unwrap(),
+        &categorical_values(3_000, 64),
+        Clone::clone,
+        113,
+    );
+}
+
+#[test]
+fn binning_conforms() {
+    conformance(
+        "CFO-binning-8",
+        BinningEstimator::new(8, 64, 1.0).unwrap(),
+        &unit_values(3_000),
+        |h| h.probs().to_vec(),
+        114,
+    );
+    conformance(
+        "CFO-binning-16",
+        BinningEstimator::new(16, 64, 1.0).unwrap(),
+        &unit_values(3_000),
+        |h| h.probs().to_vec(),
+        115,
+    );
+}
+
+/// Every raw HH tree node followed by the per-level variances.
+fn hh_canon(raw: &HhRaw) -> Vec<f64> {
+    let mut out = raw.tree.flatten();
+    out.extend_from_slice(&raw.level_variances);
+    out
+}
+
+#[test]
+fn hierarchy_conforms() {
+    conformance(
+        "HH",
+        HierarchicalHistogram::new(4, 64, 1.0).unwrap(),
+        &categorical_values(3_000, 64),
+        hh_canon,
+        116,
+    );
+    conformance(
+        "HaarHRR",
+        HaarHrr::new(32, 1.0).unwrap(),
+        &categorical_values(3_000, 32),
+        Clone::clone,
+        117,
     );
 }
 
@@ -260,4 +334,28 @@ fn cross_configuration_merges_are_rejected() {
     rejects(Pm::new(1.0).unwrap(), Pm::new(2.0).unwrap());
     rejects(Sr::new(1.0).unwrap(), Sr::new(2.0).unwrap());
     rejects(Hybrid::new(1.0).unwrap(), Hybrid::new(2.0).unwrap());
+    rejects(
+        DiscreteSw::new(32, 1.0).unwrap(),
+        DiscreteSw::new(32, 2.0).unwrap(),
+    );
+    rejects(
+        DiscreteSw::with_bandwidth(32, 2, 1.0).unwrap(),
+        DiscreteSw::with_bandwidth(32, 3, 1.0).unwrap(),
+    );
+    rejects(
+        AdaptiveOracle::new(4, 1.0).unwrap(),
+        AdaptiveOracle::new(64, 1.0).unwrap(),
+    );
+    rejects(
+        BinningEstimator::new(8, 64, 1.0).unwrap(),
+        BinningEstimator::new(16, 64, 1.0).unwrap(),
+    );
+    rejects(
+        HierarchicalHistogram::new(4, 64, 1.0).unwrap(),
+        HierarchicalHistogram::new(2, 64, 1.0).unwrap(),
+    );
+    rejects(
+        HaarHrr::new(32, 1.0).unwrap(),
+        HaarHrr::new(32, 2.0).unwrap(),
+    );
 }

@@ -11,16 +11,13 @@
 //!    `LDP_POOL_THREADS ∈ {1, 2}`, exercising the same assertions against
 //!    differently-sized global pools);
 //! 2. a panicking job surfaces as an `Err` and does not poison the global
-//!    pool for subsequent calls;
-//! 3. the estimation hot path never materializes the dense transition
-//!    matrix, while entrywise consumers still get exact values.
+//!    pool for subsequent calls.
 
 use proptest::prelude::*;
 use rand::Rng as _;
 use sw_ldp::experiments::runner::parallel_jobs;
 use sw_ldp::pool::Pool;
 use sw_ldp::prelude::*;
-use sw_ldp::sw::transition_matrix;
 use sw_ldp::sw::{bootstrap, BootstrapConfig};
 
 /// Dedicated pools sized like the CI matrix: the global pool's size is
@@ -117,33 +114,6 @@ fn panicking_job_errors_without_poisoning_the_global_pool() {
     let counts = agg.state().to_counts();
     let operator = mech.pipeline().operator();
     assert!(bootstrap(operator, &counts, &BootstrapConfig::default(), &mut rng).is_ok());
-}
-
-#[test]
-fn estimation_hot_path_skips_dense_matrix_but_inversion_gets_exact_entries() {
-    let mech = SwMechanism::ems(1.0, 48).unwrap();
-    let p = mech.pipeline();
-    let values: Vec<f64> = (0..20_000).map(|i| (i % 331) as f64 / 331.0).collect();
-    let mut rng = SplitMix64::new(31);
-    let reports = Client::new(&mech)
-        .randomize_batch(&values, &mut rng)
-        .unwrap();
-    mech.aggregate(&reports).unwrap();
-    let mut pooled = Aggregator::new(&mech);
-    pooled.push_slice_sharded(&reports, 4).unwrap();
-    pooled.finalize().unwrap();
-    assert!(
-        !p.dense_transition_built(),
-        "one-shot and pooled estimation must stay matrix-free"
-    );
-    let eager = transition_matrix(p.wave(), 48, 48).unwrap();
-    let lazy = p.transition();
-    assert!(p.dense_transition_built());
-    for j in 0..lazy.rows() {
-        for i in 0..lazy.cols() {
-            assert_eq!(lazy.get(j, i), eager.get(j, i));
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

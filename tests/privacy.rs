@@ -63,10 +63,10 @@ fn discrete_sw_satisfies_ldp_empirically() {
     let mut rng = SplitMix64::new(2002);
     let trials = 300_000;
     let p1 = empirical_dist(0, sw.output_size(), trials, |v| {
-        sw.randomize(v, &mut rng).unwrap()
+        Mechanism::randomize(&sw, &v, &mut rng).unwrap()
     });
     let p2 = empirical_dist(15, sw.output_size(), trials, |v| {
-        sw.randomize(v, &mut rng).unwrap()
+        Mechanism::randomize(&sw, &v, &mut rng).unwrap()
     });
     assert_ldp_bound(&p1, &p2, eps, 0.1);
 }
