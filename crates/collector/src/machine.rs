@@ -624,7 +624,7 @@ impl Machine {
             return;
         }
         // Transfer the charge into the queue: the absorber releases it at
-        // pop, exactly like push_reserved's weight.
+        // pop, exactly like `try_push_reserved`'s weight.
         let weight = self.charge.take().map_or(0, |(_, bytes)| bytes);
         self.phase = Phase::AwaitBatch;
         out.push(Action::Commit(CommitRequest::Batch {

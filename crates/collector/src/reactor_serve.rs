@@ -7,14 +7,14 @@
 //!
 //! ```text
 //!             ┌ reactor thread 0 ── epoll ── conns… ┐
-//!  acceptor ──┤ reactor thread 1 ── epoll ── conns… ├─┬─ default absorber ── spool ── writer
-//!  (admission,│ …                                   │ ├─ window "hourly"   ── spool ── writer
-//!   quota,    └ reactor thread N ── epoll ── conns… ┘ └─ window "coarse"   ── spool ── writer
+//!  acceptor ──┤ reactor thread 1 ── epoll ── conns… ├─┬─ "default" absorber ── spool ── writer
+//!  (admission,│ …                                   │ ├─ "hourly"  absorber ── spool ── writer
+//!   quota,    └ reactor thread N ── epoll ── conns… ┘ └─ "coarse"  absorber ── spool ── writer
 //!   backoff)
 //! ```
 //!
-//! The acceptor admits (permit pool, quota sheds, `admission`/`accept`
-//! failpoints, EMFILE backoff) and deals admitted sockets round-robin to
+//! The acceptor admits (open-connection bound, quota sheds,
+//! `admission`/`accept` failpoints, EMFILE backoff) and deals admitted sockets round-robin to
 //! the reactor threads' mailboxes. Each reactor thread owns an epoll
 //! instance, a [`Slab`] of connections, and a [`TimerWheel`] for
 //! idle/ack-deadline/shutdown deadlines; each connection owns a
@@ -23,23 +23,24 @@
 //! (`try_reserve` / `try_push_reserved`), with the connection **parked**
 //! when the queue pushes back and retried when the absorber signals
 //! progress. The absorber answers through a [`Done`] handle that posts
-//! to the owning reactor's mailbox and wakes its epoll.
+//! to the owning reactor's mailbox and wakes its epoll. Every window —
+//! the default one is window 0 — runs the same absorber and writer.
 
 use crate::error::CollectorError;
 use crate::faults;
 use crate::machine::{Action, CommitDone, CommitRequest, Machine, MachineConfig, MachineEnd};
 use crate::protocol;
 use crate::server::{
-    absorb_commit, is_fd_exhaustion, panic_message, run_writer, shed_at_accept, AbsorberShared,
-    Commit, Done, ServeOptions, ServeSummary, SnapshotPolicy, WindowRoute,
+    absorb_commit, is_fd_exhaustion, panic_message, run_writer, shed_at_accept, Commit, Done,
+    ServeOptions, ServeSummary, SnapshotPolicy, Stats, Window, WindowRoute,
 };
 use crate::session::{BatchDecoder, CollectorSession};
-use ldp_core::snapshot::SnapshotSpool;
-use ldp_pool::chan::{bounded, bounded_weighted, Receiver, Sender};
+use ldp_pool::chan::{bounded_weighted, Receiver, Sender};
 use ldp_reactor::{Events, Interest, Poller, Slab, TimerWheel, Waker};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -146,117 +147,88 @@ struct Conn {
     grace_armed: bool,
 }
 
-/// Everything one reactor thread needs, mostly borrowed from
-/// [`serve_reactor`]'s stack.
-struct ReactorShared<'a> {
+/// What every serve thread shares, borrowed from [`serve_reactor`]'s
+/// stack.
+struct Shared<'a> {
+    options: &'a ServeOptions,
+    shutdown: &'a AtomicBool,
     machine_cfg: MachineConfig,
     decoders: Vec<Arc<dyn BatchDecoder>>,
-    commit_txs: Vec<Sender<Commit>>,
-    permit_tx: Sender<()>,
-    mailbox: Arc<Mailbox>,
-    shutdown: Arc<AtomicBool>,
-    accepting_done: &'a AtomicBool,
-    idle_timeout: Option<Duration>,
-    ack_deadline: Option<Duration>,
-    completed: &'a AtomicU64,
-    failed: &'a AtomicU64,
-    idle_disconnects: &'a AtomicU64,
-    evictions: &'a AtomicU64,
-    rate_sheds: &'a AtomicU64,
-    oversized: &'a AtomicU64,
-    last_error: &'a Mutex<Option<String>>,
-    reactor_error: &'a Mutex<Option<CollectorError>>,
+    windows: Vec<Window<'a>>,
+    mailboxes: Vec<Arc<Mailbox>>,
+    stats: Stats,
+    /// Connections admitted and not yet closed — the admission bound.
+    open: AtomicUsize,
+    /// Set (before the acceptor's last wake) once no more connections
+    /// can arrive.
+    accepting_done: AtomicBool,
+    absorber_panic: Mutex<Option<String>>,
+    accept_error: Mutex<Option<CollectorError>>,
+    reactor_error: Mutex<Option<CollectorError>>,
+    writer_error: Mutex<Option<CollectorError>>,
 }
 
-impl ReactorShared<'_> {
-    fn note_session_error(&self, msg: String) {
-        *self.last_error.lock().expect("last error lock") = Some(msg);
+impl Shared<'_> {
+    fn wake_reactors(&self) {
+        for mailbox in &self.mailboxes {
+            mailbox.waker.wake();
+        }
+    }
+
+    /// Counts a session that ended badly and records why.
+    fn session_error(&self, counter: fn(&mut ServeSummary) -> &mut u64, msg: String) {
+        self.stats.update(|s| {
+            *counter(s) += 1;
+            s.last_session_error = Some(msg);
+        });
     }
 }
 
-/// The engine behind [`crate::server::serve_routed`]. Window 0
-/// is the default (the `session`/`policy` arguments); each
-/// [`WindowRoute`] adds a named window with its own absorber, spool,
-/// and snapshot writer.
+/// One reactor thread's view: the shared state, its own mailbox, and its
+/// own senders into the windows' commit queues. The senders go when the
+/// thread exits, so the absorbers drain out once every reactor is gone.
+struct Reactor<'a> {
+    shared: &'a Shared<'a>,
+    mailbox: Arc<Mailbox>,
+    commit_txs: Vec<Sender<Commit>>,
+}
+
+/// The engine behind [`crate::server::serve_routed`]. Window 0 is the
+/// default (the `session`/`policy` arguments); each [`WindowRoute`] adds
+/// a named window. Every window runs the same absorber and snapshot
+/// writer.
 pub(crate) fn serve_reactor(
     listener: &TcpListener,
     session: &mut dyn CollectorSession,
     policy: &SnapshotPolicy,
     options: &ServeOptions,
-    windows: &mut [WindowRoute],
+    routes: &mut [WindowRoute],
 ) -> Result<ServeSummary, CollectorError> {
     let mut names: Vec<String> = vec!["default".to_string()];
-    for route in windows.iter() {
+    let mut policies = vec![policy];
+    let mut sessions = vec![session];
+    for route in routes.iter_mut() {
         if !protocol::valid_session_id(&route.name) {
             return Err(CollectorError::Spec(format!(
                 "window name {:?} must be 1-128 ASCII letters, digits, '.', '_', or '-'",
                 route.name
             )));
         }
-        if names.iter().any(|n| n == &route.name) {
+        if names.contains(&route.name) {
             return Err(CollectorError::Spec(format!(
                 "window {:?} is declared twice",
                 route.name
             )));
         }
         names.push(route.name.clone());
+        policies.push(&route.policy);
+        sessions.push(route.session.as_mut());
     }
-    let n_windows = names.len();
-    let start_counts: Vec<u64> = std::iter::once(session.count())
-        .chain(windows.iter().map(|w| w.session.count()))
-        .collect();
-    let decoders: Vec<Arc<dyn BatchDecoder>> = std::iter::once(session.batch_decoder())
-        .chain(windows.iter().map(|w| w.session.batch_decoder()))
-        .collect();
-    let policies: Vec<SnapshotPolicy> = std::iter::once(policy.clone())
-        .chain(windows.iter().map(|w| w.policy.clone()))
-        .collect();
     let machine_cfg = MachineConfig {
         max_frame_bytes: options.max_frame_bytes,
         rate: (options.max_rps_per_conn > 0.0).then_some(options.max_rps_per_conn),
         windows: names.clone(),
     };
-
-    let max_connections = options.max_connections.max(1);
-    let mut commit_txs: Vec<Sender<Commit>> = Vec::with_capacity(n_windows);
-    let mut commit_rxs: Vec<Receiver<Commit>> = Vec::with_capacity(n_windows);
-    for _ in 0..n_windows {
-        let (tx, rx) =
-            bounded_weighted::<Commit>(options.queue_depth.max(1), options.memory_budget_bytes);
-        commit_txs.push(tx);
-        commit_rxs.push(rx);
-    }
-    let (permit_tx, permit_rx) = bounded::<()>(max_connections);
-    for _ in 0..max_connections {
-        permit_tx
-            .push(())
-            .expect("filling a fresh permit channel cannot fail");
-    }
-
-    let spools: Vec<SnapshotSpool> = (0..n_windows).map(|_| SnapshotSpool::new()).collect();
-    let absorbed_totals: Vec<AtomicU64> = start_counts.iter().map(|&c| AtomicU64::new(c)).collect();
-    let window_peaks: Vec<AtomicU64> = (0..n_windows).map(|_| AtomicU64::new(0)).collect();
-
-    let accepted = AtomicU64::new(0);
-    let completed = AtomicU64::new(0);
-    let failed = AtomicU64::new(0);
-    let duplicates = AtomicU64::new(0);
-    let resumed = AtomicU64::new(0);
-    let idle_disconnects = AtomicU64::new(0);
-    let admission_sheds = AtomicU64::new(0);
-    let quota_sheds = AtomicU64::new(0);
-    let rate_sheds = AtomicU64::new(0);
-    let oversized_frames = AtomicU64::new(0);
-    let evictions = AtomicU64::new(0);
-    let accept_errors = AtomicU64::new(0);
-    let supervisor_restarts = AtomicU64::new(0);
-    let accepting_done = AtomicBool::new(false);
-    let faults_before = faults::injected();
-    let last_session_error: Mutex<Option<String>> = Mutex::new(None);
-    let writer_error: Mutex<Option<CollectorError>> = Mutex::new(None);
-    let accept_error: Mutex<Option<CollectorError>> = Mutex::new(None);
-    let reactor_error: Mutex<Option<CollectorError>> = Mutex::new(None);
-    let absorber_panic: Mutex<Option<String>> = Mutex::new(None);
 
     let reactor_threads = if options.reactor_threads > 0 {
         options.reactor_threads
@@ -276,320 +248,235 @@ pub(crate) fn serve_reactor(
         pollers.push(poller);
     }
 
+    let shared = Shared {
+        options,
+        shutdown: &options.shutdown,
+        machine_cfg,
+        decoders: sessions.iter().map(|s| s.batch_decoder()).collect(),
+        windows: names
+            .into_iter()
+            .zip(policies)
+            .zip(&sessions)
+            .map(|((name, policy), s)| Window::new(name, policy, s.count()))
+            .collect(),
+        mailboxes,
+        stats: Stats::default(),
+        open: AtomicUsize::new(0),
+        accepting_done: AtomicBool::new(false),
+        absorber_panic: Mutex::new(None),
+        accept_error: Mutex::new(None),
+        reactor_error: Mutex::new(None),
+        writer_error: Mutex::new(None),
+    };
+    let (commit_txs, commit_rxs): (Vec<Sender<Commit>>, Vec<Receiver<Commit>>) = sessions
+        .iter()
+        .map(|_| bounded_weighted(options.queue_depth.max(1), options.memory_budget_bytes))
+        .unzip();
+    let faults_before = faults::injected();
+
     listener
         .set_nonblocking(true)
         .map_err(|e| CollectorError::Io(format!("set_nonblocking: {e}")))?;
 
+    let shared = &shared;
     let scope_result = ldp_pool::service_scope(|scope| {
-        // Snapshot writers: one per window, all reporting into the same
-        // error slot (any one giving up raises shutdown for the whole
-        // serve — a window that can no longer persist should wind the
-        // fleet down, not keep acking).
-        for i in 0..n_windows {
-            let spool = &spools[i];
-            let window_policy = &policies[i];
-            let writer_error_ref = &writer_error;
-            let writer_shutdown = Arc::clone(&options.shutdown);
-            let restarts_ref = &supervisor_restarts;
+        // A writer that gives up raises shutdown for the whole serve: a
+        // window that can no longer persist should wind the fleet down,
+        // not keep acking.
+        for window in &shared.windows {
             scope.spawn("snapshot-writer", move || {
-                run_writer(
-                    spool,
-                    window_policy,
-                    writer_error_ref,
-                    &writer_shutdown,
-                    restarts_ref,
-                );
+                run_writer(window, &shared.stats, &shared.writer_error, shared.shutdown);
             });
         }
-
-        // The acceptor: admission (permits, quota, `admission`/`accept`
-        // faults, fd exhaustion backoff); admitted sockets go nonblocking
-        // and are dealt round-robin to the reactor mailboxes.
-        {
-            let shutdown = Arc::clone(&options.shutdown);
-            let accepted_ref = &accepted;
-            let admission_sheds_ref = &admission_sheds;
-            let quota_sheds_ref = &quota_sheds;
-            let accept_errors_ref = &accept_errors;
-            let accept_error_ref = &accept_error;
-            let accepting_done_ref = &accepting_done;
-            let absorbed_ref = &absorbed_totals;
-            let mailboxes_ref = &mailboxes;
-            let failed_ref = &failed;
-            let last_error_ref = &last_session_error;
-            let session_limit = options.connections;
-            let report_quota = options.report_quota;
-            let busy_retry = options.busy_retry;
-            scope.spawn("acceptor", move || {
-                let mut permit_held = false;
-                let mut accept_backoff = ACCEPT_TICK;
-                let mut next_thread = 0usize;
-                loop {
-                    if shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    if session_limit > 0 && accepted_ref.load(Ordering::SeqCst) >= session_limit {
-                        break;
-                    }
-                    let quota_met = report_quota > 0
-                        && absorbed_ref
-                            .iter()
-                            .map(|a| a.load(Ordering::SeqCst))
-                            .sum::<u64>()
-                            >= report_quota;
-                    if !permit_held && !quota_met {
-                        permit_held = permit_rx.try_pop().is_some();
-                    }
-                    if faults::hit("accept").is_some() {
-                        accept_errors_ref.fetch_add(1, Ordering::SeqCst);
-                        std::thread::sleep(accept_backoff);
-                        accept_backoff = (accept_backoff * 2).min(ACCEPT_BACKOFF_CAP);
-                        continue;
-                    }
-                    match listener.accept() {
-                        Ok((stream, _addr)) => {
-                            accept_backoff = ACCEPT_TICK;
-                            if quota_met {
-                                let _ = stream.set_nonblocking(false);
-                                quota_sheds_ref.fetch_add(1, Ordering::SeqCst);
-                                shed_at_accept(stream, busy_retry);
-                                continue;
-                            }
-                            if !permit_held {
-                                let _ = stream.set_nonblocking(false);
-                                admission_sheds_ref.fetch_add(1, Ordering::SeqCst);
-                                shed_at_accept(stream, busy_retry);
-                                continue;
-                            }
-                            if faults::hit("admission").is_some() {
-                                let _ = stream.set_nonblocking(false);
-                                admission_sheds_ref.fetch_add(1, Ordering::SeqCst);
-                                shed_at_accept(stream, busy_retry);
-                                continue;
-                            }
-                            if let Err(e) = stream.set_nonblocking(true) {
-                                failed_ref.fetch_add(1, Ordering::SeqCst);
-                                *last_error_ref.lock().expect("last error lock") =
-                                    Some(format!("set_nonblocking: {e}"));
-                                continue;
-                            }
-                            permit_held = false;
-                            accepted_ref.fetch_add(1, Ordering::SeqCst);
-                            mailboxes_ref[next_thread].post_stream(stream);
-                            next_thread = (next_thread + 1) % mailboxes_ref.len();
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                            std::thread::sleep(ACCEPT_TICK);
-                        }
-                        Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                        Err(e) if is_fd_exhaustion(&e) => {
-                            accept_errors_ref.fetch_add(1, Ordering::SeqCst);
-                            std::thread::sleep(accept_backoff);
-                            accept_backoff = (accept_backoff * 2).min(ACCEPT_BACKOFF_CAP);
-                        }
-                        Err(e) => {
-                            *accept_error_ref.lock().expect("accept error lock") =
-                                Some(CollectorError::Io(format!("accept: {e}")));
-                            break;
-                        }
-                    }
-                }
-                accepting_done_ref.store(true, Ordering::SeqCst);
-                for mailbox in mailboxes_ref {
-                    mailbox.waker.wake();
-                }
-            });
-        }
-
-        // The reactor threads.
-        for (poller, mailbox) in pollers.drain(..).zip(mailboxes.iter()) {
-            let shared = ReactorShared {
-                machine_cfg: machine_cfg.clone(),
-                decoders: decoders.clone(),
-                commit_txs: commit_txs.iter().map(Clone::clone).collect(),
-                permit_tx: permit_tx.clone(),
+        scope.spawn("acceptor", move || run_acceptor(listener, shared));
+        for (poller, mailbox) in pollers.into_iter().zip(&shared.mailboxes) {
+            let reactor = Reactor {
+                shared,
                 mailbox: Arc::clone(mailbox),
-                shutdown: Arc::clone(&options.shutdown),
-                accepting_done: &accepting_done,
-                idle_timeout: options.idle_timeout,
-                ack_deadline: options.ack_deadline,
-                completed: &completed,
-                failed: &failed,
-                idle_disconnects: &idle_disconnects,
-                evictions: &evictions,
-                rate_sheds: &rate_sheds,
-                oversized: &oversized_frames,
-                last_error: &last_session_error,
-                reactor_error: &reactor_error,
+                commit_txs: commit_txs.clone(),
             };
-            scope.spawn("reactor", move || run_reactor(poller, shared));
+            scope.spawn("reactor", move || run_reactor(poller, &reactor));
         }
         // The originals go now: once every reactor thread exits, the
-        // queues disconnect and the absorbers below drain out.
+        // queues disconnect and the absorbers drain out.
         drop(commit_txs);
-        drop(permit_tx);
-
-        // Absorbers for the routed windows, each under the supervisor's
-        // catch_unwind (first panic wins the report; any panic
-        // quiesces the whole serve).
-        let mut rx_iter = commit_rxs.drain(..);
-        let default_rx = rx_iter.next().expect("window 0 always exists");
-        for (i, (route, rx)) in windows.iter_mut().zip(rx_iter).enumerate() {
-            let widx = i + 1;
-            let window_policy = &policies[widx];
-            let spool = &spools[widx];
-            let duplicates_ref = &duplicates;
-            let resumed_ref = &resumed;
-            let absorbed_ref = &absorbed_totals[widx];
-            let peak_ref = &window_peaks[widx];
-            let absorber_panic_ref = &absorber_panic;
-            let shutdown = Arc::clone(&options.shutdown);
-            let mailboxes_ref = &mailboxes;
-            let window_session = &mut route.session;
+        for ((session, window), rx) in sessions.iter_mut().zip(&shared.windows).zip(commit_rxs) {
             scope.spawn("absorber", move || {
-                let shared = AbsorberShared {
-                    policy: window_policy,
-                    spool,
-                    duplicates: duplicates_ref,
-                    resumed: resumed_ref,
-                    absorbed_total: absorbed_ref,
-                };
-                let run = std::panic::AssertUnwindSafe(|| {
-                    while let Some(commit) = rx.pop() {
-                        absorb_commit(window_session.as_mut(), &shared, commit);
-                        for mailbox in mailboxes_ref {
-                            mailbox.waker.wake();
-                        }
-                    }
-                });
-                if let Err(panic) = std::panic::catch_unwind(run) {
-                    let mut slot = absorber_panic_ref.lock().expect("absorber panic lock");
-                    if slot.is_none() {
-                        *slot = Some(panic_message(panic.as_ref()));
-                    }
-                    drop(slot);
-                    shutdown.store(true, Ordering::SeqCst);
-                    for mailbox in mailboxes_ref {
-                        mailbox.waker.wake();
-                    }
-                }
-                peak_ref.store(rx.peak_bytes() as u64, Ordering::SeqCst);
-                drop(rx);
-                spool.close();
+                run_absorber(&mut **session, window, rx, shared)
             });
         }
-
-        // The default window's absorber runs here, on the scope's own
-        // thread — the single owner of `session`.
-        let shared = AbsorberShared {
-            policy: &policies[0],
-            spool: &spools[0],
-            duplicates: &duplicates,
-            resumed: &resumed,
-            absorbed_total: &absorbed_totals[0],
-        };
-        let absorber = std::panic::AssertUnwindSafe(|| {
-            while let Some(commit) = default_rx.pop() {
-                absorb_commit(session, &shared, commit);
-                for mailbox in &mailboxes {
-                    mailbox.waker.wake();
-                }
-            }
-        });
-        if let Err(panic) = std::panic::catch_unwind(absorber) {
-            let mut slot = absorber_panic.lock().expect("absorber panic lock");
-            if slot.is_none() {
-                *slot = Some(panic_message(panic.as_ref()));
-            }
-            drop(slot);
-            options.shutdown.store(true, Ordering::SeqCst);
-            for mailbox in &mailboxes {
-                mailbox.waker.wake();
-            }
-        }
-        window_peaks[0].store(default_rx.peak_bytes() as u64, Ordering::SeqCst);
-        drop(default_rx);
-        spools[0].close();
     });
 
     let _ = listener.set_nonblocking(false);
     // Final durable snapshots for every window, attempted on every exit
     // path; the first failure is the one reported.
-    let mut final_snapshot = policy.apply(session, session.count(), true);
-    for (i, route) in windows.iter().enumerate() {
-        let applied = policies[i + 1].apply(route.session.as_ref(), route.session.count(), true);
+    let mut final_snapshot = Ok(());
+    for (window, session) in shared.windows.iter().zip(&sessions) {
+        let applied = window.policy.apply(&**session, session.count(), true);
         if final_snapshot.is_ok() {
             final_snapshot = applied;
         }
     }
     scope_result.map_err(|e| CollectorError::Io(format!("serve service failure: {e}")))?;
-    if let Some(msg) = absorber_panic.into_inner().expect("absorber panic lock") {
+    if let Some(msg) = shared
+        .absorber_panic
+        .lock()
+        .expect("absorber panic lock")
+        .take()
+    {
         final_snapshot?;
         return Err(CollectorError::Panicked(format!("absorber: {msg}")));
     }
-    if let Some(e) = accept_error.into_inner().expect("accept error lock") {
-        return Err(e);
-    }
-    if let Some(e) = reactor_error.into_inner().expect("reactor error lock") {
-        return Err(e);
-    }
-    if let Some(e) = writer_error.into_inner().expect("writer error lock") {
-        return Err(e);
+    for slot in [
+        &shared.accept_error,
+        &shared.reactor_error,
+        &shared.writer_error,
+    ] {
+        if let Some(e) = slot.lock().expect("error slot lock").take() {
+            return Err(e);
+        }
     }
     final_snapshot?;
-    let window_counts: Vec<u64> = std::iter::once(session.count())
-        .chain(windows.iter().map(|w| w.session.count()))
-        .collect();
-    let reports: u64 = window_counts
+    let windows = &shared.windows;
+    let absorbed: Vec<u64> = windows
         .iter()
-        .zip(&start_counts)
-        .map(|(now, start)| now - start)
-        .sum();
-    let window_reports = if windows.is_empty() {
-        Vec::new()
-    } else {
-        names
+        .zip(&sessions)
+        .map(|(window, session)| session.count() - window.start)
+        .collect();
+    let mut summary = shared.stats.update(std::mem::take);
+    summary.reports = absorbed.iter().sum();
+    summary.snapshots_superseded = windows.iter().map(|w| w.spool.superseded()).sum();
+    summary.peak_queue_bytes = windows
+        .iter()
+        .map(|w| w.peak_bytes.load(Ordering::SeqCst))
+        .max()
+        .unwrap_or(0);
+    summary.faults_injected = faults::injected() - faults_before;
+    if windows.len() > 1 {
+        summary.window_reports = windows
             .iter()
-            .cloned()
-            .zip(
-                window_counts
-                    .iter()
-                    .zip(&start_counts)
-                    .map(|(now, start)| now - start),
-            )
-            .collect()
-    };
-    Ok(ServeSummary {
-        accepted: accepted.into_inner(),
-        completed: completed.into_inner(),
-        failed: failed.into_inner(),
-        reports,
-        snapshots_superseded: spools.iter().map(SnapshotSpool::superseded).sum(),
-        duplicates_suppressed: duplicates.into_inner(),
-        sessions_resumed: resumed.into_inner(),
-        idle_disconnects: idle_disconnects.into_inner(),
-        admission_sheds: admission_sheds.into_inner(),
-        quota_sheds: quota_sheds.into_inner(),
-        rate_sheds: rate_sheds.into_inner(),
-        oversized_frames: oversized_frames.into_inner(),
-        evictions: evictions.into_inner(),
-        supervisor_restarts: supervisor_restarts.into_inner(),
-        peak_queue_bytes: window_peaks
-            .iter()
-            .map(|p| p.load(Ordering::SeqCst))
-            .max()
-            .unwrap_or(0),
-        accept_errors: accept_errors.into_inner(),
-        faults_injected: faults::injected() - faults_before,
-        window_reports,
-        last_session_error: last_session_error.into_inner().expect("last error lock"),
-    })
+            .map(|w| w.name.clone())
+            .zip(absorbed)
+            .collect();
+    }
+    Ok(summary)
+}
+
+/// The acceptor: admission (the open-connection bound, the report quota,
+/// `admission`/`accept` faults, fd-exhaustion backoff). Admitted sockets
+/// go nonblocking and are dealt round-robin to the reactor mailboxes.
+fn run_acceptor(listener: &TcpListener, shared: &Shared<'_>) {
+    let options = shared.options;
+    let max_connections = options.max_connections.max(1);
+    let mut accept_backoff = ACCEPT_TICK;
+    let mut next_thread = 0usize;
+    loop {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        if options.connections > 0 && shared.stats.update(|s| s.accepted) >= options.connections {
+            break;
+        }
+        if faults::hit("accept").is_some() {
+            shared.stats.update(|s| s.accept_errors += 1);
+            std::thread::sleep(accept_backoff);
+            accept_backoff = (accept_backoff * 2).min(ACCEPT_BACKOFF_CAP);
+            continue;
+        }
+        match listener.accept() {
+            Ok((stream, _addr)) => {
+                accept_backoff = ACCEPT_TICK;
+                let quota_met = options.report_quota > 0
+                    && shared
+                        .windows
+                        .iter()
+                        .map(|w| w.absorbed.load(Ordering::SeqCst))
+                        .sum::<u64>()
+                        >= options.report_quota;
+                let shed: Option<fn(&mut ServeSummary)> = if quota_met {
+                    Some(|s| s.quota_sheds += 1)
+                } else if shared.open.load(Ordering::SeqCst) >= max_connections
+                    || faults::hit("admission").is_some()
+                {
+                    Some(|s| s.admission_sheds += 1)
+                } else {
+                    None
+                };
+                if let Some(count) = shed {
+                    let _ = stream.set_nonblocking(false);
+                    shared.stats.update(count);
+                    shed_at_accept(stream, options.busy_retry);
+                    continue;
+                }
+                if let Err(e) = stream.set_nonblocking(true) {
+                    shared.session_error(|s| &mut s.failed, format!("set_nonblocking: {e}"));
+                    continue;
+                }
+                shared.open.fetch_add(1, Ordering::SeqCst);
+                shared.stats.update(|s| s.accepted += 1);
+                shared.mailboxes[next_thread].post_stream(stream);
+                next_thread = (next_thread + 1) % shared.mailboxes.len();
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                std::thread::sleep(ACCEPT_TICK);
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if is_fd_exhaustion(&e) => {
+                shared.stats.update(|s| s.accept_errors += 1);
+                std::thread::sleep(accept_backoff);
+                accept_backoff = (accept_backoff * 2).min(ACCEPT_BACKOFF_CAP);
+            }
+            Err(e) => {
+                *shared.accept_error.lock().expect("accept error lock") =
+                    Some(CollectorError::Io(format!("accept: {e}")));
+                break;
+            }
+        }
+    }
+    shared.accepting_done.store(true, Ordering::SeqCst);
+    shared.wake_reactors();
+}
+
+/// One window's absorber: applies commits in queue order until every
+/// reactor has dropped its sender, waking the reactors after each so
+/// parked connections retry. A panic is contained — the first one is
+/// recorded, shutdown raised, and the reactors woken so parked
+/// connections fail fast. Either way the queue's peak is recorded, its
+/// undelivered commits dropped (failing their connections), and the
+/// spool closed so the writer drains and exits.
+fn run_absorber(
+    session: &mut dyn CollectorSession,
+    window: &Window<'_>,
+    rx: Receiver<Commit>,
+    shared: &Shared<'_>,
+) {
+    let absorb = AssertUnwindSafe(|| {
+        while let Some(commit) = rx.pop() {
+            absorb_commit(session, window, &shared.stats, commit);
+            shared.wake_reactors();
+        }
+    });
+    if let Err(panic) = std::panic::catch_unwind(absorb) {
+        shared
+            .absorber_panic
+            .lock()
+            .expect("absorber panic lock")
+            .get_or_insert_with(|| panic_message(panic.as_ref()));
+        shared.shutdown.store(true, Ordering::SeqCst);
+        shared.wake_reactors();
+    }
+    window
+        .peak_bytes
+        .store(rx.peak_bytes() as u64, Ordering::SeqCst);
+    drop(rx);
+    window.spool.close();
 }
 
 /// One reactor thread: wait on epoll, drain the mailbox, pump
 /// connections, fire timers, and wind down once accepting is over and
 /// the slab is empty.
-fn run_reactor(poller: Poller, shared: ReactorShared<'_>) {
+fn run_reactor(poller: Poller, reactor: &Reactor<'_>) {
+    let shared = reactor.shared;
     let mut events = Events::with_capacity(256);
     let mut slab: Slab<Conn> = Slab::new();
     let mut timers = TimerWheel::new();
@@ -600,11 +487,11 @@ fn run_reactor(poller: Poller, shared: ReactorShared<'_>) {
             timeout = timeout.min(deadline.saturating_duration_since(now));
         }
         if let Err(e) = poller.wait(&mut events, Some(timeout)) {
-            let mut slot = shared.reactor_error.lock().expect("reactor error lock");
-            if slot.is_none() {
-                *slot = Some(CollectorError::Io(format!("epoll wait: {e}")));
-            }
-            drop(slot);
+            shared
+                .reactor_error
+                .lock()
+                .expect("reactor error lock")
+                .get_or_insert_with(|| CollectorError::Io(format!("epoll wait: {e}")));
             shared.shutdown.store(true, Ordering::SeqCst);
             return;
         }
@@ -612,7 +499,7 @@ fn run_reactor(poller: Poller, shared: ReactorShared<'_>) {
         // Admitted sockets: register, start the machine (which fires the
         // `frame-read` failpoint for the first frame), and pump.
         let new_streams: Vec<TcpStream> =
-            std::mem::take(&mut *shared.mailbox.streams.lock().expect("mailbox lock"));
+            std::mem::take(&mut *reactor.mailbox.streams.lock().expect("mailbox lock"));
         for stream in new_streams {
             let machine = Machine::new(shared.machine_cfg.clone(), Instant::now());
             let token = slab.insert(Conn {
@@ -635,29 +522,30 @@ fn run_reactor(poller: Poller, shared: ReactorShared<'_>) {
             };
             if let Err(e) = registered {
                 slab.remove(token);
-                shared.failed.fetch_add(1, Ordering::SeqCst);
-                shared.note_session_error(format!("epoll add: {e}"));
-                let _ = shared.permit_tx.push(());
+                shared.open.fetch_sub(1, Ordering::SeqCst);
+                reactor
+                    .shared
+                    .session_error(|s| &mut s.failed, format!("epoll add: {e}"));
                 continue;
             }
-            if let Some(idle) = shared.idle_timeout {
+            if let Some(idle) = shared.options.idle_timeout {
                 timers.set(token, K_IDLE, Instant::now() + idle);
             }
             {
                 let conn = slab.get_mut(token).expect("just inserted");
                 conn.machine.start(&mut conn.actions);
-                if let Some(close) = apply_actions(conn, token, &shared) {
+                if let Some(close) = apply_actions(conn, token, reactor) {
                     conn.closing = Some(close);
                 }
             }
-            pump(token, &mut slab, &mut timers, &poller, &shared);
+            pump(token, &mut slab, &mut timers, &poller, reactor);
         }
 
         // Commit completions from the absorbers. The slab's generation
         // check discards completions for connections that died while
         // their commit was in flight.
         let completions: Vec<(u64, Option<CommitDone>)> =
-            std::mem::take(&mut *shared.mailbox.completions.lock().expect("mailbox lock"));
+            std::mem::take(&mut *reactor.mailbox.completions.lock().expect("mailbox lock"));
         for (token, reply) in completions {
             let found = {
                 let Some(conn) = slab.get_mut(token) else {
@@ -668,19 +556,19 @@ fn run_reactor(poller: Poller, shared: ReactorShared<'_>) {
                     Some(done) => conn.machine.commit_done(done, &mut conn.actions),
                     None => conn.machine.absorber_gone(&mut conn.actions),
                 }
-                if let Some(close) = apply_actions(conn, token, &shared) {
+                if let Some(close) = apply_actions(conn, token, reactor) {
                     conn.closing = Some(close);
                 }
                 true
             };
             if found {
-                pump(token, &mut slab, &mut timers, &poller, &shared);
+                pump(token, &mut slab, &mut timers, &poller, reactor);
             }
         }
 
         // Socket readiness.
         for event in ldp_reactor::ready_events(&events) {
-            pump(event.token, &mut slab, &mut timers, &poller, &shared);
+            pump(event.token, &mut slab, &mut timers, &poller, reactor);
         }
 
         // Backpressure retries: the absorbers wake every reactor on
@@ -688,7 +576,7 @@ fn run_reactor(poller: Poller, shared: ReactorShared<'_>) {
         for token in slab.tokens() {
             let is_parked = slab.get(token).is_some_and(|c| c.parked.is_some());
             if is_parked {
-                pump(token, &mut slab, &mut timers, &poller, &shared);
+                pump(token, &mut slab, &mut timers, &poller, reactor);
             }
         }
 
@@ -714,7 +602,7 @@ fn run_reactor(poller: Poller, shared: ReactorShared<'_>) {
                             && conn.out_pos >= conn.out.len();
                         if idle_now {
                             Verdict::Close(Close::Idle)
-                        } else if let Some(idle) = shared.idle_timeout {
+                        } else if let Some(idle) = shared.options.idle_timeout {
                             // Mid-frame or mid-commit stalls are
                             // backpressure, not idleness.
                             Verdict::Rearm(idle)
@@ -757,7 +645,7 @@ fn run_reactor(poller: Poller, shared: ReactorShared<'_>) {
             match verdict {
                 Verdict::Nothing => {}
                 Verdict::Close(close) => {
-                    close_conn(token, close, &mut slab, &mut timers, &poller, &shared);
+                    close_conn(token, close, &mut slab, &mut timers, &poller, reactor);
                 }
                 Verdict::Rearm(after) => timers.set(token, kind, now + after),
             }
@@ -767,7 +655,7 @@ fn run_reactor(poller: Poller, shared: ReactorShared<'_>) {
         // mid-frame ones a bounded grace to finish their frame.
         if shared.shutdown.load(Ordering::SeqCst) {
             for token in slab.tokens() {
-                pump(token, &mut slab, &mut timers, &poller, &shared);
+                pump(token, &mut slab, &mut timers, &poller, reactor);
                 if let Some(conn) = slab.get_mut(token) {
                     if !conn.grace_armed {
                         conn.grace_armed = true;
@@ -782,13 +670,13 @@ fn run_reactor(poller: Poller, shared: ReactorShared<'_>) {
         // reading it first makes the mailbox check authoritative.)
         if shared.accepting_done.load(Ordering::SeqCst)
             && slab.is_empty()
-            && shared
+            && reactor
                 .mailbox
                 .streams
                 .lock()
                 .expect("mailbox lock")
                 .is_empty()
-            && shared
+            && reactor
                 .mailbox
                 .completions
                 .lock()
@@ -807,16 +695,16 @@ fn pump(
     slab: &mut Slab<Conn>,
     timers: &mut TimerWheel,
     poller: &Poller,
-    shared: &ReactorShared<'_>,
+    reactor: &Reactor<'_>,
 ) {
     let close = {
         let Some(conn) = slab.get_mut(token) else {
             return;
         };
-        drive(conn, token, timers, shared)
+        drive(conn, token, timers, reactor)
     };
     if let Some(close) = close {
-        close_conn(token, close, slab, timers, poller, shared);
+        close_conn(token, close, slab, timers, poller, reactor);
     }
 }
 
@@ -827,8 +715,9 @@ fn drive(
     conn: &mut Conn,
     token: u64,
     timers: &mut TimerWheel,
-    shared: &ReactorShared<'_>,
+    reactor: &Reactor<'_>,
 ) -> Option<Close> {
+    let shared = reactor.shared;
     loop {
         let now = Instant::now();
         // Output first: acks precede further reads.
@@ -848,7 +737,7 @@ fn drive(
                     }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    if let Some(deadline) = shared.ack_deadline {
+                    if let Some(deadline) = shared.options.ack_deadline {
                         if !conn.write_timer_armed {
                             timers.set(token, K_WRITE, now + deadline);
                             conn.write_timer_armed = true;
@@ -890,49 +779,20 @@ fn drive(
         // Parked backpressure: retry now, stay parked on no progress.
         if let Some(parked) = conn.parked.take() {
             match parked {
-                Parked::Budget { window, bytes } => {
-                    match shared.commit_txs[window].try_reserve(bytes) {
-                        Ok(true) => conn.machine.budget_granted(),
-                        Ok(false) => {
-                            conn.parked = Some(Parked::Budget { window, bytes });
-                            return None;
-                        }
-                        Err(_) => {
-                            conn.machine.absorber_gone(&mut conn.actions);
-                            if let Some(close) = apply_actions(conn, token, shared) {
-                                conn.closing = Some(close);
-                            }
-                            continue;
-                        }
-                    }
-                }
+                Parked::Budget { window, bytes } => charge_budget(conn, window, bytes, reactor),
                 Parked::Push {
                     window,
                     commit,
                     weight,
-                } => {
-                    let result = if weight > 0 {
-                        shared.commit_txs[window].try_push_reserved(commit, weight)
-                    } else {
-                        shared.commit_txs[window].try_push(commit)
-                    };
-                    match result {
-                        Ok(()) => {}
-                        Err(e) if e.full => {
-                            conn.parked = Some(Parked::Push {
-                                window,
-                                commit: e.value,
-                                weight,
-                            });
-                            return None;
-                        }
-                        // Receiver gone: dropping the commit fires its
-                        // `Done` with `None`; the completion resolves
-                        // this connection on the next drain.
-                        Err(_) => return None,
-                    }
-                }
+                } => enqueue(conn, window, commit, weight, reactor),
             }
+            if conn.parked.is_some() {
+                return None;
+            }
+            if let Some(close) = apply_actions(conn, token, reactor) {
+                conn.closing = Some(close);
+            }
+            continue;
         }
 
         // Feed what we have buffered.
@@ -947,7 +807,7 @@ fn drive(
                     .on_bytes(&conn.pending_in, now, decoder.as_ref(), &mut conn.actions);
             conn.pending_in.drain(..consumed);
             let had_actions = !conn.actions.is_empty();
-            if let Some(close) = apply_actions(conn, token, shared) {
+            if let Some(close) = apply_actions(conn, token, reactor) {
                 conn.closing = Some(close);
                 continue;
             }
@@ -969,7 +829,7 @@ fn drive(
                 Ok(0) => conn.eof_seen = true,
                 Ok(n) => {
                     conn.pending_in.extend_from_slice(&buf[..n]);
-                    if let Some(idle) = shared.idle_timeout {
+                    if let Some(idle) = shared.options.idle_timeout {
                         timers.set(token, K_IDLE, now + idle);
                     }
                     if conn.grace_armed {
@@ -996,7 +856,7 @@ fn drive(
             && !conn.machine.is_ended()
         {
             conn.machine.on_eof(&mut conn.actions);
-            if let Some(close) = apply_actions(conn, token, shared) {
+            if let Some(close) = apply_actions(conn, token, reactor) {
                 conn.closing = Some(close);
                 continue;
             }
@@ -1010,23 +870,17 @@ fn drive(
 /// the session ended. Resolving one action (a granted budget, a gone
 /// absorber) may make the machine emit more — the outer loop drains
 /// until quiescent.
-fn apply_actions(conn: &mut Conn, token: u64, shared: &ReactorShared<'_>) -> Option<Close> {
+fn apply_actions(conn: &mut Conn, token: u64, reactor: &Reactor<'_>) -> Option<Close> {
     let mut close = None;
     while !conn.actions.is_empty() {
         for action in std::mem::take(&mut conn.actions) {
             match action {
                 Action::Send(bytes) => conn.out.extend_from_slice(&bytes),
-                Action::Reserve { window, bytes } => {
-                    match shared.commit_txs[window].try_reserve(bytes) {
-                        Ok(true) => conn.machine.budget_granted(),
-                        Ok(false) => conn.parked = Some(Parked::Budget { window, bytes }),
-                        Err(_) => conn.machine.absorber_gone(&mut conn.actions),
-                    }
-                }
-                Action::Release { window, bytes } => shared.commit_txs[window].unreserve(bytes),
+                Action::Reserve { window, bytes } => charge_budget(conn, window, bytes, reactor),
+                Action::Release { window, bytes } => reactor.commit_txs[window].unreserve(bytes),
                 Action::Commit(request) => {
                     conn.awaiting = true;
-                    let done = Done::new(Arc::clone(&shared.mailbox), token);
+                    let done = Done::new(Arc::clone(&reactor.mailbox), token);
                     let (window, commit, weight) = match request {
                         CommitRequest::Hello { window, session } => {
                             (window, Commit::Hello { session, done }, 0)
@@ -1041,32 +895,10 @@ fn apply_actions(conn: &mut Conn, token: u64, shared: &ReactorShared<'_>) -> Opt
                             (window, Commit::Flush { sequenced, done }, 0)
                         }
                     };
-                    let result = if weight > 0 {
-                        shared.commit_txs[window].try_push_reserved(commit, weight)
-                    } else {
-                        shared.commit_txs[window].try_push(commit)
-                    };
-                    match result {
-                        Ok(()) => {}
-                        Err(e) if e.full => {
-                            conn.parked = Some(Parked::Push {
-                                window,
-                                commit: e.value,
-                                weight,
-                            })
-                        }
-                        // Receiver gone: the dropped commit's `Done`
-                        // posts a `None` completion that fails this
-                        // connection through the normal path.
-                        Err(_) => {}
-                    }
+                    enqueue(conn, window, commit, weight, reactor);
                 }
-                Action::RateShed => {
-                    shared.rate_sheds.fetch_add(1, Ordering::SeqCst);
-                }
-                Action::Oversized => {
-                    shared.oversized.fetch_add(1, Ordering::SeqCst);
-                }
+                Action::RateShed => reactor.shared.stats.update(|s| s.rate_sheds += 1),
+                Action::Oversized => reactor.shared.stats.update(|s| s.oversized_frames += 1),
                 Action::End(end) => {
                     close = Some(match end {
                         MachineEnd::Completed => Close::Completed,
@@ -1081,16 +913,51 @@ fn apply_actions(conn: &mut Conn, token: u64, shared: &ReactorShared<'_>) -> Opt
     close
 }
 
+/// Charges `bytes` of a frame body against window `window`'s budget,
+/// parking the connection while the budget is exhausted. A gone absorber
+/// fails the session through the machine.
+fn charge_budget(conn: &mut Conn, window: usize, bytes: usize, reactor: &Reactor<'_>) {
+    match reactor.commit_txs[window].try_reserve(bytes) {
+        Ok(true) => conn.machine.budget_granted(),
+        Ok(false) => conn.parked = Some(Parked::Budget { window, bytes }),
+        Err(_) => conn.machine.absorber_gone(&mut conn.actions),
+    }
+}
+
+/// Queues `commit` for window `window`'s absorber, parking the connection
+/// while the queue is full. A batch (`weight > 0`) rides on the bytes its
+/// body reserved, and a full queue leaves that reservation with us; a
+/// hello or flush is admitted at weight 0. If the absorber is gone the
+/// commit is dropped, and its `Done` posts the `None` completion that
+/// fails the connection through the normal path.
+fn enqueue(conn: &mut Conn, window: usize, commit: Commit, weight: usize, reactor: &Reactor<'_>) {
+    let tx = &reactor.commit_txs[window];
+    let result = if weight > 0 {
+        tx.try_push_reserved(commit, weight)
+    } else {
+        tx.try_push(commit)
+    };
+    if let Err(e) = result {
+        if e.full {
+            conn.parked = Some(Parked::Push {
+                window,
+                commit: e.value,
+                weight,
+            });
+        }
+    }
+}
+
 /// Removes a connection: timers cleared, charges released, the last
 /// bytes flushed best-effort (a `-` on a failed session is
-/// fire-and-forget), counters updated, the admission permit returned.
+/// fire-and-forget), counters updated, the admission slot freed.
 fn close_conn(
     token: u64,
     close: Close,
     slab: &mut Slab<Conn>,
     timers: &mut TimerWheel,
     poller: &Poller,
-    shared: &ReactorShared<'_>,
+    reactor: &Reactor<'_>,
 ) {
     let Some(mut conn) = slab.remove(token) else {
         return;
@@ -1100,7 +967,7 @@ fn close_conn(
     timers.clear(token, K_GRACE);
     let _ = poller.delete(&conn.stream);
     if let Some((window, bytes)) = conn.machine.take_charge() {
-        shared.commit_txs[window].unreserve(bytes);
+        reactor.commit_txs[window].unreserve(bytes);
     }
     if let Some(Parked::Push {
         window,
@@ -1112,35 +979,29 @@ fn close_conn(
         // no longer knows — discarded by the generation check.
         drop(commit);
         if weight > 0 {
-            shared.commit_txs[window].unreserve(weight);
+            reactor.commit_txs[window].unreserve(weight);
         }
     }
     if conn.out_pos < conn.out.len() {
         let _ = conn.stream.write(&conn.out[conn.out_pos..]);
     }
+    let shared = reactor.shared;
     match close {
-        Close::Completed => {
-            shared.completed.fetch_add(1, Ordering::SeqCst);
-        }
+        Close::Completed => shared.stats.update(|s| s.completed += 1),
         Close::Shutdown => {}
-        Close::PeerClosed => {
-            shared.failed.fetch_add(1, Ordering::SeqCst);
-            shared.note_session_error("peer closed without an end-of-stream frame".into());
-        }
-        Close::Idle => {
-            shared.idle_disconnects.fetch_add(1, Ordering::SeqCst);
-            shared.note_session_error("peer idled past --idle-timeout between frames".into());
-        }
-        Close::Evicted => {
-            shared.evictions.fetch_add(1, Ordering::SeqCst);
-            shared.note_session_error(
-                "slow consumer evicted past --ack-deadline (committed state stands)".into(),
-            );
-        }
-        Close::Failed(e) => {
-            shared.failed.fetch_add(1, Ordering::SeqCst);
-            shared.note_session_error(e.to_string());
-        }
+        Close::PeerClosed => shared.session_error(
+            |s| &mut s.failed,
+            "peer closed without an end-of-stream frame".into(),
+        ),
+        Close::Idle => shared.session_error(
+            |s| &mut s.idle_disconnects,
+            "peer idled past --idle-timeout between frames".into(),
+        ),
+        Close::Evicted => shared.session_error(
+            |s| &mut s.evictions,
+            "slow consumer evicted past --ack-deadline (committed state stands)".into(),
+        ),
+        Close::Failed(e) => shared.session_error(|s| &mut s.failed, e.to_string()),
     }
-    let _ = shared.permit_tx.push(());
+    shared.open.fetch_sub(1, Ordering::SeqCst);
 }

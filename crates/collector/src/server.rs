@@ -55,21 +55,23 @@
 //!    (`-` ack) and never reach the shared window.
 //! 2. **absorb** — prepared batches flow through a bounded queue
 //!    ([`ldp_pool::chan`]; a full queue parks the connection =
-//!    backpressure to the TCP peer) into a single absorber that owns the
-//!    session; state merges stay serialized, so the final window is
-//!    bit-identical to a single-connection ingest of the concatenated
-//!    frames. The `+` ack is sent only after the absorber commits.
+//!    backpressure to the TCP peer) into the window's absorber, the
+//!    single owner of its session; state merges stay serialized, so the
+//!    final window is bit-identical to a single-connection ingest of the
+//!    concatenated frames. The `+` ack is sent only after the absorber
+//!    commits.
 //! 3. **snapshot** — on each cadence crossing the absorber *publishes*
 //!    the rendered snapshot to a latest-wins
 //!    [`ldp_core::snapshot::SnapshotSpool`]; a dedicated
 //!    writer thread does the fsync-and-rename (with `--keep N`
 //!    rotation) off the hot path, so snapshot writes never stall acks.
 //!
-//! The engine (acceptor, reactor threads, per-window absorbers) lives in
-//! the private `reactor_serve` module; this module holds the public
-//! surface and the stages every window shares: the absorber step
-//! (`absorb_commit`), the snapshot writer (`run_writer`), and the
-//! admission helpers.
+//! The engine (acceptor, reactor threads, and one absorber and one
+//! snapshot writer per window) lives in the private `reactor_serve`
+//! module. This module holds the public surface and the per-window
+//! stage bodies the engine runs for every window alike: the absorber
+//! step (`absorb_commit`), the snapshot writer (`run_writer`), the
+//! serve counters (`Stats`), and the admission helpers.
 //!
 //! # Overload safety
 //!
@@ -114,7 +116,7 @@ use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Default cap on a single frame's payload ([`ServeOptions::max_frame_bytes`]):
@@ -477,16 +479,51 @@ pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The counters and stages one window's absorber reports into (one per
-/// routed window).
-pub(crate) struct AbsorberShared<'a> {
+/// The serve counters and the last per-session error: the summary under
+/// construction, shared by reference with every stage of serve. The
+/// engine fills in the derived totals (reports, peaks, per-window
+/// counts) when serve ends.
+#[derive(Default)]
+pub(crate) struct Stats(Mutex<ServeSummary>);
+
+impl Stats {
+    /// Applies `f` to the summary under construction and returns its
+    /// result. `f` only bumps or reads fields, so a poisoned lock still
+    /// guards a valid summary.
+    pub(crate) fn update<R>(&self, f: impl FnOnce(&mut ServeSummary) -> R) -> R {
+        f(&mut self.0.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+}
+
+/// One estimation window's pipeline state, shared by every serve thread:
+/// its snapshot policy, the spool between its absorber and its writer,
+/// and the counts the acceptor and the summary read. Window 0 is the
+/// default window; each [`WindowRoute`] follows in order.
+pub(crate) struct Window<'a> {
+    pub(crate) name: String,
     pub(crate) policy: &'a SnapshotPolicy,
-    pub(crate) spool: &'a SnapshotSpool,
-    pub(crate) duplicates: &'a AtomicU64,
-    pub(crate) resumed: &'a AtomicU64,
-    /// The window's running report count, published for the acceptor's
-    /// quota check.
-    pub(crate) absorbed_total: &'a AtomicU64,
+    pub(crate) spool: SnapshotSpool,
+    /// The session's report count when serve started.
+    pub(crate) start: u64,
+    /// The session's running report count, published for the
+    /// acceptor's quota check.
+    pub(crate) absorbed: AtomicU64,
+    /// High-water mark of the window's charged queue bytes, stored as
+    /// its absorber exits.
+    pub(crate) peak_bytes: AtomicU64,
+}
+
+impl<'a> Window<'a> {
+    pub(crate) fn new(name: String, policy: &'a SnapshotPolicy, start: u64) -> Self {
+        Window {
+            name,
+            policy,
+            spool: SnapshotSpool::new(),
+            start,
+            absorbed: AtomicU64::new(start),
+            peak_bytes: AtomicU64::new(0),
+        }
+    }
 }
 
 /// Applies one [`Commit`] to the window — **the** serialization point:
@@ -494,14 +531,15 @@ pub(crate) struct AbsorberShared<'a> {
 /// happen here, in queue order.
 pub(crate) fn absorb_commit(
     session: &mut dyn CollectorSession,
-    shared: &AbsorberShared<'_>,
+    window: &Window<'_>,
+    stats: &Stats,
     commit: Commit,
 ) {
     match commit {
         Commit::Hello { session: id, done } => {
             let cursor = session.session_cursor(&id);
             if cursor > 0 {
-                shared.resumed.fetch_add(1, Ordering::SeqCst);
+                stats.update(|s| s.sessions_resumed += 1);
             }
             done.resolve(CommitDone::Hello { cursor });
         }
@@ -522,7 +560,7 @@ pub(crate) fn absorb_commit(
                         // Replay of a committed frame: the dedup cursor is
                         // exactly why this acks `+` without touching the
                         // window.
-                        shared.duplicates.fetch_add(1, Ordering::SeqCst);
+                        stats.update(|s| s.duplicates_suppressed += 1);
                         Ok(())
                     } else if n > cursor {
                         Err(CollectorError::Protocol(format!(
@@ -536,19 +574,17 @@ pub(crate) fn absorb_commit(
                 }
             };
             if result.is_ok() {
-                shared
-                    .absorbed_total
-                    .store(session.count(), Ordering::SeqCst);
-                if shared.policy.due(before, session.count()) {
-                    shared.spool.publish(session.snapshot_text());
+                window.absorbed.store(session.count(), Ordering::SeqCst);
+                if window.policy.due(before, session.count()) {
+                    window.spool.publish(session.snapshot_text());
                 }
             }
             done.resolve(CommitDone::Batch(result));
         }
         Commit::Flush { sequenced, done } => {
-            let result = if shared.policy.path.is_some() {
-                let generation = shared.spool.publish(session.snapshot_text());
-                if sequenced && !shared.spool.wait_written(generation) {
+            let result = if window.policy.path.is_some() {
+                let generation = window.spool.publish(session.snapshot_text());
+                if sequenced && !window.spool.wait_written(generation) {
                     // The writer died: the cursor the client is about to
                     // trust was never persisted. Fail the flush so the
                     // client keeps its replay buffer.
@@ -570,14 +606,14 @@ pub(crate) fn absorb_commit(
 /// taken generation under the policy, retry a panicking persist in place
 /// (bounded by [`MAX_WRITER_RESTARTS`]), and on giving up poison the
 /// spool and raise shutdown so durability waiters fail instead of
-/// hanging. Every routed window runs one.
+/// hanging. Every window runs one.
 pub(crate) fn run_writer(
-    spool: &SnapshotSpool,
-    policy: &SnapshotPolicy,
+    window: &Window<'_>,
+    stats: &Stats,
     writer_error: &Mutex<Option<CollectorError>>,
     shutdown: &AtomicBool,
-    restarts: &AtomicU64,
 ) {
+    let spool = &window.spool;
     let give_up = |e: CollectorError| {
         *writer_error.lock().expect("writer error lock") = Some(e);
         spool.poison();
@@ -585,8 +621,9 @@ pub(crate) fn run_writer(
     };
     'generations: while let Some((generation, text)) = spool.take_tagged() {
         loop {
-            let attempt =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| policy.persist(&text)));
+            let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                window.policy.persist(&text)
+            }));
             match attempt {
                 Ok(Ok(())) => {
                     spool.mark_written(generation);
@@ -594,7 +631,10 @@ pub(crate) fn run_writer(
                 }
                 Ok(Err(e)) => return give_up(e),
                 Err(panic) => {
-                    let nth = restarts.fetch_add(1, Ordering::SeqCst) + 1;
+                    let nth = stats.update(|s| {
+                        s.supervisor_restarts += 1;
+                        s.supervisor_restarts
+                    });
                     if nth >= MAX_WRITER_RESTARTS {
                         return give_up(CollectorError::Panicked(format!(
                             "snapshot writer panicked {nth} times; last: {}",

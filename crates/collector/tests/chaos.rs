@@ -12,12 +12,15 @@
 //!    *binary* (`LDP_FAULTS` in the child's environment), including a
 //!    torn snapshot write and a mid-ack `process::exit`.
 
+mod common;
+
+use common::{read_ack, reference_finalize, scratch};
 use ldp_collector::server::{serve, write_frame, ServeOptions, SnapshotPolicy};
 use ldp_collector::{build_session, faults, protocol};
 use ldp_loadgen::{generate_frames, run, Plan};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
@@ -26,32 +29,6 @@ use std::time::Duration;
 /// The fault schedule is process-global; every test that installs one
 /// holds this lock for its whole serve run.
 static FAULTS: Mutex<()> = Mutex::new(());
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ldp-chaos-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Serial reference: one session ingesting every generated frame in
-/// order. Exact merges make the faulted concurrent run comparable to
-/// this bit for bit.
-fn reference_finalize(spec: &str, frames: &[Vec<String>]) -> (String, u64) {
-    let mut session = build_session(spec).unwrap();
-    for conn in frames {
-        for frame in conn {
-            session.ingest_text(frame).unwrap();
-        }
-    }
-    (session.finalize_text().unwrap(), session.count())
-}
-
-fn read_ack(stream: &mut TcpStream) -> u8 {
-    let mut ack = [0u8; 1];
-    stream.read_exact(&mut ack).unwrap();
-    ack[0]
-}
 
 /// Opens a sequenced session and returns (stream, cursor from the ack).
 fn hello(addr: &str, session: &str, horizon: u64) -> (TcpStream, u64) {
@@ -371,7 +348,7 @@ fn spawn_collector(dir: &Path, addr: &str, spec: &str, faults_env: &str) -> Chil
 #[test]
 fn kill_and_restart_drill_ends_bit_identical() {
     let spec = "sw-ems:eps=1,d=32";
-    let dir = scratch("drill");
+    let dir = scratch("chaos", "drill");
     // A fixed localhost port for the restart chain: every child must
     // bind the *same* address. Probe for a free one first.
     let addr = {

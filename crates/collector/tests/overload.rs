@@ -17,12 +17,16 @@
 //! 4. a panicked snapshot writer restarted in place — and, past the
 //!    restart budget, a loud failure that still wrote a final snapshot.
 
-use ldp_collector::server::{serve, write_frame, ServeOptions, SnapshotPolicy};
+mod common;
+
+use common::{read_ack, reference_finalize, scratch};
+use ldp_collector::server::{
+    serve, serve_routed, write_frame, ServeOptions, SnapshotPolicy, WindowRoute,
+};
 use ldp_collector::{build_session, faults, protocol, CollectorError};
 use ldp_loadgen::{generate_frames, run, Plan};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -32,37 +36,12 @@ use std::time::Duration;
 /// consumed by this one's failpoints.
 static FAULTS: Mutex<()> = Mutex::new(());
 
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ldp-overload-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 fn no_snapshots() -> SnapshotPolicy {
     SnapshotPolicy {
         path: None,
         every: 0,
         keep: 0,
     }
-}
-
-/// Serial reference: one session ingesting every generated frame in
-/// order; exact merges make any faulted run comparable bit for bit.
-fn reference_finalize(spec: &str, frames: &[Vec<String>]) -> (String, u64) {
-    let mut session = build_session(spec).unwrap();
-    for conn in frames {
-        for frame in conn {
-            session.ingest_text(frame).unwrap();
-        }
-    }
-    (session.finalize_text().unwrap(), session.count())
-}
-
-fn read_ack(stream: &mut TcpStream) -> u8 {
-    let mut ack = [0u8; 1];
-    stream.read_exact(&mut ack).unwrap();
-    ack[0]
 }
 
 /// Reads a 5-byte `!busy` shed frame and returns the retry hint in ms.
@@ -332,7 +311,7 @@ fn an_overloaded_faulted_fleet_is_bit_identical_and_stays_inside_its_budget() {
 #[test]
 fn a_panicked_absorber_is_contained_and_the_window_resumes_from_its_snapshot() {
     let guard = FAULTS.lock().unwrap_or_else(|e| e.into_inner());
-    let dir = scratch("absorber-panic");
+    let dir = scratch("overload", "absorber-panic");
     let snap = dir.join("window.snap");
     let spec = "grr:eps=1,d=16";
     let plan = Plan {
@@ -422,10 +401,106 @@ fn a_panicked_absorber_is_contained_and_the_window_resumes_from_its_snapshot() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A panic in a named window's absorber is contained exactly like one in
+/// the default window's: serve returns `Panicked`, and the final snapshot
+/// of **every** window is on disk and covers every frame it acked.
+#[test]
+fn a_panicked_routed_window_absorber_is_contained_with_every_window_durable() {
+    let guard = FAULTS.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = scratch("overload", "routed-panic");
+    let spec = "grr:eps=1,d=16";
+    let generator = build_session(spec).unwrap();
+    let default_frames = frames_of(&generator.gen_reports(40, 43).unwrap(), 10);
+    let hourly_frames = frames_of(&generator.gen_reports(40, 47).unwrap(), 10);
+    let policy_for = |name: &str| SnapshotPolicy {
+        path: Some(dir.join(format!("{name}.snap"))),
+        every: 0,
+        keep: 0,
+    };
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn({
+        let policy = policy_for("default");
+        let mut windows = vec![WindowRoute {
+            name: "hourly".into(),
+            session: build_session(spec).unwrap(),
+            policy: policy_for("hourly"),
+        }];
+        move || {
+            let mut session = build_session(spec).unwrap();
+            let options = ServeOptions::default();
+            let err = serve_routed(&listener, session.as_mut(), &policy, &options, &mut windows)
+                .unwrap_err();
+            (err, session.count(), windows[0].session.count())
+        }
+    });
+
+    // A bare session fills the default window before any fault is armed.
+    let mut stream = TcpStream::connect(addr).unwrap();
+    for frame in &default_frames {
+        write_frame(&mut stream, frame).unwrap();
+        assert_eq!(read_ack(&mut stream), b'+');
+    }
+    stream.write_all(&0u32.to_be_bytes()).unwrap();
+    assert_eq!(read_ack(&mut stream), b'+');
+    drop(stream);
+
+    // Armed now, the third batch commit is the hourly window's third
+    // frame: it panics in that window's absorber before being absorbed.
+    faults::install("absorb=panic@3").unwrap();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    write_frame(
+        &mut stream,
+        &protocol::encode_hello_routed("routed", 0, Some("hourly")),
+    )
+    .unwrap();
+    assert_eq!(read_ack(&mut stream), b'+', "hello refused");
+    let mut cursor = [0u8; 8];
+    stream.read_exact(&mut cursor).unwrap();
+    assert_eq!(u64::from_be_bytes(cursor), 0);
+    let mut acked_frames = 0u64;
+    for (seq, frame) in hourly_frames.iter().enumerate() {
+        if write_frame(&mut stream, &protocol::encode_seq_frame(seq as u64, frame)).is_err() {
+            break;
+        }
+        let mut ack = [0u8; 1];
+        match stream.read_exact(&mut ack) {
+            Ok(()) if ack[0] == b'+' => acked_frames += 1,
+            _ => break,
+        }
+    }
+    drop(stream);
+    let (err, default_count, hourly_count) = server.join().unwrap();
+    faults::clear();
+    drop(guard);
+
+    assert!(
+        matches!(err, CollectorError::Panicked(_)),
+        "expected a contained panic, got: {err}"
+    );
+    let msg = err.to_string();
+    assert!(msg.contains("absorber"), "names the stage: {msg}");
+    assert!(msg.contains("injected panic"), "carries the cause: {msg}");
+    assert_eq!(acked_frames, 2, "frames before the panicked one are acked");
+    assert_eq!(default_count, 40);
+    assert_eq!(hourly_count, 20, "the panicked batch must not be absorbed");
+
+    // Every window's final snapshot restores to exactly its acked count.
+    for (name, count) in [("default", default_count), ("hourly", hourly_count)] {
+        let text = std::fs::read_to_string(dir.join(format!("{name}.snap")))
+            .unwrap_or_else(|e| panic!("window {name}: no final snapshot: {e}"));
+        let mut restored = build_session(spec).unwrap();
+        restored.restore(&text).unwrap();
+        assert_eq!(restored.count(), count, "window {name}: snapshot count");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn a_panicked_snapshot_writer_is_restarted_on_the_same_generation() {
     let guard = FAULTS.lock().unwrap_or_else(|e| e.into_inner());
-    let dir = scratch("writer-restart");
+    let dir = scratch("overload", "writer-restart");
     let snap = dir.join("window.snap");
 
     // The second cadence write panics mid-persist; the supervisor must
@@ -479,7 +554,7 @@ fn a_panicked_snapshot_writer_is_restarted_on_the_same_generation() {
 #[test]
 fn a_writer_past_its_restart_budget_fails_loudly_with_a_final_snapshot() {
     let guard = FAULTS.lock().unwrap_or_else(|e| e.into_inner());
-    let dir = scratch("writer-give-up");
+    let dir = scratch("overload", "writer-give-up");
     let snap = dir.join("window.snap");
 
     // Three consecutive panics on the same generation exhaust the

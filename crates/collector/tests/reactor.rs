@@ -6,13 +6,15 @@
 //! serial ingest — plus the router's per-window snapshots and the
 //! accept-loop's fd-pressure backoff.
 
+mod common;
+
+use common::{reference_finalize, scratch};
 use ldp_collector::server::{
     serve, serve_routed, summary_json, ServeOptions, ServeSummary, SnapshotPolicy, WindowRoute,
 };
 use ldp_collector::{build_session, faults};
 use ldp_loadgen::{generate_frames, run, Plan};
 use std::net::TcpListener;
-use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -20,25 +22,6 @@ use std::time::Duration;
 /// The fault schedule is process-global; every test that installs one
 /// holds this lock for its whole serve run.
 static FAULTS: Mutex<()> = Mutex::new(());
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ldp-reactor-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Serial reference: one session ingesting every generated frame in
-/// order — the bit-exact target for any concurrent run.
-fn reference_finalize(spec: &str, frames: &[Vec<String>]) -> (String, u64) {
-    let mut session = build_session(spec).unwrap();
-    for conn in frames {
-        for frame in conn {
-            session.ingest_text(frame).unwrap();
-        }
-    }
-    (session.finalize_text().unwrap(), session.count())
-}
 
 /// The headline acceptance run: 256 concurrent sequenced sessions on 4
 /// reactor threads, riding out an injected fault schedule, must end
@@ -108,7 +91,7 @@ fn c256_fleet_on_four_reactor_threads_is_bit_identical_under_chaos() {
 /// its own snapshot file, and the summary carries per-window counts.
 #[test]
 fn routed_sessions_land_in_their_named_windows() {
-    let dir = scratch("windows");
+    let dir = scratch("reactor", "windows");
     let spec = "sw-ems:eps=1,d=16";
     let mk_plan = |prefix: &str, window: Option<&str>, seed: u64| Plan {
         spec: spec.into(),

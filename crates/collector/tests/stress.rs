@@ -3,23 +3,18 @@
 //! all auditable: the concurrent window is **bit-identical** to a serial
 //! single-connection ingest of the same log.
 
+mod common;
+
+use common::scratch;
 use ldp_collector::build_session;
 use ldp_collector::server::{serve, write_frame, ServeOptions, SnapshotPolicy};
 use ldp_collector::CollectorSession;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 const SPEC: &str = "sw-ems:eps=1,d=32";
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ldp-stress-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 /// Splits one generated report log into `connections` chunks of
 /// `frame_len`-line frames (the same split every test uses, so the
@@ -71,7 +66,7 @@ fn serve_fleet(
 
 #[test]
 fn eight_concurrent_sessions_match_serial_ingest_bit_for_bit() {
-    let dir = scratch("concurrent");
+    let dir = scratch("stress", "concurrent");
     let snap = dir.join("window.snap");
     let generator = build_session(SPEC).unwrap();
     let log = generator.gen_reports(4_000, 42).unwrap();
@@ -204,7 +199,7 @@ fn a_byte_budgeted_depth_one_pipeline_blocks_never_drops() {
 
 #[test]
 fn shutdown_finishes_in_flight_frames_and_persists() {
-    let dir = scratch("shutdown");
+    let dir = scratch("stress", "shutdown");
     let snap = dir.join("window.snap");
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();

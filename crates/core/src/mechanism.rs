@@ -442,18 +442,6 @@ impl<M: Mechanism> Aggregator<M> {
         }
     }
 
-    /// [`Aggregator::push_slice_sharded`] with one shard per configured
-    /// worker ([`ldp_pool::configured_threads`]) — the drop-in pooled
-    /// variant of [`Aggregator::push_slice`].
-    pub fn push_slice_pooled(&mut self, reports: &[M::Report]) -> Result<(), CoreError>
-    where
-        M: Sync,
-        M::Report: Sync,
-        M::State: Send,
-    {
-        self.push_slice_sharded(reports, ldp_pool::configured_threads().max(1))
-    }
-
     /// Merges another shard collected for the same configuration.
     pub fn merge(&mut self, other: &Aggregator<M>) -> Result<(), CoreError> {
         if self.mechanism.fingerprint() != other.mechanism.fingerprint() {

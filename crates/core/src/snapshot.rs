@@ -528,8 +528,8 @@ where
 /// renders the container text (a cheap O(d̃) encode of a clone-free borrow
 /// — encoding never mutates the state) and [`publish`](Self::publish)es
 /// it without ever blocking; a dedicated writer service loops on
-/// [`take`](Self::take) and does the slow fsync-and-rename I/O off the
-/// hot path. If the writer falls behind, newly published snapshots
+/// [`take_tagged`](Self::take_tagged) and does the slow fsync-and-rename
+/// I/O off the hot path. If the writer falls behind, newly published snapshots
 /// *replace* the unwritten one — persisting a superseded recovery point
 /// would be pure wasted I/O, and crash recovery only ever needs the most
 /// recent snapshot plus the replay log.
@@ -585,16 +585,11 @@ impl SnapshotSpool {
         generation
     }
 
-    /// Blocks until a snapshot is pending or the spool is closed. Returns
-    /// `None` only when the spool is closed *and* drained — the writer's
-    /// clean shutdown signal.
-    pub fn take(&self) -> Option<String> {
-        self.take_tagged().map(|(_, text)| text)
-    }
-
-    /// [`take`](Self::take) plus the snapshot's generation stamp, for
-    /// writers that report durability back through
-    /// [`mark_written`](Self::mark_written).
+    /// Blocks until a snapshot is pending or the spool is closed, and
+    /// returns it with its generation stamp, which the writer reports back
+    /// through [`mark_written`](Self::mark_written) once it is durable.
+    /// Returns `None` only when the spool is closed *and* drained — the
+    /// writer's clean shutdown signal.
     pub fn take_tagged(&self) -> Option<(u64, String)> {
         let mut slot = self.slot.lock().expect("spool lock poisoned");
         loop {
@@ -606,17 +601,6 @@ impl SnapshotSpool {
             }
             slot = self.ready.wait(slot).expect("spool lock poisoned");
         }
-    }
-
-    /// Non-blocking variant of [`take`](Self::take): `None` means
-    /// "nothing pending right now", not necessarily closed.
-    pub fn try_take(&self) -> Option<String> {
-        self.slot
-            .lock()
-            .expect("spool lock poisoned")
-            .pending
-            .take()
-            .map(|(_, text)| text)
     }
 
     /// Records that the snapshot stamped `generation` has been durably
@@ -857,9 +841,9 @@ mod tests {
         spool.publish("second".into());
         spool.publish("third".into());
         assert_eq!(spool.superseded(), 2);
-        assert_eq!(spool.take().as_deref(), Some("third"));
+        assert_eq!(spool.take_tagged(), Some((3, "third".to_string())));
         spool.close();
-        assert_eq!(spool.take(), None);
+        assert_eq!(spool.take_tagged(), None);
     }
 
     #[test]
@@ -867,23 +851,25 @@ mod tests {
         let spool = SnapshotSpool::new();
         spool.publish("last".into());
         spool.close();
-        assert_eq!(spool.take().as_deref(), Some("last"));
-        assert_eq!(spool.take(), None);
+        assert_eq!(spool.take_tagged(), Some((1, "last".to_string())));
+        assert_eq!(spool.take_tagged(), None);
         // Publishing after close is a no-op.
         spool.publish("late".into());
-        assert_eq!(spool.take(), None);
+        assert_eq!(spool.take_tagged(), None);
     }
 
     #[test]
     fn spool_take_blocks_until_published() {
         let spool = SnapshotSpool::new();
         std::thread::scope(|s| {
-            let taker = s.spawn(|| spool.take());
+            let taker = s.spawn(|| spool.take_tagged());
             std::thread::sleep(std::time::Duration::from_millis(30));
             spool.publish("arrived".into());
-            assert_eq!(taker.join().unwrap().as_deref(), Some("arrived"));
+            assert_eq!(taker.join().unwrap(), Some((1, "arrived".to_string())));
         });
-        assert_eq!(spool.try_take(), None);
+        // The taker consumed it: nothing is left to drain.
+        spool.close();
+        assert_eq!(spool.take_tagged(), None);
     }
 
     #[test]
@@ -932,7 +918,7 @@ mod tests {
     fn spool_take_blocks_until_closed() {
         let spool = SnapshotSpool::new();
         std::thread::scope(|s| {
-            let taker = s.spawn(|| spool.take());
+            let taker = s.spawn(|| spool.take_tagged());
             std::thread::sleep(std::time::Duration::from_millis(30));
             spool.close();
             assert_eq!(taker.join().unwrap(), None);

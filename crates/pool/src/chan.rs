@@ -1,35 +1,36 @@
-//! A bounded multi-producer, single-consumer channel with **blocking
-//! backpressure**.
+//! A bounded multi-producer, single-consumer channel with **nonblocking
+//! producers**.
 //!
-//! The collector's concurrent serve path needs exactly one queue shape:
-//! many reactor threads producing decoded batches, one absorber thread
-//! consuming them, with a hard bound on in-flight work so a fast fleet of
-//! forwarders cannot balloon the collector's memory. [`Sender::push`]
-//! therefore **blocks** when the channel is full — backpressure propagates
-//! to the TCP connection (the forwarder's next frame simply isn't acked
-//! yet) instead of dropping or buffering unboundedly. Nothing is ever
-//! silently discarded: every pushed value is either delivered to the
-//! receiver or handed back in a [`SendError`] when the receiver is gone.
+//! The collector's serve path needs exactly one queue shape: many epoll
+//! reactor threads producing decoded batches, one absorber thread per
+//! window consuming them, with a hard bound on in-flight work so a fast
+//! fleet of forwarders cannot balloon the collector's memory. A reactor
+//! cannot park on a condvar, so producers never block:
+//! [`Sender::try_push`] hands a value back when the channel is full, the
+//! reactor **parks** the connection (the forwarder's next frame simply
+//! isn't acked yet), and retries once the consumer signals progress.
+//! Nothing is ever silently discarded: every pushed value is either
+//! delivered to the receiver or handed back in a [`TrySendError`].
 //!
 //! Disconnection is symmetric and explicit:
 //!
 //! - when every [`Sender`] has been dropped, [`Receiver::pop`] drains the
 //!   remaining values and then returns `None`;
-//! - when the [`Receiver`] is dropped, every blocked and future
-//!   [`Sender::push`] returns [`SendError`] carrying the rejected value.
+//! - when the [`Receiver`] is dropped, every later push hands its value
+//!   back with `full = false`, and every later reservation fails.
 //!
 //! # Byte-weighted bounds
 //!
 //! A count bound alone cannot cap memory: 32 queued frames may be 32 KiB
-//! or 2 GiB. A channel from [`bounded_weighted`] adds a **byte budget**
-//! shared by queued values *and* outstanding [`Sender::reserve`]
-//! reservations, so a producer can charge a payload's bytes against the
-//! budget **before allocating its buffer** — the budget then covers
-//! in-flight decode buffers, not just what sits in the queue. One
-//! oversized value is still admitted whenever no bytes are outstanding
-//! (backpressure **blocks, never drops**, even when a single item exceeds
-//! the whole budget), and [`Receiver::peak_bytes`] records the high-water
-//! mark for capacity verification.
+//! or 2 GiB. [`bounded_weighted`] adds a **byte budget** shared by queued
+//! values *and* outstanding [`Sender::try_reserve`] reservations, so a
+//! producer can charge a payload's bytes against the budget **before
+//! allocating its buffer** — the budget then covers in-flight decode
+//! buffers, not just what sits in the queue. One oversized charge is
+//! still admitted whenever no bytes are outstanding (backpressure parks,
+//! never drops, even when a single item exceeds the whole budget), and
+//! [`Receiver::peak_bytes`] records the high-water mark for capacity
+//! verification.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -38,9 +39,6 @@ use std::sync::Arc;
 /// The channel's shared core.
 struct Chan<T> {
     state: Mutex<State<T>>,
-    /// Producers park here while the buffer is full or the byte budget is
-    /// exhausted.
-    not_full: Condvar,
     /// The consumer parks here while the buffer is empty.
     not_empty: Condvar,
 }
@@ -75,9 +73,7 @@ impl<T> State<T> {
     }
 }
 
-/// The value a [`Sender::push`] could not deliver because the receiver was
-/// dropped. The payload is returned so the producer can retry elsewhere,
-/// log it, or surface it — a bounded channel must never eat data silently.
+/// A [`Sender::try_reserve`] on a channel whose receiver was dropped.
 #[derive(Debug, PartialEq, Eq)]
 pub struct SendError<T>(pub T);
 
@@ -87,18 +83,12 @@ impl<T> std::fmt::Display for SendError<T> {
     }
 }
 
-/// Creates a bounded MPSC channel holding at most `capacity` values
-/// (clamped to ≥ 1). Producers clone the [`Sender`]; the single
-/// [`Receiver`] is the consumer end.
-#[must_use]
-pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-    bounded_weighted(capacity, 0)
-}
-
 /// Creates a bounded MPSC channel with **two** bounds: at most `capacity`
-/// values and at most `byte_budget` charged bytes (queued weights plus
-/// outstanding [`Sender::reserve`] reservations). `byte_budget = 0` means
-/// unweighted — byte charges are tracked but never block.
+/// values (clamped to ≥ 1) and at most `byte_budget` charged bytes
+/// (queued weights plus outstanding [`Sender::try_reserve`]
+/// reservations). `byte_budget = 0` means unweighted — byte charges are
+/// tracked but never refused. Producers clone the [`Sender`]; the single
+/// [`Receiver`] is the consumer end.
 #[must_use]
 pub fn bounded_weighted<T>(capacity: usize, byte_budget: usize) -> (Sender<T>, Receiver<T>) {
     let chan = Arc::new(Chan {
@@ -115,7 +105,6 @@ pub fn bounded_weighted<T>(capacity: usize, byte_budget: usize) -> (Sender<T>, R
             senders: 1,
             receiver_alive: true,
         }),
-        not_full: Condvar::new(),
         not_empty: Condvar::new(),
     });
     (
@@ -126,7 +115,7 @@ pub fn bounded_weighted<T>(capacity: usize, byte_budget: usize) -> (Sender<T>, R
     )
 }
 
-/// The producing end of a [`bounded`] channel. Cloneable; dropping the
+/// The producing end of a [`bounded_weighted`] channel. Cloneable; dropping the
 /// last clone disconnects the channel (the receiver drains, then sees
 /// `None`).
 pub struct Sender<T> {
@@ -134,90 +123,17 @@ pub struct Sender<T> {
 }
 
 impl<T> Sender<T> {
-    /// Delivers `value`, **blocking while the channel is full** — this is
-    /// the backpressure edge. Returns `Err` with the value if the receiver
-    /// has been dropped (nothing is ever silently discarded).
-    pub fn push(&self, value: T) -> Result<(), SendError<T>> {
-        self.push_weighted(value, 0)
-    }
-
-    /// Delivers `value` charged at `bytes`, blocking while the channel is
-    /// full **or** the byte budget is exhausted. The charge is released
-    /// when the receiver pops the value. A value heavier than the whole
-    /// budget is admitted once nothing else is charged — blocks, never
-    /// drops.
-    pub fn push_weighted(&self, value: T, bytes: usize) -> Result<(), SendError<T>> {
-        let mut state = self.chan.state.lock();
-        loop {
-            if !state.receiver_alive {
-                return Err(SendError(value));
-            }
-            if state.buf.len() < state.capacity && state.admits_bytes(bytes) {
-                state.charge(bytes);
-                state.buf.push_back((value, bytes));
-                drop(state);
-                self.chan.not_empty.notify_one();
-                return Ok(());
-            }
-            self.chan.not_full.wait(&mut state);
-        }
-    }
-
-    /// Charges `bytes` against the byte budget **without queueing
-    /// anything yet**, blocking while the budget is exhausted. Call this
-    /// *before* allocating a payload buffer so the budget covers in-flight
-    /// decode memory; follow up with [`Sender::push_reserved`] to hand the
-    /// decoded value over (the charge transfers to the queued value) or
-    /// [`Sender::unreserve`] to release the charge on an error path.
-    ///
-    /// Returns `Err` when the receiver is gone (nothing was charged).
-    pub fn reserve(&self, bytes: usize) -> Result<(), SendError<()>> {
-        let mut state = self.chan.state.lock();
-        loop {
-            if !state.receiver_alive {
-                return Err(SendError(()));
-            }
-            if state.admits_bytes(bytes) {
-                state.charge(bytes);
-                return Ok(());
-            }
-            self.chan.not_full.wait(&mut state);
-        }
-    }
-
-    /// Releases a charge previously acquired with [`Sender::reserve`]
+    /// Releases a charge previously acquired with [`Sender::try_reserve`]
     /// without delivering a value (the producer's error path).
     pub fn unreserve(&self, bytes: usize) {
         let mut state = self.chan.state.lock();
         state.used_bytes = state.used_bytes.saturating_sub(bytes);
-        drop(state);
-        self.chan.not_full.notify_all();
     }
 
-    /// Delivers a value whose `bytes` were already charged via
-    /// [`Sender::reserve`], blocking only on the count bound (the byte
-    /// budget is already owned). On `Err` the reservation is released and
-    /// the value handed back.
-    pub fn push_reserved(&self, value: T, bytes: usize) -> Result<(), SendError<T>> {
-        let mut state = self.chan.state.lock();
-        loop {
-            if !state.receiver_alive {
-                state.used_bytes = state.used_bytes.saturating_sub(bytes);
-                return Err(SendError(value));
-            }
-            if state.buf.len() < state.capacity {
-                state.buf.push_back((value, bytes));
-                drop(state);
-                self.chan.not_empty.notify_one();
-                return Ok(());
-            }
-            self.chan.not_full.wait(&mut state);
-        }
-    }
-
-    /// Non-blocking variant: delivers `value` only if there is room right
-    /// now. Returns the value back on a full channel (`Err` with
-    /// `full = true`) or a dropped receiver (`full = false`).
+    /// Delivers `value` at weight 0 if there is room right now. Returns
+    /// the value back on a full channel (`Err` with `full = true`; an
+    /// over-budget channel counts as full) or a dropped receiver
+    /// (`full = false`).
     pub fn try_push(&self, value: T) -> Result<(), TrySendError<T>> {
         let mut state = self.chan.state.lock();
         if !state.receiver_alive {
@@ -233,13 +149,16 @@ impl<T> Sender<T> {
         }
     }
 
-    /// Non-blocking variant of [`Sender::reserve`]: charges `bytes` only
-    /// if the budget admits them right now. `Ok(true)` means the charge
-    /// was taken; `Ok(false)` means the budget is currently exhausted
-    /// (nothing charged, try again later); `Err` means the receiver is
-    /// gone (nothing charged). This is the reactor's edge — an event
-    /// loop cannot park on a condvar, so it retries when the consumer
-    /// next signals progress.
+    /// Charges `bytes` against the byte budget **without queueing
+    /// anything yet**, only if the budget admits them right now. Call this
+    /// *before* allocating a payload buffer so the budget covers in-flight
+    /// decode memory; follow up with [`Sender::try_push_reserved`] to hand
+    /// the decoded value over (the charge transfers to the queued value)
+    /// or [`Sender::unreserve`] to release the charge on an error path.
+    ///
+    /// `Ok(true)` means the charge was taken; `Ok(false)` means the budget
+    /// is currently exhausted (nothing charged, try again later); `Err`
+    /// means the receiver is gone (nothing charged).
     pub fn try_reserve(&self, bytes: usize) -> Result<bool, SendError<()>> {
         let mut state = self.chan.state.lock();
         if !state.receiver_alive {
@@ -253,9 +172,8 @@ impl<T> Sender<T> {
         }
     }
 
-    /// Non-blocking variant of [`Sender::push_reserved`]: queues a value
-    /// whose `bytes` were already charged, only if a count slot is free
-    /// right now. On a full channel the value comes back with
+    /// Queues a value whose `bytes` were already charged by
+    /// [`Sender::try_reserve`], only if a count slot is free right now. On a full channel the value comes back with
     /// `full = true` and the reservation is **kept** (the producer still
     /// owns the charge and will retry); on a dropped receiver the value
     /// comes back with `full = false` and the reservation is released
@@ -310,7 +228,7 @@ impl<T> Drop for Sender<T> {
     }
 }
 
-/// The consuming end of a [`bounded`] channel.
+/// The consuming end of a [`bounded_weighted`] channel.
 pub struct Receiver<T> {
     chan: Arc<Chan<T>>,
 }
@@ -324,11 +242,6 @@ impl<T> Receiver<T> {
         loop {
             if let Some((value, bytes)) = state.buf.pop_front() {
                 state.used_bytes = state.used_bytes.saturating_sub(bytes);
-                drop(state);
-                // Waiters are a mix of count-bound and byte-budget
-                // blockers; wake them all so whichever can now proceed
-                // does (notify_one could wake only one that still can't).
-                self.chan.not_full.notify_all();
                 return Some(value);
             }
             if state.senders == 0 {
@@ -338,42 +251,10 @@ impl<T> Receiver<T> {
         }
     }
 
-    /// Non-blocking variant of [`Receiver::pop`]: `None` means "nothing
-    /// available right now", not necessarily disconnection.
-    pub fn try_pop(&self) -> Option<T> {
-        let mut state = self.chan.state.lock();
-        if let Some((value, bytes)) = state.buf.pop_front() {
-            state.used_bytes = state.used_bytes.saturating_sub(bytes);
-            drop(state);
-            self.chan.not_full.notify_all();
-            Some(value)
-        } else {
-            None
-        }
-    }
-
-    /// Values currently buffered.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.chan.state.lock().buf.len()
-    }
-
-    /// Whether the buffer is currently empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The fixed capacity this channel was created with.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.chan.state.lock().capacity
-    }
-
     /// Bytes currently charged against the budget (queued weights plus
     /// outstanding reservations).
-    #[must_use]
-    pub fn used_bytes(&self) -> usize {
+    #[cfg(test)]
+    fn used_bytes(&self) -> usize {
         self.chan.state.lock().used_bytes
     }
 
@@ -383,13 +264,6 @@ impl<T> Receiver<T> {
     #[must_use]
     pub fn peak_bytes(&self) -> usize {
         self.chan.state.lock().peak_bytes
-    }
-
-    /// The byte budget this channel enforces (`usize::MAX` when
-    /// unweighted).
-    #[must_use]
-    pub fn byte_budget(&self) -> usize {
-        self.chan.state.lock().byte_budget
     }
 }
 
@@ -404,8 +278,6 @@ impl<T> Drop for Receiver<T> {
             }
             drained
         };
-        // Unblock every producer parked on a full buffer.
-        self.chan.not_full.notify_all();
         // Undelivered values can never be delivered now, so their
         // destructors must run *here*, not when the last sender goes away:
         // a queued value may hold the only sender of a reply channel that
@@ -420,14 +292,45 @@ impl<T> Drop for Receiver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::time::Duration;
+
+    /// Pushes `value` at weight 0, yielding while the channel is full —
+    /// a producer that parks and retries, as the collector's reactor does.
+    fn push_parked<T>(tx: &Sender<T>, mut value: T) {
+        loop {
+            match tx.try_push(value) {
+                Ok(()) => return,
+                Err(e) => {
+                    assert!(e.full, "the receiver is alive");
+                    value = e.value;
+                    std::thread::yield_now();
+                }
+            }
+        }
+    }
+
+    /// Reserves `bytes` and then queues `value` on them, yielding while
+    /// the budget or the count bound pushes back.
+    fn reserve_and_push_parked<T>(tx: &Sender<T>, mut value: T, bytes: usize) {
+        while !tx.try_reserve(bytes).unwrap() {
+            std::thread::yield_now();
+        }
+        loop {
+            match tx.try_push_reserved(value, bytes) {
+                Ok(()) => return,
+                Err(e) => {
+                    assert!(e.full, "the receiver is alive");
+                    value = e.value;
+                    std::thread::yield_now();
+                }
+            }
+        }
+    }
 
     #[test]
     fn fifo_order_within_one_producer() {
-        let (tx, rx) = bounded(8);
+        let (tx, rx) = bounded_weighted(8, 0);
         for i in 0..8 {
-            tx.push(i).unwrap();
+            tx.try_push(i).unwrap();
         }
         drop(tx);
         let drained: Vec<i32> = std::iter::from_fn(|| rx.pop()).collect();
@@ -435,43 +338,14 @@ mod tests {
     }
 
     #[test]
-    fn push_blocks_on_a_full_channel_instead_of_dropping() {
-        let (tx, rx) = bounded(2);
-        tx.push(1).unwrap();
-        tx.push(2).unwrap();
-        let third_delivered = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                tx.push(3).unwrap(); // must block until the consumer pops
-                third_delivered.store(true, Ordering::SeqCst);
-            });
-            std::thread::sleep(Duration::from_millis(80));
-            assert!(
-                !third_delivered.load(Ordering::SeqCst),
-                "push must block while the channel is full"
-            );
-            assert_eq!(rx.pop(), Some(1));
-            // The blocked producer now gets its slot.
-            while !third_delivered.load(Ordering::SeqCst) {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        });
-        // Nothing was dropped: every pushed value arrives, in order.
-        assert_eq!(rx.pop(), Some(2));
-        assert_eq!(rx.pop(), Some(3));
-        drop(tx);
-        assert_eq!(rx.pop(), None);
-    }
-
-    #[test]
     fn multi_producer_values_all_arrive() {
-        let (tx, rx) = bounded(4);
+        let (tx, rx) = bounded_weighted(4, 0);
         std::thread::scope(|s| {
             for p in 0..4 {
                 let tx = tx.clone();
                 s.spawn(move || {
                     for i in 0..25 {
-                        tx.push(p * 100 + i).unwrap();
+                        push_parked(&tx, p * 100 + i);
                     }
                 });
             }
@@ -488,11 +362,11 @@ mod tests {
 
     #[test]
     fn dropping_all_senders_disconnects_after_drain() {
-        let (tx, rx) = bounded(4);
+        let (tx, rx) = bounded_weighted(4, 0);
         let tx2 = tx.clone();
-        tx.push("a").unwrap();
+        tx.try_push("a").unwrap();
         drop(tx);
-        tx2.push("b").unwrap();
+        tx2.try_push("b").unwrap();
         drop(tx2);
         assert_eq!(rx.pop(), Some("a"));
         assert_eq!(rx.pop(), Some("b"));
@@ -502,55 +376,49 @@ mod tests {
 
     #[test]
     fn dropping_the_receiver_fails_pushes_with_the_value() {
-        let (tx, rx) = bounded(1);
-        tx.push(7).unwrap(); // fills the buffer
-        std::thread::scope(|s| {
-            let blocked = s.spawn(|| tx.push(8)); // parks on the full buffer
-            std::thread::sleep(Duration::from_millis(50));
-            drop(rx); // must wake and fail the parked producer
-            assert_eq!(blocked.join().unwrap(), Err(SendError(8)));
-        });
-        assert_eq!(tx.push(9), Err(SendError(9)));
+        let (tx, rx) = bounded_weighted(1, 0);
+        tx.try_push(7).unwrap(); // fills the buffer
+        drop(rx);
+        // Full before, disconnected now: the value comes back either way,
+        // flagged as undeliverable rather than full.
+        assert_eq!(
+            tx.try_push(8),
+            Err(TrySendError {
+                value: 8,
+                full: false
+            })
+        );
     }
 
     #[test]
     fn try_push_reports_full_and_disconnected_distinctly() {
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = bounded_weighted(1, 0);
         tx.try_push(1).unwrap();
         let err = tx.try_push(2).unwrap_err();
         assert!(err.full);
         assert_eq!(err.value, 2);
-        assert_eq!(rx.try_pop(), Some(1));
-        assert_eq!(rx.try_pop(), None);
+        assert_eq!(rx.pop(), Some(1));
+        tx.try_push(2).unwrap();
         drop(rx);
         let err = tx.try_push(3).unwrap_err();
         assert!(!err.full);
     }
 
     #[test]
-    fn len_and_capacity_observe_the_buffer() {
-        let (tx, rx) = bounded(3);
-        assert_eq!(rx.capacity(), 3);
-        assert!(rx.is_empty());
-        tx.push(()).unwrap();
-        tx.push(()).unwrap();
-        assert_eq!(rx.len(), 2);
-    }
-
-    #[test]
     fn zero_capacity_is_clamped_to_one() {
-        let (tx, rx) = bounded(0);
-        assert_eq!(rx.capacity(), 1);
-        tx.push(42).unwrap();
+        let (tx, rx) = bounded_weighted(0, 0);
+        tx.try_push(42).unwrap();
+        assert!(tx.try_push(43).unwrap_err().full, "one slot, now taken");
         assert_eq!(rx.pop(), Some(42));
     }
 
     #[test]
     fn unweighted_channels_never_block_on_bytes() {
-        let (tx, rx) = bounded(4);
-        assert_eq!(rx.byte_budget(), usize::MAX);
-        tx.push_weighted(1, usize::MAX / 2).unwrap();
-        tx.push_weighted(2, usize::MAX / 2).unwrap();
+        let (tx, rx) = bounded_weighted(4, 0);
+        assert_eq!(tx.try_reserve(usize::MAX / 2), Ok(true));
+        assert_eq!(tx.try_reserve(usize::MAX / 2), Ok(true));
+        tx.try_push_reserved(1, usize::MAX / 2).unwrap();
+        tx.try_push_reserved(2, usize::MAX / 2).unwrap();
         assert_eq!(rx.pop(), Some(1));
         assert_eq!(rx.pop(), Some(2));
         assert_eq!(rx.used_bytes(), 0);
@@ -559,23 +427,16 @@ mod tests {
     #[test]
     fn byte_budget_blocks_and_releases_on_pop() {
         let (tx, rx) = bounded_weighted(8, 100);
-        tx.push_weighted("a", 60).unwrap();
-        let second_delivered = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                tx.push_weighted("b", 60).unwrap(); // 120 > 100: must wait
-                second_delivered.store(true, Ordering::SeqCst);
-            });
-            std::thread::sleep(Duration::from_millis(80));
-            assert!(
-                !second_delivered.load(Ordering::SeqCst),
-                "push_weighted must block while the byte budget is exhausted"
-            );
-            assert_eq!(rx.pop(), Some("a"));
-            while !second_delivered.load(Ordering::SeqCst) {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        });
+        assert_eq!(tx.try_reserve(60), Ok(true));
+        tx.try_push_reserved("a", 60).unwrap();
+        // 120 > 100: the budget pushes back.
+        assert_eq!(tx.try_reserve(60), Ok(false));
+        assert_eq!(rx.used_bytes(), 60);
+        // Popping releases the value's charge.
+        assert_eq!(rx.pop(), Some("a"));
+        assert_eq!(rx.used_bytes(), 0);
+        assert_eq!(tx.try_reserve(60), Ok(true));
+        tx.try_push_reserved("b", 60).unwrap();
         assert_eq!(rx.pop(), Some("b"));
         assert_eq!(rx.used_bytes(), 0);
         assert!(rx.peak_bytes() <= 100, "peak {} > budget", rx.peak_bytes());
@@ -583,35 +444,30 @@ mod tests {
 
     #[test]
     fn oversized_item_is_admitted_when_nothing_is_charged() {
-        // Blocks-never-drops even when one item exceeds the whole budget.
+        // Parks-never-drops even when one item exceeds the whole budget.
         let (tx, rx) = bounded_weighted(2, 10);
-        tx.push_weighted(vec![0u8; 50], 50).unwrap();
+        assert_eq!(tx.try_reserve(50), Ok(true));
+        tx.try_push_reserved(vec![0u8; 50], 50).unwrap();
+        // Over budget now: a weight-0 push waits for the pop.
+        assert!(tx.try_push(Vec::new()).unwrap_err().full);
         assert_eq!(rx.pop().unwrap().len(), 50);
         assert_eq!(rx.used_bytes(), 0);
+        tx.try_push(Vec::new()).unwrap();
     }
 
     #[test]
     fn reserve_charges_before_the_value_exists() {
         let (tx, rx) = bounded_weighted(8, 100);
-        tx.reserve(70).unwrap();
+        assert_eq!(tx.try_reserve(70), Ok(true));
         assert_eq!(rx.used_bytes(), 70);
         // A second reservation must wait for the first to resolve.
-        let reserved = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                tx.reserve(70).unwrap();
-                reserved.store(true, Ordering::SeqCst);
-            });
-            std::thread::sleep(Duration::from_millis(80));
-            assert!(!reserved.load(Ordering::SeqCst), "reserve must block");
-            // Resolving the first reservation as a push keeps its charge…
-            tx.push_reserved("first", 70).unwrap();
-            // …until the consumer pops it, which admits the waiter.
-            assert_eq!(rx.pop(), Some("first"));
-            while !reserved.load(Ordering::SeqCst) {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        });
+        assert_eq!(tx.try_reserve(70), Ok(false));
+        // Resolving the first reservation as a push keeps its charge…
+        tx.try_push_reserved("first", 70).unwrap();
+        assert_eq!(tx.try_reserve(70), Ok(false));
+        // …until the consumer pops it, which admits the second.
+        assert_eq!(rx.pop(), Some("first"));
+        assert_eq!(tx.try_reserve(70), Ok(true));
         // Error path: an unreserve releases the charge without a value.
         tx.unreserve(70);
         assert_eq!(rx.used_bytes(), 0);
@@ -623,7 +479,7 @@ mod tests {
     fn depth_one_small_budget_soak_blocks_never_drops() {
         // Six writers through the narrowest possible channel: depth 1 and
         // a budget smaller than two payloads. Byte accounting must not
-        // break the blocks-never-drops guarantee, and the recorded peak
+        // break the parks-never-drops guarantee, and the recorded peak
         // must respect the budget (no payload here exceeds it alone).
         const WRITERS: usize = 6;
         const PER_WRITER: usize = 50;
@@ -634,8 +490,7 @@ mod tests {
                 let tx = tx.clone();
                 s.spawn(move || {
                     for i in 0..PER_WRITER {
-                        tx.reserve(PAYLOAD).unwrap();
-                        tx.push_reserved((w, i), PAYLOAD).unwrap();
+                        reserve_and_push_parked(&tx, (w, i), PAYLOAD);
                     }
                 });
             }
@@ -659,20 +514,25 @@ mod tests {
     fn dropping_the_receiver_drops_undelivered_values() {
         // A queued value may hold the only sender of a reply channel that
         // some other thread is blocked popping (the collector's commit
-        // queue carries per-frame ack senders exactly like this). When the
-        // receiver is dropped, the undelivered value's destructor must run
-        // so the reply waiter observes a disconnect instead of wedging.
-        let (tx, rx) = bounded(4);
-        let (reply_tx, reply_rx) = bounded::<()>(1);
-        assert!(tx.push(reply_tx).is_ok());
+        // queue carries per-frame completion handles exactly like this).
+        // When the receiver is dropped, the undelivered value's destructor
+        // must run so the reply waiter observes a disconnect instead of
+        // wedging.
+        let (tx, rx) = bounded_weighted(4, 0);
+        let (reply_tx, reply_rx) = bounded_weighted::<()>(1, 0);
+        assert!(tx.try_push(reply_tx).is_ok());
         std::thread::scope(|s| {
             let waiter = s.spawn(|| reply_rx.pop());
-            std::thread::sleep(Duration::from_millis(50));
+            std::thread::sleep(std::time::Duration::from_millis(50));
             drop(rx); // must drop the queued reply sender
             assert_eq!(waiter.join().unwrap(), None);
         });
         // And the channel itself reports the disconnect to new pushes.
-        assert!(tx.push(bounded::<()>(1).0).is_err());
+        assert!(
+            !tx.try_push(bounded_weighted::<()>(1, 0).0)
+                .unwrap_err()
+                .full
+        );
     }
 
     #[test]
@@ -694,8 +554,8 @@ mod tests {
     #[test]
     fn try_push_reserved_keeps_the_charge_on_full_releases_on_disconnect() {
         let (tx, rx) = bounded_weighted(1, 100);
-        tx.reserve(30).unwrap();
-        tx.reserve(30).unwrap();
+        assert_eq!(tx.try_reserve(30), Ok(true));
+        assert_eq!(tx.try_reserve(30), Ok(true));
         tx.try_push_reserved("a", 30).unwrap();
         // Count bound hit: the value comes back, the charge stays ours.
         let err = tx.try_push_reserved("b", 30).unwrap_err();
@@ -706,7 +566,7 @@ mod tests {
         tx.try_push_reserved("b", 30).unwrap();
         assert_eq!(rx.pop(), Some("b"));
         // Disconnect: the value comes back and the charge is released.
-        tx.reserve(30).unwrap();
+        assert_eq!(tx.try_reserve(30), Ok(true));
         drop(rx);
         let err = tx.try_push_reserved("c", 30).unwrap_err();
         assert!(!err.full);
@@ -715,9 +575,15 @@ mod tests {
     #[test]
     fn dropped_receiver_fails_reserve_and_push_reserved() {
         let (tx, rx) = bounded_weighted(2, 100);
-        tx.reserve(40).unwrap();
+        assert_eq!(tx.try_reserve(40), Ok(true));
         drop(rx);
-        assert_eq!(tx.push_reserved(1, 40), Err(SendError(1)));
-        assert_eq!(tx.reserve(10), Err(SendError(())));
+        assert_eq!(
+            tx.try_push_reserved(1, 40),
+            Err(TrySendError {
+                value: 1,
+                full: false
+            })
+        );
+        assert_eq!(tx.try_reserve(10), Err(SendError(())));
     }
 }

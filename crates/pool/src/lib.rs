@@ -12,22 +12,23 @@
 //! # Execution model
 //!
 //! Work is submitted as a *batch* of indexed jobs ([`Pool::run`] /
-//! [`Pool::run_capped`]) or through the structured [`Pool::scope`] /
-//! [`Pool::join`] APIs. Batches are registered in a shared injector list;
-//! idle workers scan it round-robin and **steal** jobs from whichever batch
-//! has work, so concurrent batches (e.g. a grid trial whose method ingests
-//! through `Aggregator::push_slice_pooled`) share the same workers instead
-//! of oversubscribing the host. The submitting thread always participates in its own batch, which
-//! makes the design deadlock-free under arbitrary nesting: a batch can
-//! always be finished by its caller alone, workers are an acceleration.
+//! [`Pool::run_capped`]). Batches are registered in a shared injector
+//! list; idle workers scan it round-robin and **steal** jobs from whichever
+//! batch has work, so concurrent batches (e.g. a grid trial whose method
+//! ingests through `Aggregator::push_slice_sharded`) share the same workers
+//! instead of oversubscribing the host. The submitting thread always
+//! participates in its own batch, which makes the design deadlock-free
+//! under arbitrary nesting: a batch can always be finished by its caller
+//! alone, workers are an acceleration.
 //!
 //! # Long-lived services
 //!
 //! The batch model deliberately excludes threads that live for the
 //! duration of a connection or a serve loop. Those go through
 //! [`service_scope`] (structured, named, panic-contained service threads)
-//! and talk over [`chan::bounded`] channels, whose blocking `push` is the
-//! backpressure edge of the collector's concurrent ingest path.
+//! and talk over [`chan::bounded_weighted`] channels, whose nonblocking
+//! producers park and retry — the backpressure edge of the collector's
+//! serve path.
 //!
 //! # Determinism
 //!
@@ -59,10 +60,11 @@
 //! the other being the runtime-dispatched AVX2 intrinsic kernels in
 //! `ldp_numeric::kernels`. Here it is the scoped-lifetime
 //! erasure that lets borrowed closures cross worker threads, documented
-//! as a `SAFETY:` comment at the single `unsafe` block it lives in, in
-//! [`Scope::spawn`]. The supporting invariants are written on the
-//! *private* items that uphold them — `Batch` and the erased `Job` type —
-//! so they don't appear in the public docs. To audit them, build with
+//! as a `SAFETY:` comment at the single `unsafe` block it lives in, in the
+//! crate-private `Scope::spawn` behind [`Pool::run_capped`]. The
+//! supporting invariants are written on the *private* items that uphold
+//! them — `Batch` and the erased `Job` type — so they don't appear in the
+//! public docs. To audit them, build with
 //!
 //! ```sh
 //! cargo doc -p ldp-pool --document-private-items
@@ -174,12 +176,13 @@ impl std::fmt::Debug for Pool {
     }
 }
 
-/// Structured-concurrency handle passed to the closure of [`Pool::scope`].
+/// Structured-concurrency handle passed to the closure of
+/// [`Pool::scope_capped`].
 ///
 /// `'env` is the lifetime of everything the spawned jobs may borrow; the
 /// scope call does not return until every spawned job has finished (or was
 /// cancelled and dropped), so those borrows never dangle.
-pub struct Scope<'pool, 'env> {
+pub(crate) struct Scope<'pool, 'env> {
     pool: &'pool Pool,
     batch: Arc<Batch>,
     /// Invariant in `'env`, exactly like `std::thread::Scope`.
@@ -191,9 +194,9 @@ impl<'env> Scope<'_, 'env> {
     /// scope's caller, once the scope closure returns) picks them up.
     ///
     /// Panics in the job are reported as [`PoolError::JobPanicked`] by the
-    /// enclosing [`Pool::scope`] call, after cancelling the batch's
+    /// enclosing [`Pool::scope_capped`] call, after cancelling the batch's
     /// remaining jobs.
-    pub fn spawn<F>(&self, f: F)
+    pub(crate) fn spawn<F>(&self, f: F)
     where
         F: FnOnce() + Send + 'env,
     {
@@ -284,46 +287,15 @@ impl Pool {
         Ok(out)
     }
 
-    /// Runs two closures, potentially in parallel, and returns both
-    /// results. Rayon-style structured join built on [`Pool::scope`].
-    pub fn join<RA, RB, A, B>(&self, a: A, b: B) -> Result<(RA, RB), PoolError>
-    where
-        RA: Send,
-        RB: Send,
-        A: FnOnce() -> RA + Send,
-        B: FnOnce() -> RB + Send,
-    {
-        let ra: Mutex<Option<RA>> = Mutex::new(None);
-        let rb: Mutex<Option<RB>> = Mutex::new(None);
-        self.scope(|scope| {
-            scope.spawn(|| {
-                *rb.lock() = Some(b());
-            });
-            scope.spawn(|| {
-                *ra.lock() = Some(a());
-            });
-        })?;
-        match (ra.into_inner(), rb.into_inner()) {
-            (Some(ra), Some(rb)) => Ok((ra, rb)),
-            _ => Err(PoolError::JobPanicked),
-        }
-    }
-
     /// Structured concurrency: `f` receives a [`Scope`] whose
-    /// [`Scope::spawn`]ed jobs all complete before `scope` returns.
-    /// Equivalent to [`Pool::scope_capped`] with no concurrency cap.
-    pub fn scope<'env, R>(&self, f: impl FnOnce(&Scope<'_, 'env>) -> R) -> Result<R, PoolError> {
-        self.scope_capped(usize::MAX, f)
-    }
-
-    /// [`Pool::scope`] with at most `cap` concurrent executors working on
-    /// this scope's jobs. The submitting thread always participates and
+    /// [`Scope::spawn`]ed jobs all complete before this returns, with at
+    /// most `cap` concurrent executors working on them. The submitting thread always participates and
     /// holds one of the `cap` slots from the start — that reservation is
     /// what keeps nested submissions deadlock-free (a batch can always be
     /// finished by its caller alone) while keeping the cap exact:
     /// workers take at most `cap − 1` slots, so `cap = 1` runs the whole
     /// batch serially on the caller.
-    pub fn scope_capped<'env, R>(
+    pub(crate) fn scope_capped<'env, R>(
         &self,
         cap: usize,
         f: impl FnOnce(&Scope<'_, 'env>) -> R,
@@ -552,19 +524,11 @@ mod tests {
     }
 
     #[test]
-    fn join_returns_both_results() {
-        let pool = Pool::new(3);
-        let (a, b) = pool.join(|| 21 * 2, || "forty-two").unwrap();
-        assert_eq!(a, 42);
-        assert_eq!(b, "forty-two");
-    }
-
-    #[test]
     fn scope_observes_borrowed_environment() {
         let pool = Pool::new(3);
         let mut results = vec![0usize; 8];
         let source: Vec<usize> = (0..8).map(|i| i + 1).collect();
-        pool.scope(|scope| {
+        pool.scope_capped(usize::MAX, |scope| {
             for (slot, &v) in results.iter_mut().zip(&source) {
                 scope.spawn(move || *slot = v * 10);
             }

@@ -16,8 +16,8 @@
 //! - hands the body a [`ServiceScope`] handle that is `Copy`, so an
 //!   acceptor service can itself spawn per-connection services.
 //!
-//! Services communicate over [`bounded`](crate::chan::bounded) channels;
-//! the scope guarantees they have all exited before [`service_scope`]
+//! Services communicate over [`bounded_weighted`](crate::chan::bounded_weighted)
+//! channels; the scope guarantees they have all exited before [`service_scope`]
 //! returns, so borrowed data (listener sockets, sessions, counters) can
 //! live on the caller's stack.
 
@@ -75,7 +75,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chan::bounded;
+    use crate::chan::bounded_weighted;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     #[test]
@@ -131,11 +131,11 @@ mod tests {
         // The unwinding thread drops its Sender, so the consumer sees a
         // clean end-of-stream instead of hanging — panic containment and
         // channel disconnect semantics compose.
-        let (tx, rx) = bounded(2);
+        let (tx, rx) = bounded_weighted(2, 0);
         let drained = AtomicUsize::new(0);
         let result = service_scope(|scope| {
             scope.spawn("producer", move || {
-                tx.push(1).unwrap();
+                tx.try_push(1).unwrap();
                 panic!("producer dies mid-stream");
             });
             scope.spawn("consumer", || {
@@ -150,12 +150,16 @@ mod tests {
 
     #[test]
     fn services_pipeline_over_bounded_channels() {
-        let (tx, rx) = bounded(2);
+        let (tx, rx) = bounded_weighted(2, 0);
         let sum = AtomicUsize::new(0);
         service_scope(|scope| {
             scope.spawn("producer", move || {
-                for i in 1..=10usize {
-                    tx.push(i).unwrap();
+                for mut i in 1..=10usize {
+                    // A full channel hands the value back: park and retry.
+                    while let Err(e) = tx.try_push(i) {
+                        i = e.value;
+                        std::thread::yield_now();
+                    }
                 }
             });
             scope.spawn("consumer", || {

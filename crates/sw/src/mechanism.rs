@@ -6,7 +6,7 @@
 //! wave perturbation, the streaming state is the [`ShardAggregator`] (a
 //! d̃-bucket report histogram — O(d̃) regardless of the population), and
 //! `finalize` runs EM/EMS through the structured operator. Pooled ingest
-//! goes through [`ldp_core::Aggregator::push_slice_pooled`], whose shards
+//! goes through [`ldp_core::Aggregator::push_slice_sharded`], whose shards
 //! merge freely with hand-pushed streams.
 
 use crate::aggregator::ShardAggregator;
