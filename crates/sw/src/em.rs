@@ -25,6 +25,16 @@
 //! is exactly the E-step conditional of iteration `k + 1`, so each
 //! iteration performs one forward and one transposed application instead of
 //! two forward plus one transposed.
+//!
+//! Per iteration the loop is therefore: one `M·x̂`, one `Mᵀ·ratio`, `d̃`
+//! divisions for the ratios, `d̃` logarithms for the log-likelihood, the
+//! M-step normalization and (EMS) one smoothing pass. With the banded
+//! operator both applications are `O(d + d̃)` walks over its
+//! edge-length classes (see [`crate::operator`]), and
+//! [`SmoothingKernel::smooth_into`] handles interior entries without
+//! boundary tests. Every step keeps a fixed floating-point operation order,
+//! so the iterates, the iteration count and the estimate do not depend on
+//! the SIMD mode or the pool size.
 
 use crate::error::SwError;
 use crate::smoothing::SmoothingKernel;

@@ -21,6 +21,39 @@
 //! band) `edges` is `O(d + d̃)`, making EM/EMS reconstruction linear in the
 //! domain size per iteration.
 //!
+//! # Layout
+//!
+//! Every band line (one per output bucket for `M·x`, one per input bucket
+//! for `Mᵀ·x`) is `head` explicit entries, a plateau run, then `tail`
+//! explicit entries. Lines are grouped by their `(head, tail)` length
+//! *class* and stored class by class in four flat arrays per sweep — the
+//! output index, the first band index and the plateau run length of every
+//! line as `u32`, and the edge entries back to back as `f64` — so each
+//! class is one contiguous slice of each array, a matvec walks a handful
+//! of contiguous arrays, and building an operator costs a few exact-size
+//! allocations rather than two per line.
+//!
+//! A class with `head, tail ≤ 3` (every square-wave line at `d̃ = d`) is
+//! applied by a kernel monomorphized on both lengths: its loops have fixed
+//! trip counts and the per-line code carries no length branches. Applying
+//! class by class keeps the branch predictor out of the picture; walking
+//! the lines in index order instead interleaves the classes in
+//! quasi-periodic sequences that defeat it.
+//!
+//! Every line keeps one fixed summation order — head edges left to right,
+//! then `plateau · (prefix[b] − prefix[a])`, then the tail edges, then
+//! `base + acc` — and the prefix sums run left to right, so grouping
+//! changes only which line runs when, never the arithmetic inside a line.
+//!
+//! **Fallback.** Longer edge runs take a loop with runtime trip counts in
+//! the same order. An operator with an edge run of 8 or more entries
+//! anywhere (trapezoid and triangle shapes, coarse output grids) applies
+//! *every* line through the blocked 4-accumulator
+//! [`ldp_numeric::kernels::dot4`] instead, adding each edge run's subtotal
+//! to the line's sum. The kernel is chosen per operator, at construction,
+//! so the arithmetic of a line depends only on the wave and the grid —
+//! never on the class it was grouped into.
+//!
 //! The constructors are *exact*: entries are produced by the same analytic
 //! integrals [`crate::transition::transition_matrix`] uses, so the operator
 //! matches the dense matrix to within a few ulps (the dense path's final
@@ -29,88 +62,308 @@
 use crate::error::SwError;
 use crate::wave::{Wave, WaveShape};
 use ldp_core::Epsilon;
+use ldp_numeric::kernels::dot4;
 use ldp_numeric::operator::{check_matvec_dims, LinearOperator};
 use ldp_numeric::quad::{integral_of_interval_overlap, integrate_with_breakpoints};
 use ldp_numeric::{Matrix, NumericError};
 
-/// One compressed row (or column) of the band `B`: explicit edge entries
-/// before and after a constant plateau run.
+/// Longest edge run (on either side of the plateau) whose class gets a
+/// kernel with fixed trip counts.
+const FIXED_EDGE_LEN: usize = 3;
+
+/// An operator with an edge run this long anywhere applies every line
+/// through [`dot4`]: below it the blocked kernel's setup costs more than
+/// the multiply-adds it saves.
+const BLOCKED_EDGE_LEN: usize = 8;
+
+/// How a [`LineClass`] accumulates its explicit edge entries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum EdgeKernel {
+    /// One running sum: head edges, plateau, tail edges, in index order.
+    Serial,
+    /// Each edge run summed by [`dot4`] (AVX2 when available, with each
+    /// vector lane standing in for one scalar accumulator — bit-identical
+    /// either way), its subtotal then added to the line's sum.
+    Blocked,
+}
+
+/// One compressed sweep of the band `B` — rows for `M·x`, columns for
+/// `Mᵀ·x` — as flat per-line arrays ordered class by class (see the module
+/// docs).
 ///
-/// The covered index range is `[head_start, head_start + head.len() +
-/// run_len + tail.len())`; entries outside it are zero (so the full matrix
-/// entry there is just the baseline).
+/// Line `k` covers band indices `[head_start[k], head_start[k] + head +
+/// run_len[k] + tail)`, where `head` and `tail` are its class's edge
+/// lengths; entries outside that range are zero (the full matrix entry
+/// there is just the baseline).
 #[derive(Debug, Clone, PartialEq)]
-struct BandLine {
-    /// First index with a non-zero band entry.
-    head_start: usize,
-    /// Explicit entries preceding the plateau run.
-    head: Vec<f64>,
-    /// Length of the constant plateau run that follows `head`.
-    run_len: usize,
-    /// Explicit entries following the plateau run.
-    tail: Vec<f64>,
+struct Band {
+    /// The classes, each a run of consecutive lines.
+    classes: Vec<LineClass>,
+    /// Output index of each line (its row for `M·x`, column for `Mᵀ·x`).
+    out: Vec<u32>,
+    /// First band index of each line.
+    head_start: Vec<u32>,
+    /// Plateau run length of each line.
+    run_len: Vec<u32>,
+    /// Each line's `head + tail` explicit entries, head first, line after
+    /// line.
+    edges: Vec<f64>,
 }
 
-/// Below this many explicit entries a plain serial loop wins: the square
-/// wave keeps only 1–2 fractional edges per line, where the blocked path's
-/// setup costs more than the multiply-adds it saves. Longer edge runs
-/// (trapezoid/triangle shapes, coarse output grids) take the 4-wide path.
-const EDGE_UNROLL_THRESHOLD: usize = 8;
-
-/// Dot product of a long explicit-edge run against the matching window of
-/// `x`, through the shared 4-accumulator kernel
-/// [`ldp_numeric::kernels::dot4`] (AVX2 when available, with each vector
-/// lane standing in for one scalar accumulator — bit-identical either
-/// way). Only reached through operators whose lines cleared
-/// [`EDGE_UNROLL_THRESHOLD`] at construction.
-#[inline]
-fn dot_edges(entries: &[f64], window: &[f64]) -> f64 {
-    debug_assert_eq!(entries.len(), window.len());
-    ldp_numeric::kernels::dot4(entries, window)
+/// The lines of a [`Band`] sharing one `(head, tail)` edge-length class:
+/// lines `[first, first + lines)`, whose edges start at `first_edge`.
+#[derive(Debug, Clone, PartialEq)]
+struct LineClass {
+    /// Explicit entries before each line's plateau run.
+    head: usize,
+    /// Explicit entries after each line's plateau run.
+    tail: usize,
+    kernel: EdgeKernel,
+    first: usize,
+    lines: usize,
+    first_edge: usize,
 }
 
-impl BandLine {
-    /// Dot product of this line (plus plateau) against `x`, using the
-    /// prefix-sum array `prefix` (`prefix[k] = x[0] + … + x[k-1]`) for the
-    /// plateau window. The serial variant for short edge runs — the square
-    /// wave's lines carry only 1–2 fractional entries each, where any
-    /// blocking setup costs more than it saves.
-    #[inline]
-    fn dot(&self, plateau: f64, x: &[f64], prefix: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        let mut idx = self.head_start;
-        for &e in &self.head {
-            acc += e * x[idx];
-            idx += 1;
-        }
-        let run_end = idx + self.run_len;
-        acc += plateau * (prefix[run_end] - prefix[idx]);
-        idx = run_end;
-        for &e in &self.tail {
-            acc += e * x[idx];
-            idx += 1;
-        }
-        acc
+/// The per-call inputs every line of one matvec reads.
+struct Sweep<'a> {
+    x: &'a [f64],
+    /// `prefix[k] = x[0] + … + x[k−1]`.
+    prefix: &'a [f64],
+    plateau: f64,
+    /// The baseline's contribution, `baseline · Σx`, shared by every line.
+    base: f64,
+}
+
+/// `acc + e[0]·x[0] + e[1]·x[1] + …`, left to right.
+#[inline(always)]
+fn accumulate(mut acc: f64, entries: &[f64], window: &[f64]) -> f64 {
+    for (e, v) in entries.iter().zip(window) {
+        acc += e * v;
+    }
+    acc
+}
+
+impl LineClass {
+    /// Whether this class runs through a kernel with fixed trip counts.
+    fn is_fixed(&self) -> bool {
+        self.kernel == EdgeKernel::Serial
+            && self.head <= FIXED_EDGE_LEN
+            && self.tail <= FIXED_EDGE_LEN
     }
 
-    /// [`Self::dot`] for long explicit-edge runs: both edge segments go
-    /// through the blocked 4-accumulator [`dot_edges`] kernel. Selected
-    /// once per operator (see `long_edges`), so the per-line hot loop
-    /// carries no length branches.
-    #[inline]
-    fn dot_unrolled(&self, plateau: f64, x: &[f64], prefix: &[f64]) -> f64 {
-        let head_end = self.head_start + self.head.len();
-        let mut acc = dot_edges(&self.head, &x[self.head_start..head_end]);
-        let run_end = head_end + self.run_len;
-        acc += plateau * (prefix[run_end] - prefix[head_end]);
-        acc += dot_edges(&self.tail, &x[run_end..run_end + self.tail.len()]);
-        acc
+    /// Writes `y[out[k]]` for every line `k` of this class of `band`.
+    fn apply(&self, band: &Band, sweep: &Sweep, y: &mut [f64]) {
+        match self.kernel {
+            EdgeKernel::Blocked => self.lines(band, self.head, self.tail, true, sweep, y),
+            EdgeKernel::Serial => match self.head {
+                0 => self.fixed_head::<0>(band, sweep, y),
+                1 => self.fixed_head::<1>(band, sweep, y),
+                2 => self.fixed_head::<2>(band, sweep, y),
+                3 => self.fixed_head::<3>(band, sweep, y),
+                head => self.lines(band, head, self.tail, false, sweep, y),
+            },
+        }
     }
 
-    /// Number of explicitly stored entries.
-    fn explicit(&self) -> usize {
-        self.head.len() + self.tail.len()
+    /// [`Self::apply`] for a serial class of head length `H`, with each
+    /// tail length up to [`FIXED_EDGE_LEN`] a compile-time constant too.
+    fn fixed_head<const H: usize>(&self, band: &Band, sweep: &Sweep, y: &mut [f64]) {
+        match self.tail {
+            0 => self.lines(band, H, 0, false, sweep, y),
+            1 => self.lines(band, H, 1, false, sweep, y),
+            2 => self.lines(band, H, 2, false, sweep, y),
+            3 => self.lines(band, H, 3, false, sweep, y),
+            tail => self.lines(band, H, tail, false, sweep, y),
+        }
     }
+
+    /// The line loop every kernel shares; inlined into each call site so a
+    /// constant `head`/`tail` fixes the edge loops' trip counts.
+    #[inline(always)]
+    fn lines(
+        &self,
+        band: &Band,
+        head: usize,
+        tail: usize,
+        blocked: bool,
+        sweep: &Sweep,
+        y: &mut [f64],
+    ) {
+        let width = head + tail;
+        let (x, prefix) = (sweep.x, sweep.prefix);
+        let range = self.first..self.first + self.lines;
+        let edges = &band.edges[self.first_edge..][..self.lines * width];
+        let lines = band.out[range.clone()]
+            .iter()
+            .zip(&band.head_start[range.clone()])
+            .zip(&band.run_len[range]);
+        for (k, ((&out, &start), &run)) in lines.enumerate() {
+            let (head_edges, tail_edges) = edges[k * width..][..width].split_at(head);
+            let start = start as usize;
+            let head_end = start + head;
+            let run_end = head_end + run as usize;
+            let head_x = &x[start..head_end];
+            let tail_x = &x[run_end..run_end + tail];
+            let plateau = sweep.plateau * (prefix[run_end] - prefix[head_end]);
+            let acc = if blocked {
+                dot4(head_edges, head_x) + plateau + dot4(tail_edges, tail_x)
+            } else {
+                accumulate(
+                    accumulate(0.0, head_edges, head_x) + plateau,
+                    tail_edges,
+                    tail_x,
+                )
+            };
+            y[out as usize] = sweep.base + acc;
+        }
+    }
+}
+
+/// One line's band indices: explicit head `[lo, run_lo)`, plateau run
+/// `[run_lo, run_hi)`, explicit tail `[run_hi, hi)`.
+#[derive(Clone, Copy)]
+struct Span {
+    lo: usize,
+    run_lo: usize,
+    run_hi: usize,
+    hi: usize,
+}
+
+impl Span {
+    /// The line over band indices `[lo, hi)` with a plateau run candidate
+    /// `[run_lo, run_hi)`, clamped into it.
+    fn new((lo, hi): (usize, usize), (run_lo, run_hi): (usize, usize)) -> Self {
+        let a = run_lo.clamp(lo, hi);
+        let b = run_hi.clamp(lo, hi);
+        let (run_lo, run_hi) = if a < b {
+            (a, b)
+        } else {
+            (hi, hi) // empty run: everything explicit, in `head`
+        };
+        Span {
+            lo,
+            run_lo,
+            run_hi,
+            hi,
+        }
+    }
+
+    /// The `(head, tail)` edge-length class.
+    fn class(&self) -> (usize, usize) {
+        (self.run_lo - self.lo, self.hi - self.run_hi)
+    }
+}
+
+impl Band {
+    /// Compresses the lines `0..lines` of one sweep, where `span(k)` is
+    /// line `k`'s geometry and `entry(k, idx)` its explicit entry at band
+    /// index `idx`. The first pass sizes each class, so every array is
+    /// allocated once at its exact length.
+    fn build(
+        lines: usize,
+        span: impl Fn(usize) -> Span,
+        mut entry: impl FnMut(usize, usize) -> f64,
+    ) -> Self {
+        let mut classes: Vec<LineClass> = Vec::new();
+        for k in 0..lines {
+            let (head, tail) = span(k).class();
+            match classes
+                .iter_mut()
+                .find(|c| (c.head, c.tail) == (head, tail))
+            {
+                Some(class) => class.lines += 1,
+                None => classes.push(LineClass {
+                    head,
+                    tail,
+                    kernel: EdgeKernel::Serial,
+                    first: 0,
+                    lines: 1,
+                    first_edge: 0,
+                }),
+            }
+        }
+        classes.sort_by_key(|c| (c.head, c.tail));
+        let (mut first, mut first_edge) = (0, 0);
+        for class in &mut classes {
+            class.first = first;
+            class.first_edge = first_edge;
+            first += class.lines;
+            first_edge += class.lines * (class.head + class.tail);
+        }
+
+        let mut band = Band {
+            out: vec![0; lines],
+            head_start: vec![0; lines],
+            run_len: vec![0; lines],
+            edges: vec![0.0; first_edge],
+            classes,
+        };
+        let mut next: Vec<usize> = band.classes.iter().map(|c| c.first).collect();
+        for k in 0..lines {
+            let s = span(k);
+            let c = band
+                .classes
+                .iter()
+                .position(|c| (c.head, c.tail) == s.class())
+                .expect("every class was counted");
+            let class = &band.classes[c];
+            let slot = next[c];
+            next[c] += 1;
+            // Constructors reject grids with more than `u32::MAX` buckets.
+            band.out[slot] = k as u32;
+            band.head_start[slot] = s.lo as u32;
+            band.run_len[slot] = (s.run_hi - s.run_lo) as u32;
+            let width = class.head + class.tail;
+            let edges = &mut band.edges[class.first_edge + (slot - class.first) * width..];
+            let explicit = (s.lo..s.run_lo).chain(s.run_hi..s.hi);
+            for (e, idx) in edges.iter_mut().zip(explicit) {
+                *e = entry(k, idx);
+            }
+        }
+        band
+    }
+
+    /// Applies this sweep to `x` class by class; every line writes its own
+    /// output entry.
+    fn apply(&self, plateau: f64, baseline: f64, x: &[f64], y: &mut [f64]) {
+        let prefix = prefix_sums(x);
+        let sweep = Sweep {
+            x,
+            prefix: &prefix,
+            plateau,
+            base: baseline * prefix[x.len()],
+        };
+        for class in &self.classes {
+            class.apply(self, &sweep, y);
+        }
+    }
+}
+
+/// Sets the operator's edge kernel on every class of both sweeps (see the
+/// module docs).
+fn choose_kernel(rows: &mut Band, cols: &mut Band) {
+    let longest = rows
+        .classes
+        .iter()
+        .chain(&cols.classes)
+        .map(|class| class.head.max(class.tail))
+        .max()
+        .unwrap_or(0);
+    if longest >= BLOCKED_EDGE_LEN {
+        for class in rows.classes.iter_mut().chain(&mut cols.classes) {
+            class.kernel = EdgeKernel::Blocked;
+        }
+    }
+}
+
+/// Rejects bucket counts the `u32` line arrays cannot index.
+fn check_bucket_counts(d: usize, d_tilde: usize) -> Result<(), SwError> {
+    if d > u32::MAX as usize || d_tilde > u32::MAX as usize {
+        return Err(SwError::InvalidParameter(format!(
+            "bucket counts must fit in u32, got d={d}, d_tilde={d_tilde}"
+        )));
+    }
+    Ok(())
 }
 
 /// A wave transition matrix in `baseline + banded` form (see the module
@@ -128,13 +381,9 @@ pub struct BandedBaselineOperator {
     /// Band entry value where a bucket pair sits fully under the flat top.
     plateau: f64,
     /// Row-compressed band, one line per output bucket.
-    rows: Vec<BandLine>,
+    rows: Band,
     /// Column-compressed band, one line per input bucket (for `Mᵀ·x`).
-    cols: Vec<BandLine>,
-    /// Whether any line's explicit edges reach [`EDGE_UNROLL_THRESHOLD`]:
-    /// decided once at construction so the matvecs pick the serial or the
-    /// blocked 4-accumulator kernel without per-line branching.
-    long_edges: bool,
+    cols: Band,
 }
 
 /// Geometry shared by the row and column sweeps of the continuous
@@ -192,32 +441,6 @@ fn clamp_index(x: f64, n: usize) -> usize {
     }
 }
 
-/// Builds one compressed line over indices `[lo, hi)` with a plateau run
-/// candidate `[run_lo, run_hi)`, filling explicit entries from `entry`.
-fn build_line(
-    lo: usize,
-    hi: usize,
-    run_lo: usize,
-    run_hi: usize,
-    mut entry: impl FnMut(usize) -> f64,
-) -> BandLine {
-    let (run_lo, run_hi) = {
-        let a = run_lo.clamp(lo, hi);
-        let b = run_hi.clamp(lo, hi);
-        if a < b {
-            (a, b)
-        } else {
-            (hi, hi) // empty run: everything explicit, in `head`
-        }
-    };
-    BandLine {
-        head_start: lo,
-        head: (lo..run_lo).map(&mut entry).collect(),
-        run_len: run_hi - run_lo,
-        tail: (run_hi..hi).map(&mut entry).collect(),
-    }
-}
-
 impl BandedBaselineOperator {
     /// Builds the structured operator exactly equivalent to
     /// [`crate::transition::transition_matrix`]`(wave, d, d_tilde)` (to a
@@ -228,6 +451,7 @@ impl BandedBaselineOperator {
                 "bucket counts must be positive".into(),
             ));
         }
+        check_bucket_counts(d, d_tilde)?;
         let w_in = 1.0 / d as f64;
         let out_lo = wave.output_lo();
         let w_out = (wave.output_hi() - out_lo) / d_tilde as f64;
@@ -247,36 +471,47 @@ impl BandedBaselineOperator {
         // buckets meeting (bj_lo − b, bj_hi + b); the plateau run holds the
         // columns with Bi × B̃j entirely under the flat top, i.e.
         // bi_lo ≥ bj_hi − ft and bi_hi ≤ bj_lo + ft.
-        let rows: Vec<BandLine> = (0..d_tilde)
-            .map(|j| {
+        let mut rows = Band::build(
+            d_tilde,
+            |j| {
                 let bj_lo = out_lo + j as f64 * w_out;
                 let bj_hi = bj_lo + w_out;
-                let lo = clamp_index(((bj_lo - b) / w_in).floor(), d);
-                let hi = clamp_index(((bj_hi + b) / w_in).ceil(), d);
-                let run_lo = clamp_index(((bj_hi - ft) / w_in).ceil(), d);
-                let run_hi = clamp_index(((bj_lo + ft) / w_in).floor(), d);
-                build_line(lo, hi, run_lo, run_hi, |i| grid.bump(j, i))
-            })
-            .collect();
+                Span::new(
+                    (
+                        clamp_index(((bj_lo - b) / w_in).floor(), d),
+                        clamp_index(((bj_hi + b) / w_in).ceil(), d),
+                    ),
+                    (
+                        clamp_index(((bj_hi - ft) / w_in).ceil(), d),
+                        clamp_index(((bj_lo + ft) / w_in).floor(), d),
+                    ),
+                )
+            },
+            |j, i| grid.bump(j, i),
+        );
 
         // Column sweep: the same conditions with the roles of the bucket
         // grids swapped (the plateau condition is symmetric).
-        let cols: Vec<BandLine> = (0..d)
-            .map(|i| {
+        let mut cols = Band::build(
+            d,
+            |i| {
                 let bi_lo = i as f64 * w_in;
                 let bi_hi = bi_lo + w_in;
-                let lo = clamp_index(((bi_lo - b - out_lo) / w_out).floor(), d_tilde);
-                let hi = clamp_index(((bi_hi + b - out_lo) / w_out).ceil(), d_tilde);
-                let run_lo = clamp_index(((bi_hi - ft - out_lo) / w_out).ceil(), d_tilde);
-                let run_hi = clamp_index(((bi_lo + ft - out_lo) / w_out).floor(), d_tilde);
-                build_line(lo, hi, run_lo, run_hi, |j| grid.bump(j, i))
-            })
-            .collect();
+                Span::new(
+                    (
+                        clamp_index(((bi_lo - b - out_lo) / w_out).floor(), d_tilde),
+                        clamp_index(((bi_hi + b - out_lo) / w_out).ceil(), d_tilde),
+                    ),
+                    (
+                        clamp_index(((bi_hi - ft - out_lo) / w_out).ceil(), d_tilde),
+                        clamp_index(((bi_lo + ft - out_lo) / w_out).floor(), d_tilde),
+                    ),
+                )
+            },
+            |i, j| grid.bump(j, i),
+        );
 
-        let long_edges = rows
-            .iter()
-            .chain(cols.iter())
-            .any(|l| l.head.len().max(l.tail.len()) >= EDGE_UNROLL_THRESHOLD);
+        choose_kernel(&mut rows, &mut cols);
         Ok(BandedBaselineOperator {
             d,
             d_tilde,
@@ -284,7 +519,6 @@ impl BandedBaselineOperator {
             plateau,
             rows,
             cols,
-            long_edges,
         })
     }
 
@@ -306,18 +540,27 @@ impl BandedBaselineOperator {
         let p = e / (width * e + d as f64 - 1.0);
         let q = 1.0 / (width * e + d as f64 - 1.0);
         let d_tilde = d + 2 * b;
+        check_bucket_counts(d, d_tilde)?;
         // Row j is `p` on columns i ∈ [j − 2b, j] ∩ [0, d); column i is `p`
-        // on rows j ∈ [i, i + 2b].
-        let rows = (0..d_tilde)
-            .map(|j| {
-                let lo = j.saturating_sub(2 * b);
-                let hi = (j + 1).min(d);
-                build_line(lo, hi, lo, hi, |_| unreachable!("run covers the band"))
-            })
-            .collect();
-        let cols = (0..d)
-            .map(|i| build_line(i, i + 2 * b + 1, i, i + 2 * b + 1, |_| unreachable!()))
-            .collect();
+        // on rows j ∈ [i, i + 2b]. The band is one pure plateau, so every
+        // line lands in the `(0, 0)` class.
+        let unreachable = |_, _| unreachable!("run covers the band");
+        let rows = Band::build(
+            d_tilde,
+            |j| {
+                let band = (j.saturating_sub(2 * b), (j + 1).min(d));
+                Span::new(band, band)
+            },
+            unreachable,
+        );
+        let cols = Band::build(
+            d,
+            |i| {
+                let band = (i, i + 2 * b + 1);
+                Span::new(band, band)
+            },
+            unreachable,
+        );
         Ok(BandedBaselineOperator {
             d,
             d_tilde,
@@ -325,16 +568,32 @@ impl BandedBaselineOperator {
             plateau: p - q,
             rows,
             cols,
-            // The discrete band is one pure plateau — no explicit entries.
-            long_edges: false,
         })
     }
 
-    /// Total number of explicitly stored (fractional edge) entries. For
-    /// square waves this is `O(d + d̃)`; the dense matrix stores `d·d̃`.
+    /// Number of explicitly stored (fractional edge) entries in the
+    /// row-compressed band — the entries of `M` that are neither baseline
+    /// nor plateau. The column copy used by `Mᵀ·x` stores the same entries
+    /// again and is not counted. For square waves this is `O(d + d̃)`; the
+    /// dense matrix stores `d·d̃`.
     #[must_use]
     pub fn explicit_entries(&self) -> usize {
-        self.rows.iter().map(BandLine::explicit).sum()
+        self.rows.edges.len()
+    }
+
+    /// Number of band lines, rows and columns together, whose edge runs
+    /// are too long for the fixed-length kernels and take a loop with
+    /// runtime trip counts (see the module docs). Zero for every square
+    /// wave at `d̃ = d`, whose edge runs are at most 3 entries long.
+    #[must_use]
+    pub fn variable_length_lines(&self) -> usize {
+        self.rows
+            .classes
+            .iter()
+            .chain(&self.cols.classes)
+            .filter(|class| !class.is_fixed())
+            .map(|class| class.lines)
+            .sum()
     }
 
     /// Materializes the dense matrix this operator represents (tests and
@@ -342,19 +601,19 @@ impl BandedBaselineOperator {
     #[must_use]
     pub fn to_dense(&self) -> Matrix {
         let mut m = Matrix::from_fn(self.d_tilde, self.d, |_, _| self.baseline);
-        for (j, line) in self.rows.iter().enumerate() {
-            let mut idx = line.head_start;
-            for &e in &line.head {
-                m.set(j, idx, self.baseline + e);
-                idx += 1;
-            }
-            for _ in 0..line.run_len {
-                m.set(j, idx, self.baseline + self.plateau);
-                idx += 1;
-            }
-            for &e in &line.tail {
-                m.set(j, idx, self.baseline + e);
-                idx += 1;
+        let rows = &self.rows;
+        for class in &rows.classes {
+            let width = class.head + class.tail;
+            for slot in class.first..class.first + class.lines {
+                let at = class.first_edge + (slot - class.first) * width;
+                let (head, tail) = rows.edges[at..at + width].split_at(class.head);
+                let start = rows.head_start[slot] as usize;
+                let run = rows.run_len[slot] as usize;
+                let plateau = std::iter::repeat_n(&self.plateau, run);
+                let row = rows.out[slot] as usize;
+                for (idx, &e) in (start..).zip(head.iter().chain(plateau).chain(tail)) {
+                    m.set(row, idx, self.baseline + e);
+                }
             }
         }
         m
@@ -363,12 +622,11 @@ impl BandedBaselineOperator {
 
 /// `prefix[k] = x[0] + … + x[k−1]`, with `prefix[len] = Σx`.
 fn prefix_sums(x: &[f64]) -> Vec<f64> {
-    let mut prefix = Vec::with_capacity(x.len() + 1);
+    let mut prefix = vec![0.0; x.len() + 1];
     let mut acc = 0.0;
-    prefix.push(0.0);
-    for &v in x {
+    for (p, &v) in prefix[1..].iter_mut().zip(x) {
         acc += v;
-        prefix.push(acc);
+        *p = acc;
     }
     prefix
 }
@@ -384,33 +642,13 @@ impl LinearOperator for BandedBaselineOperator {
 
     fn matvec_into(&self, x: &[f64], y: &mut [f64]) -> Result<(), NumericError> {
         check_matvec_dims(self.d_tilde, self.d, x, y)?;
-        let prefix = prefix_sums(x);
-        let base = self.baseline * prefix[x.len()];
-        if self.long_edges {
-            for (line, yj) in self.rows.iter().zip(y.iter_mut()) {
-                *yj = base + line.dot_unrolled(self.plateau, x, &prefix);
-            }
-        } else {
-            for (line, yj) in self.rows.iter().zip(y.iter_mut()) {
-                *yj = base + line.dot(self.plateau, x, &prefix);
-            }
-        }
+        self.rows.apply(self.plateau, self.baseline, x, y);
         Ok(())
     }
 
     fn matvec_transpose_into(&self, x: &[f64], y: &mut [f64]) -> Result<(), NumericError> {
         check_matvec_dims(self.d, self.d_tilde, x, y)?;
-        let prefix = prefix_sums(x);
-        let base = self.baseline * prefix[x.len()];
-        if self.long_edges {
-            for (line, yi) in self.cols.iter().zip(y.iter_mut()) {
-                *yi = base + line.dot_unrolled(self.plateau, x, &prefix);
-            }
-        } else {
-            for (line, yi) in self.cols.iter().zip(y.iter_mut()) {
-                *yi = base + line.dot(self.plateau, x, &prefix);
-            }
-        }
+        self.cols.apply(self.plateau, self.baseline, x, y);
         Ok(())
     }
 }
@@ -512,9 +750,14 @@ mod tests {
             let dense = transition_matrix(&wave, d, dt).unwrap();
             let op = BandedBaselineOperator::from_wave(&wave, d, dt).unwrap();
             assert!(
-                op.long_edges,
-                "shape {shape:?} should select the unrolled kernel"
+                op.rows
+                    .classes
+                    .iter()
+                    .chain(&op.cols.classes)
+                    .all(|class| class.kernel == EdgeKernel::Blocked),
+                "shape {shape:?} should select the blocked kernel for every line"
             );
+            assert_eq!(op.variable_length_lines(), d + dt);
             let x: Vec<f64> = (0..d).map(|i| ((i * 29 + 7) % 83) as f64 / 83.0).collect();
             let yd = dense.matvec(&x).unwrap();
             let yo = LinearOperator::matvec(&op, &x).unwrap();

@@ -2,12 +2,14 @@
 //! equivalent (to 1e-12) to the dense `transition_matrix` it encodes —
 //! matvec, transposed matvec, and the EM reconstruction built on them —
 //! across all three wave shapes, the bucket-count grid
-//! `d, d̃ ∈ {1, 2, 7, 64, 257}`, and ε ∈ {0.1, 1, 4}.
+//! `d, d̃ ∈ {1, 2, 7, 64, 257}`, and ε ∈ {0.1, 1, 4} — plus bitwise pins of
+//! the operator's outputs at the served, wide-output, long-edge and
+//! discrete shapes.
 
 use proptest::prelude::*;
 use sw_ldp::numeric::LinearOperator;
 use sw_ldp::sw::em::reconstruct;
-use sw_ldp::sw::{transition_matrix, BandedBaselineOperator, EmConfig, Wave, WaveShape};
+use sw_ldp::sw::{optimal_b, transition_matrix, BandedBaselineOperator, EmConfig, Wave, WaveShape};
 
 const DIMS: [usize; 5] = [1, 2, 7, 64, 257];
 const EPSILONS: [f64; 3] = [0.1, 1.0, 4.0];
@@ -125,4 +127,134 @@ fn square_grid_entrywise_equivalence() {
             }
         }
     }
+}
+
+/// FNV-1a 64 over the bit patterns of `values`: a change in any output bit
+/// changes the digest.
+fn bits_digest(values: &[f64]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for v in values {
+        for b in v.to_bits().to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// A fixed, irregular, strictly positive vector of length `n`.
+fn probe_vector(n: usize, mul: usize, add: usize, modulus: usize) -> Vec<f64> {
+    (0..n)
+        .map(|i| ((i * mul + add) % modulus) as f64 / modulus as f64 + 1e-3)
+        .collect()
+}
+
+/// The operators whose outputs are pinned, by label.
+fn pinned_operators() -> Vec<(&'static str, BandedBaselineOperator)> {
+    let square = |eps: f64| {
+        let wave = Wave::square(optimal_b(eps).unwrap(), eps).unwrap();
+        BandedBaselineOperator::from_wave(&wave, 1024, 1024).unwrap()
+    };
+    let shaped = |shape: WaveShape, b: f64, eps: f64, d: usize, dt: usize| {
+        let wave = Wave::new(shape, b, eps).unwrap();
+        BandedBaselineOperator::from_wave(&wave, d, dt).unwrap()
+    };
+    vec![
+        ("square d=1024 eps=0.5", square(0.5)),
+        ("square d=1024 eps=1", square(1.0)),
+        ("square d=1024 eps=4", square(4.0)),
+        ("square 16x24", shaped(WaveShape::Square, 0.25, 1.0, 16, 24)),
+        (
+            "trapezoid(0.5) 32x32",
+            shaped(WaveShape::Trapezoid { ratio: 0.5 }, 0.25, 1.0, 32, 32),
+        ),
+        (
+            "trapezoid(0.3) 48x56",
+            shaped(WaveShape::Trapezoid { ratio: 0.3 }, 0.3, 1.2, 48, 56),
+        ),
+        (
+            "triangle 48x56",
+            shaped(WaveShape::Triangle, 0.3, 1.2, 48, 56),
+        ),
+        (
+            "discrete d=64 b=3",
+            BandedBaselineOperator::from_discrete(64, 3, 1.0).unwrap(),
+        ),
+    ]
+}
+
+/// `(label, matvec digest, matvec_transpose digest)`, recorded before the
+/// band lines were regrouped into edge-length classes: a change in any
+/// output bit of either product fails the pin.
+const OPERATOR_OUTPUT_PINS: &[(&str, u64, u64)] = &[
+    (
+        "square d=1024 eps=0.5",
+        0x17dbc6a29b865e58,
+        0xe3060f8b62040360,
+    ),
+    (
+        "square d=1024 eps=1",
+        0x485d0e07f9e2f4dd,
+        0x53073f4d4af1912a,
+    ),
+    (
+        "square d=1024 eps=4",
+        0x12c6838ac378e405,
+        0xe3b220caf8198bbd,
+    ),
+    ("square 16x24", 0xa57663f88048f64d, 0xe74506be862dfe2c),
+    (
+        "trapezoid(0.5) 32x32",
+        0x870b7e107d101b8f,
+        0xdeebd3e61aa4e778,
+    ),
+    (
+        "trapezoid(0.3) 48x56",
+        0x2c6134953d6c1c94,
+        0x0fe2e62ff65b80d4,
+    ),
+    ("triangle 48x56", 0x0753250228e43080, 0xa79af2a88fb7eee2),
+    ("discrete d=64 b=3", 0x7dea8f8c7ea164e1, 0x9e0c2f78d64fa10c),
+];
+
+/// Every square-wave line at `d̃ = d` — the served and paper shapes — has
+/// edge runs of at most 3 entries, so it lands in a fixed-length class.
+#[test]
+fn square_wave_lines_all_take_fixed_length_kernels() {
+    for d in [64usize, 256, 1024] {
+        for eps in [0.5, 1.0, 2.0, 4.0] {
+            let wave = Wave::square(optimal_b(eps).unwrap(), eps).unwrap();
+            let op = BandedBaselineOperator::from_wave(&wave, d, d).unwrap();
+            assert_eq!(op.variable_length_lines(), 0, "d={d} eps={eps}");
+        }
+    }
+    let discrete = BandedBaselineOperator::from_discrete(64, 3, 1.0).unwrap();
+    assert_eq!(discrete.variable_length_lines(), 0);
+    // Long-edge shapes fall back to runtime-length kernels.
+    let wave = Wave::new(WaveShape::Triangle, 0.3, 1.2).unwrap();
+    let op = BandedBaselineOperator::from_wave(&wave, 48, 56).unwrap();
+    assert!(op.variable_length_lines() > 0);
+}
+
+#[test]
+fn operator_outputs_match_golden_pins() {
+    let actual: Vec<(&str, u64, u64)> = pinned_operators()
+        .iter()
+        .map(|(label, op)| {
+            let x = probe_vector(LinearOperator::cols(op), 37, 11, 101);
+            let t = probe_vector(LinearOperator::rows(op), 53, 3, 97);
+            let y = LinearOperator::matvec(op, &x).unwrap();
+            let z = LinearOperator::matvec_transpose(op, &t).unwrap();
+            (*label, bits_digest(&y), bits_digest(&z))
+        })
+        .collect();
+    let rendered: Vec<String> = actual
+        .iter()
+        .map(|(label, y, z)| format!("({label:?}, 0x{y:016x}, 0x{z:016x})"))
+        .collect();
+    assert!(
+        actual.as_slice() == OPERATOR_OUTPUT_PINS,
+        "operator output pins differ; actual:\n{}",
+        rendered.join(",\n")
+    );
 }

@@ -1,6 +1,7 @@
 //! Golden estimate pins: literal fingerprints, report digests and
 //! estimate digests for every registry mechanism spec, plus two custom
-//! Square Wave configurations outside the registry, plus three OLH-backed
+//! Square Wave configurations outside the registry, SW-EMS and SW-EM at
+//! d ∈ {256, 1024} across ε, plus three OLH-backed
 //! specs whose hash range `g` is not a power of two, plus the discrete
 //! Square Wave.
 //!
@@ -268,6 +269,133 @@ const ODD_HASH_RANGE_PINS: &[Pin] = &[
     ),
 ];
 
+/// SW-EMS and SW-EM at the served granularity (d = 1024) and the paper's
+/// sweep granularity (d = 256), across ε: the banded operator's mix of
+/// edge-length classes differs by ε, so each pin exercises a different
+/// class layout. Same scheme as [`REGISTRY_PINS`].
+const SERVED_SHAPE_PINS: &[Pin] = &[
+    (
+        "sw-ems:eps=0.5,d=256",
+        0x8e8f4ab8d8dff8ea,
+        [
+            [0x5e58a99ff384d35c, 0x7870a5182a50a39d],
+            [0x397f99a3769a0a36, 0x903051ab62bd7b37],
+            [0x63aae96b4e5c90d1, 0xe6efd8b2aaab5df9],
+            [0x157ab6caa3bac92f, 0x50d00174bc97c261],
+        ],
+    ),
+    (
+        "sw-ems:eps=1,d=256",
+        0xc1327e7308fd3be4,
+        [
+            [0x914ee45a75845580, 0x4321de8d1cb0b6af],
+            [0x1ac2f100653d1fb9, 0x70c8d1a44ae73d10],
+            [0xa32cd03c1a2acba9, 0x1646ed2403888e41],
+            [0x38553bfe9c4e5ebc, 0xbbc38244df005d9b],
+        ],
+    ),
+    (
+        "sw-ems:eps=4,d=256",
+        0x538dcf5df770e6ab,
+        [
+            [0x707f1726f126f06f, 0xcb7835bbb5981103],
+            [0x45db938c84fc9b75, 0x288ecda54ecd01ea],
+            [0x54684ada2521187e, 0x21a40fac148c1d89],
+            [0xb29bf969182ea334, 0x739d031aba4c7884],
+        ],
+    ),
+    (
+        "sw-ems:eps=0.5,d=1024",
+        0xbd671b3a316b13ed,
+        [
+            [0x5e58a99ff384d35c, 0x82ff5c8dcec006f4],
+            [0x397f99a3769a0a36, 0x8bd0199114c41e04],
+            [0x63aae96b4e5c90d1, 0x3ab55d792cdbe8ef],
+            [0x157ab6caa3bac92f, 0x2e1a6dd84d1215dd],
+        ],
+    ),
+    (
+        "sw-ems:eps=1,d=1024",
+        0xab05a36ef4671101,
+        [
+            [0x914ee45a75845580, 0x04f386e867ec7265],
+            [0x1ac2f100653d1fb9, 0xcef895f7afcb26e9],
+            [0xa32cd03c1a2acba9, 0xd457e1f484b4ccec],
+            [0x38553bfe9c4e5ebc, 0x056cb33ab02822ef],
+        ],
+    ),
+    (
+        "sw-ems:eps=4,d=1024",
+        0x95ef51cef73fedcc,
+        [
+            [0x707f1726f126f06f, 0x8b329baeb4bc91cd],
+            [0x45db938c84fc9b75, 0x0e0ec691aaeebf71],
+            [0x54684ada2521187e, 0xebcc809efbe0d61b],
+            [0xb29bf969182ea334, 0x4428603c9aae8d8e],
+        ],
+    ),
+    (
+        "sw-em:eps=0.5,d=256",
+        0x27c368e9162dc4ca,
+        [
+            [0x5e58a99ff384d35c, 0xa94615c8690ad138],
+            [0x397f99a3769a0a36, 0x1d49c0e10f1d377c],
+            [0x63aae96b4e5c90d1, 0x2ca86e06ce2ea515],
+            [0x157ab6caa3bac92f, 0xaa4746bad2c72aa3],
+        ],
+    ),
+    (
+        "sw-em:eps=1,d=256",
+        0x7dbaea631bb33309,
+        [
+            [0x914ee45a75845580, 0x169586ede10aa53b],
+            [0x1ac2f100653d1fb9, 0x95fd31d692a001f0],
+            [0xa32cd03c1a2acba9, 0x4e3576e9650b8ebd],
+            [0x38553bfe9c4e5ebc, 0x3af257fcaad1c38e],
+        ],
+    ),
+    (
+        "sw-em:eps=4,d=256",
+        0x7cb07864971f2697,
+        [
+            [0x707f1726f126f06f, 0xa81909330e753568],
+            [0x45db938c84fc9b75, 0xff95f70fdc4c11d6],
+            [0x54684ada2521187e, 0xc5f9f0c4c5deb6a3],
+            [0xb29bf969182ea334, 0x636c03b87d5cd837],
+        ],
+    ),
+    (
+        "sw-em:eps=0.5,d=1024",
+        0xa6aaea56fb540792,
+        [
+            [0x5e58a99ff384d35c, 0xd188591bb36ff9ad],
+            [0x397f99a3769a0a36, 0x0fd7405efbfe915a],
+            [0x63aae96b4e5c90d1, 0x94edcf39e7ac6221],
+            [0x157ab6caa3bac92f, 0xd5f502be00344afc],
+        ],
+    ),
+    (
+        "sw-em:eps=1,d=1024",
+        0x20ad1437ace801c2,
+        [
+            [0x914ee45a75845580, 0xa33a0827d413afc4],
+            [0x1ac2f100653d1fb9, 0x51c06137548b968a],
+            [0xa32cd03c1a2acba9, 0x3087a51ebd8f491d],
+            [0x38553bfe9c4e5ebc, 0x4e47c426d2a5fde0],
+        ],
+    ),
+    (
+        "sw-em:eps=4,d=1024",
+        0xf0baef8940247457,
+        [
+            [0x707f1726f126f06f, 0x2d1126062f64f3fe],
+            [0x45db938c84fc9b75, 0xb2c028fc72193e64],
+            [0x54684ada2521187e, 0x0c8452d33bf233a0],
+            [0xb29bf969182ea334, 0xa3144b4e37da9008],
+        ],
+    ),
+];
+
 /// Runs one registry spec through the collector session and returns its
 /// pin.
 fn registry_run(name: &'static str) -> Pin {
@@ -375,6 +503,35 @@ fn odd_hash_range_estimates_match_golden_pins() {
         "odd hash range pins differ; actual:\n{}",
         rendered.join(",\n")
     );
+}
+
+/// Runs every [`SERVED_SHAPE_PINS`] spec under `method` and compares.
+fn check_served_shape_pins(method: &str) {
+    let expected: Vec<&Pin> = SERVED_SHAPE_PINS
+        .iter()
+        .filter(|p| p.0.split(':').next() == Some(method))
+        .collect();
+    assert!(!expected.is_empty(), "no pins for {method}");
+    let actual: Vec<Pin> = expected.iter().map(|p| spec_run(p.0, p.0)).collect();
+    let rendered: Vec<String> = actual
+        .iter()
+        .map(|(spec, fp, d)| render_pin(&format!("{spec:?}"), *fp, d))
+        .collect();
+    assert!(
+        actual.iter().eq(expected.iter().copied()),
+        "{method} served-shape pins differ; actual:\n{}",
+        rendered.join(",\n")
+    );
+}
+
+#[test]
+fn sw_ems_served_shape_estimates_match_golden_pins() {
+    check_served_shape_pins("sw-ems");
+}
+
+#[test]
+fn sw_em_served_shape_estimates_match_golden_pins() {
+    check_served_shape_pins("sw-em");
 }
 
 #[test]
