@@ -4,7 +4,11 @@
 //!
 //! - `em_fixed/{dense,structured}_d{D}_iters{K}`: EM over exactly `K`
 //!   iterations at `d = d̃ = D`, dense matrix vs `BandedBaselineOperator`.
-//!   Per-iteration cost = reported ns / `K`.
+//!   Per-iteration cost = reported ns / `K`. These never test for
+//!   convergence, so they time iterations without the log-likelihood.
+//! - `em_fixed/ems_converging_d{D}_iters{K}`: EMS on the same counts run to
+//!   convergence, which took `K` iterations; per-iteration cost = ns / `K`,
+//!   including the log-likelihood evaluations the stopping test needs.
 //! - `grid/sw_ems_jobs{J}_d{D}`: a figure-6-style `run_grid` slice of `J`
 //!   (ε × trial) jobs through `parallel_jobs`; per-trial cost = ns / `J`.
 //! - `bootstrap/replicates{R}_d{D}`: Poisson bootstrap with `R` replicates
@@ -97,6 +101,14 @@ fn bench_em(c: &mut Criterion) {
         });
         group.bench_function(format!("structured_d{d}_iters{EM_ITERS}"), |b| {
             b.iter(|| reconstruct(black_box(&op), black_box(&counts), &config).unwrap())
+        });
+        // `fixed_iters` never tests for convergence, so it never takes the
+        // log-likelihood's logarithms; this run stops as EMS does. The
+        // name carries its (deterministic) iteration count.
+        let ems = EmConfig::ems();
+        let iters = reconstruct(&op, &counts, &ems).unwrap().iterations;
+        group.bench_function(format!("ems_converging_d{d}_iters{iters}"), |b| {
+            b.iter(|| reconstruct(black_box(&op), black_box(&counts), &ems).unwrap())
         });
     }
     group.finish();

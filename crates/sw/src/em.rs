@@ -26,15 +26,28 @@
 //! iteration performs one forward and one transposed application instead of
 //! two forward plus one transposed.
 //!
-//! Per iteration the loop is therefore: one `M·x̂`, one `Mᵀ·ratio`, `d̃`
-//! divisions for the ratios, `d̃` logarithms for the log-likelihood, the
-//! M-step normalization and (EMS) one smoothing pass. With the banded
-//! operator both applications are `O(d + d̃)` walks over its
-//! edge-length classes (see [`crate::operator`]), and
-//! [`SmoothingKernel::smooth_into`] handles interior entries without
-//! boundary tests. Every step keeps a fixed floating-point operation order,
-//! so the iterates, the iteration count and the estimate do not depend on
-//! the SIMD mode or the pool size.
+//! Per iteration the loop is therefore: one `M·x̂`, one `Mᵀ·ratio`, one
+//! pass of `d̃` divisions for the ratios, the M-step normalization and
+//! (EMS) one smoothing pass. With the banded operator both applications are
+//! `O(d + d̃)` walks over its edge-length classes (see
+//! [`crate::operator`]), and [`SmoothingKernel::smooth_into`] handles
+//! interior entries without boundary tests.
+//!
+//! The `d̃` logarithms of the log-likelihood are computed only when the
+//! stopping test could fire. The ratio pass also accumulates two dot
+//! products that bound the log-likelihood change from both sides
+//! (`1 − 1/x ≤ ln x ≤ x − 1`); while the bound, less a rounding margin,
+//! keeps `|ΔL|` above the threshold, the test cannot fire and the
+//! logarithms are skipped (`moves_past_threshold` derives the bound and
+//! the margin). The first iteration (compared against `L = −∞`) and
+//! iterations below `min_iterations` take no logarithms at all, and the
+//! returned `L` is computed at exit if it is still pending. Whenever `L` is
+//! computed it is computed by the same loop in the same order, so the
+//! stopping decision, the iteration count and the returned log-likelihood
+//! are bit-identical to evaluating it on every iteration.
+//! Every step keeps a fixed floating-point operation order, so the
+//! iterates, the iteration count and the estimate do not depend on the
+//! SIMD mode or the pool size.
 
 use crate::error::SwError;
 use crate::smoothing::SmoothingKernel;
@@ -138,31 +151,31 @@ pub fn reconstruct<M: LinearOperator + ?Sized>(
     let mut theta = vec![1.0 / d as f64; d];
     let mut cond = vec![0.0; d_tilde];
     let mut ratio = vec![0.0; d_tilde];
+    // The previous conditional and its ratios, kept by swapping buffers:
+    // the stopping certificate compares the two iterates through them.
+    let mut prev_cond = vec![0.0; d_tilde];
+    let mut prev_ratio = vec![0.0; d_tilde];
     let mut tmp = vec![0.0; d];
     let mut smoothed = vec![0.0; d];
 
-    let mut old_ll = f64::NEG_INFINITY;
     let mut iterations = 0;
     let mut converged = false;
-    let mut log_likelihood = f64::NEG_INFINITY;
+    // `L` of `cond`, once computed; `None` while the certificate has made
+    // it unnecessary.
+    let mut ll: Option<f64> = None;
 
-    // Prime `cond = M·θ` once; inside the loop the log-likelihood
+    // Prime `cond = M·θ` and its ratios once; inside the loop the forward
     // application of iteration k doubles as the E-step conditional of
-    // iteration k + 1, halving the forward applications.
+    // iteration k + 1, halving the forward applications. The zeroed
+    // previous buffers make the priming pass's dot products zero.
     m.matvec_into(&theta, &mut cond)
         .map_err(|e| SwError::Reconstruction(e.to_string()))?;
+    let mut pass = ratio_pass(counts, &cond, &prev_cond, &prev_ratio, &mut ratio);
 
     for iter in 0..config.max_iterations {
         iterations = iter + 1;
 
-        // E-step: ratio_j = n_j / (M·θ)_j, tmp = Mᵀ·ratio.
-        for j in 0..d_tilde {
-            ratio[j] = if cond[j] > 0.0 {
-                counts[j] / cond[j]
-            } else {
-                0.0
-            };
-        }
+        // E-step: tmp = Mᵀ·ratio, ratio_j = n_j / (M·θ)_j.
         m.matvec_transpose_into(&ratio, &mut tmp)
             .map_err(|e| SwError::Reconstruction(e.to_string()))?;
 
@@ -191,30 +204,34 @@ pub fn reconstruct<M: LinearOperator + ?Sized>(
             }
         }
 
-        // Log-likelihood of the updated iterate; `cond` is reused as the
-        // next iteration's E-step conditional.
+        // The updated iterate's conditional `c`, which is also the next
+        // E-step's; the previous one `p` moves to `prev_cond`.
+        std::mem::swap(&mut cond, &mut prev_cond);
+        std::mem::swap(&mut ratio, &mut prev_ratio);
+        let prev_ll = ll.take();
+        let prev_log_bound = pass.log_bound;
         m.matvec_into(&theta, &mut cond)
             .map_err(|e| SwError::Reconstruction(e.to_string()))?;
-        log_likelihood = 0.0;
-        for j in 0..d_tilde {
-            if counts[j] > 0.0 {
-                if cond[j] <= 0.0 {
-                    log_likelihood = f64::NEG_INFINITY;
-                    break;
-                }
-                log_likelihood += counts[j] * cond[j].ln();
-            }
-        }
+        pass = ratio_pass(counts, &cond, &prev_cond, &prev_ratio, &mut ratio);
 
-        if iterations >= config.min_iterations.max(1)
-            && (log_likelihood - old_ll).abs() < config.ll_threshold
-        {
+        // The first iteration compares against `L = −∞` and cannot stop,
+        // and iterations below `min_iterations` do not test at all.
+        if iter == 0 || iterations < config.min_iterations {
+            continue;
+        }
+        if moves_past_threshold(config.ll_threshold, total, d_tilde, &pass, prev_log_bound) {
+            continue;
+        }
+        let new_ll = log_likelihood_of(counts, &cond);
+        let old_ll = prev_ll.unwrap_or_else(|| log_likelihood_of(counts, &prev_cond));
+        ll = Some(new_ll);
+        if (new_ll - old_ll).abs() < config.ll_threshold {
             converged = true;
             break;
         }
-        old_ll = log_likelihood;
     }
 
+    let log_likelihood = ll.unwrap_or_else(|| log_likelihood_of(counts, &cond));
     let histogram =
         Histogram::from_probs(theta).map_err(|e| SwError::Reconstruction(e.to_string()))?;
     Ok(EmResult {
@@ -223,6 +240,152 @@ pub fn reconstruct<M: LinearOperator + ?Sized>(
         log_likelihood,
         converged,
     })
+}
+
+/// `L = Σⱼ nⱼ ln cⱼ` over the buckets with reports, left to right; `−∞`
+/// once a bucket with reports has `cⱼ ≤ 0`.
+fn log_likelihood_of(counts: &[f64], cond: &[f64]) -> f64 {
+    let mut ll = 0.0;
+    for (&n, &c) in counts.iter().zip(cond) {
+        if n > 0.0 {
+            if c <= 0.0 {
+                return f64::NEG_INFINITY;
+            }
+            ll += n * c.ln();
+        }
+    }
+    ll
+}
+
+/// What the pass over a fresh conditional `c` learns besides the E-step
+/// ratios `ρ = n/c`: the stopping certificate's two dot products against
+/// the previous conditional `p` and its ratios `ρ′ = n/p`, and a bound on
+/// `|ln cⱼ|`.
+struct PassBounds {
+    /// `Σⱼ ρⱼ·pⱼ`.
+    dot_lo: f64,
+    /// `Σⱼ ρ′ⱼ·cⱼ`.
+    dot_hi: f64,
+    /// `max(−ln min c, ln max c) ≥ |ln cⱼ|` for every `j`, or `+∞` when
+    /// some `cⱼ ≤ 0`.
+    log_bound: f64,
+}
+
+/// Accumulator lanes of [`ratio_pass`]: independent add chains, so the
+/// dot products do not serialize on the add latency.
+const LANES: usize = 4;
+
+/// Fills `ratio` with `nⱼ/cⱼ` (0 where `cⱼ ≤ 0`) and accumulates
+/// [`PassBounds`] in the same blocked pass. The ratios are the E-step's
+/// exact values; the bounds feed only [`moves_past_threshold`], so their
+/// summation order is free.
+fn ratio_pass(
+    counts: &[f64],
+    cond: &[f64],
+    prev_cond: &[f64],
+    prev_ratio: &[f64],
+    ratio: &mut [f64],
+) -> PassBounds {
+    let mut lo = [0.0; LANES];
+    let mut hi = [0.0; LANES];
+    let mut c_min = [f64::INFINITY; LANES];
+    let mut c_max = [0.0f64; LANES];
+    let mut step = |lane: usize, n: f64, c: f64, p: f64, rho_prev: f64, out: &mut f64| {
+        let rho = if c > 0.0 { n / c } else { 0.0 };
+        *out = rho;
+        lo[lane] += rho * p;
+        hi[lane] += rho_prev * c;
+        c_min[lane] = c_min[lane].min(c);
+        c_max[lane] = c_max[lane].max(c);
+    };
+    let mut out = ratio.chunks_exact_mut(LANES);
+    let mut ins = counts
+        .chunks_exact(LANES)
+        .zip(cond.chunks_exact(LANES))
+        .zip(
+            prev_cond
+                .chunks_exact(LANES)
+                .zip(prev_ratio.chunks_exact(LANES)),
+        );
+    for (r, ((n, c), (p, q))) in out.by_ref().zip(ins.by_ref()) {
+        for l in 0..LANES {
+            step(l, n[l], c[l], p[l], q[l], &mut r[l]);
+        }
+    }
+    let tail = cond.len() - cond.len() % LANES;
+    for (k, r) in out.into_remainder().iter_mut().enumerate() {
+        let j = tail + k;
+        step(0, counts[j], cond[j], prev_cond[j], prev_ratio[j], r);
+    }
+    let c_min = c_min.iter().fold(f64::INFINITY, |a, &b| a.min(b));
+    let c_max = c_max.iter().fold(0.0f64, |a, &b| a.max(b));
+    PassBounds {
+        dot_lo: lo.iter().sum(),
+        dot_hi: hi.iter().sum(),
+        log_bound: if c_min > 0.0 {
+            (-c_min.ln()).max(c_max.ln())
+        } else {
+            f64::INFINITY
+        },
+    }
+}
+
+/// `f64::ln` is assumed within this many ulps of the true logarithm.
+/// Platform libms stay within 1; the slack costs almost nothing in how
+/// often the certificate holds.
+const LN_ULPS: f64 = 16.0;
+
+/// Whether the stopping test `|L(c) − L(p)| < τ` is certain *not* to fire
+/// for the previous conditional `p` and the new one `c`, so that neither
+/// log-likelihood needs computing. `total` is the computed `Σⱼ nⱼ` and `m`
+/// the number of buckets `d̃`.
+///
+/// **Bound.** With `x = cⱼ/pⱼ > 0`, `1 − 1/x ≤ ln x ≤ x − 1`, so the exact
+/// `ΔL = Σⱼ nⱼ ln(cⱼ/pⱼ)` lies in `[N − Σⱼ ρⱼpⱼ, Σⱼ ρ′ⱼcⱼ − N]` with
+/// `N = Σⱼ nⱼ`, `ρ = n/c` and `ρ′ = n/p` — the two dot products of
+/// [`PassBounds`]. `|ΔL| > τ` is certified when the lower end exceeds `τ`
+/// or the upper end is below `−τ` after a rounding margin. With
+/// `u = 2⁻⁵³` and first-order error terms, the margin covers:
+///
+/// - **The two dots and `N`.** A dot's terms round twice (ratio, product)
+///   and its `m`-term sum, in any order, by `(m − 1)·u` of the sum, so the
+///   computed dot is within a relative `(m + 1)·u` of `Σ nⱼpⱼ/cⱼ` (resp.
+///   `Σ nⱼcⱼ/pⱼ`); `total` is within `m·u` of `N`. The margin takes
+///   `4(m + 4)·u·(total + dot)`, twice what the dot and `N` need; the
+///   other half covers the few roundings of the certificate's own
+///   arithmetic.
+/// - **Both `L` sums.** [`log_likelihood_of`] computes `L̂ = Σ nⱼ·ln̂ cⱼ` left
+///   to right. `ln̂` errs by at most [`LN_ULPS`] ulps, a relative
+///   `2·LN_ULPS·u`; the product adds `u` and the sum `(m − 1)·u` of
+///   `Σ nⱼ|ln cⱼ| ≤ N·max|ln cⱼ|`. So `|L̂ − L| ≤ (m + 2·LN_ULPS)·u·N·
+///   max|ln cⱼ|` for each side; the margin doubles it, taking
+///   `max|ln cⱼ|` from [`PassBounds::log_bound`] (the previous pass's
+///   for `p`).
+/// - **The final subtraction.** The test rounds `L̂(c) − L̂(p)` once, by
+///   a relative `u`; requiring the bound to clear `τ·(1 + 4u)` rather
+///   than `τ` covers it.
+///
+/// A `cⱼ` or `pⱼ ≤ 0` makes its log bound `+∞`, so the margin is infinite,
+/// and a NaN or infinite entry makes the dot product that multiplies it
+/// non-finite; either way nothing is certified and the caller computes
+/// both log-likelihoods.
+fn moves_past_threshold(
+    tau: f64,
+    total: f64,
+    m: usize,
+    pass: &PassBounds,
+    prev_log_bound: f64,
+) -> bool {
+    if !(pass.dot_lo.is_finite() && pass.dot_hi.is_finite()) {
+        return false;
+    }
+    let u = f64::EPSILON / 2.0;
+    let m = m as f64;
+    let dots = 4.0 * (m + 4.0) * u * (total + pass.dot_lo.max(pass.dot_hi));
+    let sums = 2.0 * (m + 2.0 * LN_ULPS) * u * total * (pass.log_bound + prev_log_bound);
+    let margin = dots + sums;
+    let tau = tau * (1.0 + 4.0 * u);
+    total - pass.dot_lo - margin > tau || pass.dot_hi - total + margin < -tau
 }
 
 #[cfg(test)]

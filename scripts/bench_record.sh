@@ -66,6 +66,12 @@ GATED = [
     ("streaming_agg_ns_per_report", "ns/report"),
     ("absorb_ns_per_report", "ns/report"),
 ]
+# Keys of a gated section that are recorded for information only: a
+# converging EMS run's iteration count and log-likelihood share depend on
+# the stopping test, so its per-iteration time is not a like-for-like
+# kernel figure.
+INFORMATIONAL = {("em_iteration_ns", "ems_converging_d1024"),
+                 ("em_iteration_ns", "ems_converging_d256")}
 failed = False
 for section, unit in GATED:
     a, b = prev.get(section, {}), last.get(section, {})
@@ -78,6 +84,10 @@ for section, unit in GATED:
         if a[key] <= 0:
             continue
         ratio = b[key] / a[key]
+        if (section, key) in INFORMATIONAL:
+            print(f"bench compare: {section}/{key}: {a[key]:.1f} -> {b[key]:.1f} "
+                  f"{unit}  ({ratio:.1%} of baseline, informational)")
+            continue
         verdict = "REGRESSION" if ratio > LIMIT else "ok"
         print(f"bench compare: {section}/{key}: {a[key]:.1f} -> {b[key]:.1f} "
               f"{unit}  ({ratio:.1%} of baseline, {verdict})")

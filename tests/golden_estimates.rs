@@ -3,7 +3,8 @@
 //! Square Wave configurations outside the registry, SW-EMS and SW-EM at
 //! d ∈ {256, 1024} across ε, plus three OLH-backed
 //! specs whose hash range `g` is not a power of two, plus the discrete
-//! Square Wave.
+//! Square Wave. The served SW shapes also pin their EM trajectory: the
+//! iteration count, the converged flag and the log-likelihood bits.
 //!
 //! Each registry run goes `build_session` → `gen_reports` →
 //! `ingest_text` → `finalize_text` and pins three values:
@@ -23,6 +24,8 @@
 use rand::Rng;
 use sw_ldp::collector::build_session;
 use sw_ldp::collector::registry::MECHANISMS;
+use sw_ldp::core_api::decode_snapshot_with_sessions;
+use sw_ldp::core_api::snapshot::parse_snapshot;
 use sw_ldp::prelude::*;
 use sw_ldp::sw::pipeline_with_shape;
 
@@ -396,6 +399,125 @@ const SERVED_SHAPE_PINS: &[Pin] = &[
     ),
 ];
 
+/// `(iterations, converged, log-likelihood bits)` of one EM/EMS run.
+type Trajectory = (usize, bool, u64);
+
+/// EM trajectories of the [`SERVED_SHAPE_PINS`] runs: `(spec, [trajectory;
+/// RUNS])`, from `SwPipeline::reconstruct` (which runs `em::reconstruct`)
+/// on the counts of the served session. The estimate digests pin where EM
+/// stops only through the estimate; these pin the iteration count, the
+/// stopping reason and the final log-likelihood bit for bit.
+const SERVED_SHAPE_TRAJECTORY_PINS: &[(&str, [Trajectory; 4])] = &[
+    (
+        "sw-ems:eps=0.5,d=256",
+        [
+            (346, true, 0xc0b5a2eefd71b00e),
+            (391, true, 0xc0fb0d4c1fa78eb2),
+            (462, true, 0xc0b5a48ec16b14f7),
+            (343, true, 0xc0fb0b37b749942c),
+        ],
+    ),
+    (
+        "sw-ems:eps=1,d=256",
+        [
+            (311, true, 0xc0b5991441dedbaa),
+            (386, true, 0xc0fafe06eaa9f298),
+            (335, true, 0xc0b59e400a69498e),
+            (357, true, 0xc0fafbe4c3231a67),
+        ],
+    ),
+    (
+        "sw-ems:eps=4,d=256",
+        [
+            (86, true, 0xc0b58e2204250e93),
+            (77, true, 0xc0fb02cf6a93b5de),
+            (91, true, 0xc0b5907d976abe73),
+            (91, true, 0xc0fb03b7809c088a),
+        ],
+    ),
+    (
+        "sw-ems:eps=0.5,d=1024",
+        [
+            (491, true, 0xc0bb0cbb238bfe83),
+            (1355, true, 0xc100e900fa862868),
+            (681, true, 0xc0bb0d92179462dd),
+            (1059, true, 0xc100e7fcebaa8c9d),
+        ],
+    ),
+    (
+        "sw-ems:eps=1,d=1024",
+        [
+            (516, true, 0xc0bb0165e4ef4c46),
+            (1215, true, 0xc100e1452171c27e),
+            (553, true, 0xc0bb06353dffa16c),
+            (907, true, 0xc100e04e1b3e6ba3),
+        ],
+    ),
+    (
+        "sw-ems:eps=4,d=1024",
+        [
+            (198, true, 0xc0bae9dd5678e66c),
+            (413, true, 0xc100e33b84ab289b),
+            (205, true, 0xc0baeebe63f94ffb),
+            (505, true, 0xc100e3b623db73e1),
+        ],
+    ),
+    (
+        "sw-em:eps=0.5,d=256",
+        [
+            (500, true, 0xc0b5a22b72602c40),
+            (1718, true, 0xc0fb0d0830ee4f62),
+            (775, true, 0xc0b5a24ea5c70ce2),
+            (2801, true, 0xc0fb0abe796f659f),
+        ],
+    ),
+    (
+        "sw-em:eps=1,d=256",
+        [
+            (558, true, 0xc0b595cd3238effb),
+            (1964, true, 0xc0fafd40ca335e74),
+            (516, true, 0xc0b59b011880482e),
+            (1587, true, 0xc0fafb6ad3f02141),
+        ],
+    ),
+    (
+        "sw-em:eps=4,d=256",
+        [
+            (99, true, 0xc0b57af51632b9f2),
+            (250, true, 0xc0fb007612d4d552),
+            (101, true, 0xc0b57f505a42f85a),
+            (265, true, 0xc0fb015b50106a2b),
+        ],
+    ),
+    (
+        "sw-em:eps=0.5,d=1024",
+        [
+            (572, true, 0xc0bb0c3a9f3fd43c),
+            (2009, true, 0xc100e8e98caa454a),
+            (783, true, 0xc0bb0c98f82093f0),
+            (3160, true, 0xc100e7c4c085572d),
+        ],
+    ),
+    (
+        "sw-em:eps=1,d=1024",
+        [
+            (592, true, 0xc0baff9791e1e8c2),
+            (2520, true, 0xc100e0e6e9c56324),
+            (559, true, 0xc0bb04b0714b39d6),
+            (2284, true, 0xc100e001e640f8d4),
+        ],
+    ),
+    (
+        "sw-em:eps=4,d=1024",
+        [
+            (125, true, 0xc0badacb79471ec6),
+            (421, true, 0xc100e162c2e899a5),
+            (125, true, 0xc0badf5850a43eff),
+            (437, true, 0xc100e1c572129faa),
+        ],
+    ),
+];
+
 /// Runs one registry spec through the collector session and returns its
 /// pin.
 fn registry_run(name: &'static str) -> Pin {
@@ -565,5 +687,65 @@ fn discrete_sw_estimates_match_golden_pins() {
         actual == DISCRETE_SW_PIN,
         "discrete SW pin differs; actual: {}",
         render_pin("discrete SW", 0, &actual)
+    );
+}
+
+/// The EM trajectory of every [`RUNS`] entry of served-shape `spec`.
+fn served_trajectories(spec: &str) -> [Trajectory; 4] {
+    let (method, params) = spec.split_once(':').unwrap();
+    let param = |key: &str| -> &str {
+        params
+            .split(',')
+            .find_map(|kv| kv.strip_prefix(key)?.strip_prefix('='))
+            .unwrap()
+    };
+    let (eps, d) = (param("eps").parse().unwrap(), param("d").parse().unwrap());
+    let mech = match method {
+        "sw-ems" => SwMechanism::ems(eps, d),
+        _ => SwMechanism::em(eps, d),
+    }
+    .unwrap();
+    let mut out = [(0, false, 0); 4];
+    for (slot, &(seed, n)) in out.iter_mut().zip(&RUNS) {
+        let mut session = build_session(spec).unwrap();
+        assert_eq!(session.fingerprint(), mech.fingerprint(), "{spec}");
+        session
+            .ingest_text(&session.gen_reports(n, seed).unwrap())
+            .unwrap();
+        let snapshot = session.snapshot_text();
+        let (header, _) = parse_snapshot(&snapshot).unwrap();
+        let (state, _, _) =
+            decode_snapshot_with_sessions(&mech, &header.mechanism, &snapshot).unwrap();
+        let r = mech
+            .pipeline()
+            .reconstruct(&state.to_counts(), mech.reconstruction())
+            .unwrap();
+        *slot = (r.iterations, r.converged, r.log_likelihood.to_bits());
+    }
+    out
+}
+
+#[test]
+fn served_shape_em_trajectories_match_golden_pins() {
+    let specs: Vec<&str> = SERVED_SHAPE_PINS.iter().map(|p| p.0).collect();
+    let pinned: Vec<&str> = SERVED_SHAPE_TRAJECTORY_PINS.iter().map(|p| p.0).collect();
+    let actual: Vec<(&str, [Trajectory; 4])> = specs
+        .iter()
+        .map(|&spec| (spec, served_trajectories(spec)))
+        .collect();
+    let rendered: Vec<String> = actual
+        .iter()
+        .map(|(spec, runs)| {
+            let runs: Vec<String> = runs
+                .iter()
+                .map(|(it, conv, ll)| format!("({it}, {conv}, 0x{ll:016x})"))
+                .collect();
+            format!("({spec:?}, [{}])", runs.join(", "))
+        })
+        .collect();
+    assert!(
+        pinned == specs && actual.as_slice() == SERVED_SHAPE_TRAJECTORY_PINS,
+        "served-shape EM trajectories differ; actual:\n{}",
+        rendered.join(",\n")
     );
 }
