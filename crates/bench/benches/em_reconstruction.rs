@@ -351,8 +351,15 @@ fn bench_absorb(c: &mut Criterion) {
     group.finish();
 }
 
+/// Names the widest kernel arm the benches above dispatch to, for
+/// `scripts/bench_record.sh`'s `simd_kernels` field.
+fn report_kernel_arm(_: &mut Criterion) {
+    println!("simd_kernels: {}", ldp_numeric::kernels::widest_arm());
+}
+
 criterion_group!(
     benches,
+    report_kernel_arm,
     bench_em,
     bench_grid,
     bench_bootstrap,

@@ -241,7 +241,7 @@ impl Mechanism for Olh {
     }
 
     // absorb_slice keeps the default report-at-a-time loop: every absorb
-    // already runs the 4-wide support walk over tables built at
+    // already runs the vectorized support walk over tables built at
     // construction, so there is nothing left to hoist out of a slice.
 
     fn merge_state(&self, state: &mut SupportState, other: &SupportState) -> Result<(), CoreError> {

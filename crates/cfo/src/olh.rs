@@ -14,6 +14,7 @@
 
 use crate::error::CfoError;
 use ldp_core::{Domain, Epsilon};
+use ldp_numeric::kernels::{olh_support, ResidueTest};
 use ldp_numeric::rng::mix64;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -37,8 +38,8 @@ pub struct Olh {
     pub(crate) g: usize,
     /// GRR keep-probability over the hashed domain.
     pub(crate) p: f64,
-    /// `x % g` by multiplication, for the support walk.
-    rem_g: FastRemainder,
+    /// `x % g == y` by multiplication, for the support walk.
+    residue: ResidueTest,
     /// `value_mix[v] = mix64(v)`: the report-independent inner hash of
     /// every domain value, computed once at construction.
     value_mix: Box<[u64]>,
@@ -61,51 +62,6 @@ impl fmt::Debug for Olh {
 #[must_use]
 pub fn olh_hash(seed: u64, value: usize, g: usize) -> u32 {
     (mix64(seed ^ mix64(value as u64)) % g as u64) as u32
-}
-
-/// Exact `x % g` without a divide: the round-up multiply-high division of
-/// Granlund and Montgomery, "Division by Invariant Integers using
-/// Multiplication" (PLDI 1994, Figure 4.1), then `x - q·g`.
-///
-/// With `l = ⌈log₂ g⌉` and `m = ⌊2⁶⁴·(2ˡ - g)/g⌋ + 1 < 2⁶⁴`, the quotient is
-/// `q = (t + ((x - t) >> 1)) >> (l - 1)` where `t` is the high word of
-/// `m·x`. Their Theorem 4.2 makes `q = ⌊x/g⌋` for every 64-bit `x` and
-/// every 64-bit `g ≥ 2`; the cost is one 64×64→128 multiply and one 64-bit
-/// multiply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FastRemainder {
-    g: u64,
-    m: u64,
-    /// `l - 1`.
-    shift: u32,
-}
-
-impl FastRemainder {
-    /// Precomputes the reciprocal of `g`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g < 2`.
-    #[must_use]
-    pub fn new(g: u64) -> Self {
-        assert!(g >= 2, "remainder by {g}");
-        let l = u64::BITS - (g - 1).leading_zeros();
-        let excess = (1u128 << l) - u128::from(g);
-        FastRemainder {
-            g,
-            m: ((excess << 64) / u128::from(g) + 1) as u64,
-            shift: l - 1,
-        }
-    }
-
-    /// `x % g`.
-    #[inline]
-    #[must_use]
-    pub fn reduce(self, x: u64) -> u64 {
-        let t = ((u128::from(self.m) * u128::from(x)) >> 64) as u64;
-        let q = (t + ((x - t) >> 1)) >> self.shift;
-        x - q * self.g
-    }
 }
 
 impl Olh {
@@ -138,7 +94,7 @@ impl Olh {
             eps,
             g,
             p,
-            rem_g: FastRemainder::new(g as u64),
+            residue: ResidueTest::new(g as u64),
             value_mix: (0..d as u64).map(mix64).collect(),
         })
     }
@@ -170,24 +126,17 @@ impl Olh {
     }
 
     /// Adds one report's support pattern to per-value support counts — the
-    /// O(d) inversion step of a single absorb. A 4-wide branch-free walk
-    /// over the cached value mixes with a divide-free remainder; exact u64
+    /// O(d) inversion step of a single absorb, run by the vectorized
+    /// [`olh_support`] kernel over the cached value mixes. Exact u64
     /// additions, so the counts equal a reference loop over [`olh_hash`].
     pub(crate) fn add_support(&self, support: &mut [u64], report: &OlhReport) {
-        let seed = report.seed;
-        let y = u64::from(report.y);
-        let rem = self.rem_g;
-        let mut counts = support.chunks_exact_mut(4);
-        let mut mixes = self.value_mix.chunks_exact(4);
-        for (s4, m4) in (&mut counts).zip(&mut mixes) {
-            s4[0] += u64::from(rem.reduce(mix64(seed ^ m4[0])) == y);
-            s4[1] += u64::from(rem.reduce(mix64(seed ^ m4[1])) == y);
-            s4[2] += u64::from(rem.reduce(mix64(seed ^ m4[2])) == y);
-            s4[3] += u64::from(rem.reduce(mix64(seed ^ m4[3])) == y);
-        }
-        for (s, m) in counts.into_remainder().iter_mut().zip(mixes.remainder()) {
-            *s += u64::from(rem.reduce(mix64(seed ^ m)) == y);
-        }
+        olh_support(
+            support,
+            &self.value_mix,
+            report.seed,
+            u64::from(report.y),
+            self.residue,
+        );
     }
 
     /// Debiases support counts into frequency estimates.

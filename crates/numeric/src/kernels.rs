@@ -2,13 +2,16 @@
 //!
 //! Every hot absorption loop in the workspace funnels through this module:
 //! the SW band-edge dot products ([`dot4`]), the SW report-bucketing pass
-//! ([`first_out_of_range`] + [`bucket_histogram`]), and the OUE bit-count
-//! accumulation ([`bitcount_rows`]). Each kernel has
+//! ([`first_out_of_range`] + [`bucket_histogram`]), the OUE bit-count
+//! accumulation ([`bitcount_rows`]) and the OLH support walk
+//! ([`olh_support`]) that OLH, CFO-binning and every HH level absorb
+//! through. Each kernel has
 //!
 //! - a **scalar reference** implementation — the semantics, always compiled,
 //!   always available;
 //! - an optional 4–8-lane unrolled / `core::arch` AVX2 variant selected at
-//!   runtime behind [`simd_enabled`].
+//!   runtime behind [`simd_enabled`]; [`olh_support`] also has an 8-lane
+//!   AVX-512 variant.
 //!
 //! The contract, pinned by the workspace `kernel_equivalence` differential
 //! suite, is that every variant is **bit-identical** to its scalar
@@ -21,14 +24,19 @@
 //!
 //! [`simd_enabled`] is computed once per process: it requires `x86_64`,
 //! a runtime `is_x86_feature_detected!("avx2")` hit, and the `LDP_NO_SIMD`
-//! environment variable to be unset (or `0`/empty). Setting `LDP_NO_SIMD=1`
-//! forces every kernel onto its scalar reference — CI runs the whole test
-//! suite in both configurations. Non-x86 targets always take the scalar
-//! path; there is no compile-time feature gate to misconfigure.
+//! environment variable to be unset (or `0`/empty). [`olh_support`] takes
+//! its AVX-512 arm when [`simd_enabled`] holds and `avx512f` and
+//! `avx512dq` are detected (also checked once and cached), else its AVX2
+//! arm when [`simd_enabled`] holds, else the scalar reference.
+//! `LDP_NO_SIMD=1` is the only switch: it forces every kernel, both
+//! AVX-512 and AVX2 arms included, onto its scalar reference — CI runs the
+//! whole test suite in both configurations. Non-x86 targets always take
+//! the scalar path; there is no compile-time feature gate to misconfigure.
 //!
 //! This module contains the only `unsafe` code outside `ldp-pool`; every
-//! `unsafe` block is a `#[target_feature(enable = "avx2")]` intrinsic
-//! routine reached strictly behind the runtime detection check.
+//! `unsafe` block is a `#[target_feature]` intrinsic routine (`avx2`, or
+//! `avx512f,avx512dq`) reached strictly behind the runtime detection
+//! check.
 
 use std::sync::OnceLock;
 
@@ -58,6 +66,36 @@ pub fn simd_enabled() -> bool {
             false
         }
     })
+}
+
+/// Whether [`olh_support`] takes its AVX-512 arm: [`simd_enabled`] and
+/// both `avx512f` and `avx512dq` detected at runtime. Computed once and
+/// cached.
+#[cfg(target_arch = "x86_64")]
+fn avx512_enabled() -> bool {
+    static ENABLED: OnceLock<bool> = OnceLock::new();
+    *ENABLED.get_or_init(|| {
+        simd_enabled()
+            && std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512dq")
+    })
+}
+
+/// The widest kernel arm this process dispatches to: `"avx512"` when
+/// [`olh_support`] takes its AVX-512 arm, `"avx2"` when [`simd_enabled`]
+/// holds, else `"scalar"`. Bench records carry it, so a timing names the
+/// code that produced it.
+#[must_use]
+pub fn widest_arm() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if avx512_enabled() {
+        return "avx512";
+    }
+    if simd_enabled() {
+        "avx2"
+    } else {
+        "scalar"
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -275,12 +313,133 @@ fn extract_counter_bits(dst: &mut [u64], ones: u64, twos: u64, fours: u64) {
 }
 
 // ---------------------------------------------------------------------------
-// AVX2 variants (runtime-dispatched; the module's only unsafe code)
+// OLH support walk (OLH, CFO-binning and HH absorption)
+// ---------------------------------------------------------------------------
+
+/// An exact test for `x % g == y` under a fixed modulus `g ≥ 2` that uses
+/// only a multiply, a rotate and two compares (Hacker's Delight §10-17;
+/// Granlund and Montgomery, PLDI 1994, §9).
+///
+/// Write `g = 2ᵏ·o` with `o` odd. Multiplying by `o⁻¹ mod 2⁶⁴` is a
+/// bijection on `u64` that maps the multiples `q·o` of `o` onto
+/// `q ≤ ⌊(2⁶⁴−1)/o⌋`, and `2ᵏ | q·o` iff `q`'s low `k` bits are zero, which
+/// a right rotation by `k` moves to the top. So `g | n` iff
+/// `rotr(n·o⁻¹, k) ≤ ⌊(2⁶⁴−1)/g⌋`, for every `n: u64`. For `y < g`,
+/// `x % g == y` iff `x ≥ y` and `g | x − y`; for `y ≥ g` it never holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResidueTest {
+    g: u64,
+    /// `o⁻¹ mod 2⁶⁴` for the odd part `o` of `g`.
+    inverse: u64,
+    /// `k`, the power of two in `g`.
+    shift: u32,
+    /// `⌊(2⁶⁴−1)/g⌋`.
+    limit: u64,
+}
+
+impl ResidueTest {
+    /// Precomputes the test for modulus `g`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g < 2`.
+    #[must_use]
+    pub fn new(g: u64) -> Self {
+        assert!(g >= 2, "residue test modulo {g}");
+        let shift = g.trailing_zeros();
+        let odd = g >> shift;
+        // `odd·odd ≡ 1 (mod 8)`, and each Newton step doubles the number
+        // of correct low bits: 3 → 6 → 12 → 24 → 48 → 96 ≥ 64.
+        let mut inverse = odd;
+        for _ in 0..5 {
+            inverse = inverse.wrapping_mul(2u64.wrapping_sub(odd.wrapping_mul(inverse)));
+        }
+        debug_assert_eq!(odd.wrapping_mul(inverse), 1);
+        ResidueTest {
+            g,
+            inverse,
+            shift,
+            limit: u64::MAX / g,
+        }
+    }
+
+    /// `x % g == y`.
+    #[inline]
+    #[must_use]
+    pub fn hit(self, x: u64, y: u64) -> bool {
+        y < self.g
+            && x >= y
+            && (x - y).wrapping_mul(self.inverse).rotate_right(self.shift) <= self.limit
+    }
+}
+
+/// The scalar reference for [`olh_support`]: one [`mix64`] and one
+/// [`ResidueTest::hit`] per value.
+///
+/// [`mix64`]: crate::rng::mix64
+pub fn olh_support_scalar(
+    support: &mut [u64],
+    value_mix: &[u64],
+    seed: u64,
+    y: u64,
+    residue: ResidueTest,
+) {
+    debug_assert_eq!(support.len(), value_mix.len());
+    for (s, &m) in support.iter_mut().zip(value_mix) {
+        *s += u64::from(residue.hit(crate::rng::mix64(seed ^ m), y));
+    }
+}
+
+/// Adds one OLH report's support pattern to per-value counts: `support[v]`
+/// gains 1 iff `mix64(seed ^ value_mix[v]) % g == y`, where `value_mix[v]`
+/// is the cached inner hash `mix64(v)` and `g` is `residue`'s modulus —
+/// the O(d) walk behind every OLH, CFO-binning and HH level absorb.
+///
+/// The AVX-512 arm runs 8 lanes (`vpmullq` multiplies, `vprorq` rotate,
+/// unsigned mask compares and a masked add, the tail under a load mask);
+/// the AVX2 arm runs 4 lanes, each 64-bit multiply built from three
+/// `vpmuludq`. Both replay [`mix64`] and [`ResidueTest::hit`] exactly and
+/// the counts are exact `u64` additions, so every arm equals
+/// [`olh_support_scalar`] on every input.
+///
+/// [`mix64`]: crate::rng::mix64
+#[allow(unsafe_code)] // runtime-dispatched AVX-512/AVX2 call sites
+pub fn olh_support(
+    support: &mut [u64],
+    value_mix: &[u64],
+    seed: u64,
+    y: u64,
+    residue: ResidueTest,
+) {
+    debug_assert_eq!(support.len(), value_mix.len());
+    if y >= residue.g {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if avx512_enabled() {
+        // SAFETY: avx512_enabled() verified AVX-512F and AVX-512DQ
+        // support at runtime; y < g was checked above.
+        unsafe { avx512::olh_support_avx512(support, value_mix, seed, y, residue) };
+        return;
+    } else if simd_enabled() {
+        // SAFETY: simd_enabled() verified AVX2 support at runtime; y < g
+        // was checked above.
+        unsafe { avx2::olh_support_avx2(support, value_mix, seed, y, residue) };
+        return;
+    }
+    olh_support_scalar(support, value_mix, seed, y, residue);
+}
+
+// ---------------------------------------------------------------------------
+// AVX2 variants (runtime-dispatched; with the AVX-512 variant below, the
+// module's only unsafe code)
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx2 {
+    use super::ResidueTest;
+    use crate::rng::{FINALIZE_MULS, FINALIZE_SHIFTS, GAMMA};
     use core::arch::x86_64::*;
 
     /// # Safety
@@ -421,6 +580,149 @@ mod avx2 {
             *c += ((ones >> j) & 1) + (((twos >> j) & 1) << 1) + (((fours >> j) & 1) << 2);
         }
     }
+
+    /// `a·b mod 2⁶⁴` per lane from three 32×32→64 multiplies
+    /// (`vpmuludq`): `lo(a)·lo(b) + ((hi(a)·lo(b) + lo(a)·hi(b)) << 32)`;
+    /// the dropped `hi(a)·hi(b)` term is a multiple of 2⁶⁴. `b_hi` is `b`'s
+    /// high halves, precomputed for the constant operand.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn mullo_epi64(a: __m256i, b: __m256i, b_hi: __m256i) -> __m256i {
+        let lo_lo = _mm256_mul_epu32(a, b);
+        let hi_lo = _mm256_mul_epu32(_mm256_srli_epi64::<32>(a), b);
+        let lo_hi = _mm256_mul_epu32(a, b_hi);
+        _mm256_add_epi64(
+            lo_lo,
+            _mm256_slli_epi64::<32>(_mm256_add_epi64(hi_lo, lo_hi)),
+        )
+    }
+
+    /// # Safety
+    /// Caller must have verified AVX2 support; `y < residue.g`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn olh_support_avx2(
+        support: &mut [u64],
+        value_mix: &[u64],
+        seed: u64,
+        y: u64,
+        residue: ResidueTest,
+    ) {
+        let n = support.len().min(value_mix.len());
+        let blocks = n / 4;
+        let splat = |v: u64| _mm256_set1_epi64x(v as i64);
+        let (mul0, mul1) = (splat(FINALIZE_MULS[0]), splat(FINALIZE_MULS[1]));
+        let (mul0_hi, mul1_hi) = (splat(FINALIZE_MULS[0] >> 32), splat(FINALIZE_MULS[1] >> 32));
+        let inverse = splat(residue.inverse);
+        let inverse_hi = splat(residue.inverse >> 32);
+        let seed_v = splat(seed);
+        let gamma = splat(GAMMA);
+        // AVX2 compares 64-bit lanes only as signed: flipping the sign bit
+        // of both sides turns the unsigned order into the signed one.
+        let sign = splat(1 << 63);
+        let y_v = splat(y);
+        let y_signed = splat(y ^ (1 << 63));
+        let limit_signed = splat(residue.limit ^ (1 << 63));
+        let rotr = _mm_cvtsi64_si128(i64::from(residue.shift));
+        // A left shift by 64 (k = 0) yields zero, so rotr(v, 0) = v.
+        let rotl = _mm_cvtsi64_si128(64 - i64::from(residue.shift));
+        let one = splat(1);
+        let s = support.as_mut_ptr();
+        let m = value_mix.as_ptr();
+        for b in 0..blocks {
+            // SAFETY: 4*b + 3 < n by the blocks bound; loads are unaligned.
+            let mix = unsafe { _mm256_loadu_si256(m.add(4 * b).cast()) };
+            // mix64(seed ^ mix), lane by lane.
+            let z = _mm256_add_epi64(_mm256_xor_si256(seed_v, mix), gamma);
+            let z = _mm256_xor_si256(z, _mm256_srli_epi64::<{ FINALIZE_SHIFTS[0] as i32 }>(z));
+            let z = mullo_epi64(z, mul0, mul0_hi);
+            let z = _mm256_xor_si256(z, _mm256_srli_epi64::<{ FINALIZE_SHIFTS[1] as i32 }>(z));
+            let z = mullo_epi64(z, mul1, mul1_hi);
+            let x = _mm256_xor_si256(z, _mm256_srli_epi64::<{ FINALIZE_SHIFTS[2] as i32 }>(z));
+            // ResidueTest::hit: x ≥ y and rotr((x − y)·o⁻¹, k) ≤ limit.
+            let q = mullo_epi64(_mm256_sub_epi64(x, y_v), inverse, inverse_hi);
+            let q = _mm256_or_si256(_mm256_srl_epi64(q, rotr), _mm256_sll_epi64(q, rotl));
+            let below = _mm256_cmpgt_epi64(y_signed, _mm256_xor_si256(x, sign));
+            let over = _mm256_cmpgt_epi64(_mm256_xor_si256(q, sign), limit_signed);
+            let add = _mm256_andnot_si256(_mm256_or_si256(below, over), one);
+            let ptr = s.wrapping_add(4 * b).cast::<__m256i>();
+            // SAFETY: 4*b + 3 < n, so the 4-lane load/store stays in support.
+            let cur = unsafe { _mm256_loadu_si256(ptr) };
+            unsafe { _mm256_storeu_si256(ptr, _mm256_add_epi64(cur, add)) };
+        }
+        super::olh_support_scalar(
+            &mut support[blocks * 4..n],
+            &value_mix[blocks * 4..n],
+            seed,
+            y,
+            residue,
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// AVX-512 variant (runtime-dispatched)
+// ---------------------------------------------------------------------------
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod avx512 {
+    use super::ResidueTest;
+    use crate::rng::{FINALIZE_MULS, FINALIZE_SHIFTS, GAMMA};
+    use core::arch::x86_64::*;
+
+    /// # Safety
+    /// Caller must have verified AVX-512F and AVX-512DQ support;
+    /// `y < residue.g`.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    pub(super) unsafe fn olh_support_avx512(
+        support: &mut [u64],
+        value_mix: &[u64],
+        seed: u64,
+        y: u64,
+        residue: ResidueTest,
+    ) {
+        let n = support.len().min(value_mix.len());
+        let splat = |v: u64| _mm512_set1_epi64(v as i64);
+        let (mul0, mul1) = (splat(FINALIZE_MULS[0]), splat(FINALIZE_MULS[1]));
+        let inverse = splat(residue.inverse);
+        let seed_v = splat(seed);
+        let gamma = splat(GAMMA);
+        let y_v = splat(y);
+        let limit = splat(residue.limit);
+        let shift = splat(u64::from(residue.shift));
+        let one = splat(1);
+        let s = support.as_mut_ptr();
+        let m = value_mix.as_ptr();
+        let mut i = 0;
+        while i < n {
+            // A full block, or the tail under a lane mask: masked-off lanes
+            // are neither read nor written.
+            let lanes: __mmask8 = if n - i >= 8 {
+                0xFF
+            } else {
+                (1u8 << (n - i)) - 1
+            };
+            // SAFETY: lanes selects only indices i..min(i + 8, n), which are
+            // in bounds of both slices; masked-off lanes do not fault.
+            let mix = unsafe { _mm512_maskz_loadu_epi64(lanes, m.add(i).cast()) };
+            // mix64(seed ^ mix), lane by lane.
+            let z = _mm512_add_epi64(_mm512_xor_si512(seed_v, mix), gamma);
+            let z = _mm512_xor_si512(z, _mm512_srli_epi64::<{ FINALIZE_SHIFTS[0] }>(z));
+            let z = _mm512_mullo_epi64(z, mul0);
+            let z = _mm512_xor_si512(z, _mm512_srli_epi64::<{ FINALIZE_SHIFTS[1] }>(z));
+            let z = _mm512_mullo_epi64(z, mul1);
+            let x = _mm512_xor_si512(z, _mm512_srli_epi64::<{ FINALIZE_SHIFTS[2] }>(z));
+            // ResidueTest::hit: x ≥ y and rotr((x − y)·o⁻¹, k) ≤ limit.
+            let q = _mm512_mullo_epi64(_mm512_sub_epi64(x, y_v), inverse);
+            let q = _mm512_rorv_epi64(q, shift);
+            let hit = _mm512_mask_cmple_epu64_mask(_mm512_cmpge_epu64_mask(x, y_v), q, limit);
+            // SAFETY: as for the load above.
+            let cur = unsafe { _mm512_maskz_loadu_epi64(lanes, s.add(i).cast()) };
+            let sum = _mm512_mask_add_epi64(cur, hit, cur, one);
+            unsafe { _mm512_mask_storeu_epi64(s.add(i).cast(), lanes, sum) };
+            i += 8;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -483,6 +785,139 @@ mod tests {
                 assert_eq!(a, b, "d = {d}, rows = {n_rows}");
             }
         }
+    }
+
+    /// The inverse of [`crate::rng::mix64`]: undoes each xor-shift and
+    /// multiplies by each multiplier's inverse mod 2⁶⁴, so a test can pick
+    /// the hash `x` a lane sees.
+    fn unmix64(mut z: u64) -> u64 {
+        use crate::rng::{FINALIZE_MULS, FINALIZE_SHIFTS, GAMMA};
+        let unshift = |z: u64, s: u32| (0..64).step_by(s as usize).fold(0, |acc, k| acc ^ (z >> k));
+        // Both multipliers are odd, so `ResidueTest` holds their inverses.
+        let inverse = |a: u64| ResidueTest::new(a).inverse;
+        z = unshift(z, FINALIZE_SHIFTS[2]).wrapping_mul(inverse(FINALIZE_MULS[1]));
+        z = unshift(z, FINALIZE_SHIFTS[1]).wrapping_mul(inverse(FINALIZE_MULS[0]));
+        unshift(z, FINALIZE_SHIFTS[0]).wrapping_sub(GAMMA)
+    }
+
+    /// Value mixes that make lane `i` hash to `targets[i % targets.len()]`
+    /// under `seed`, over 33 lanes, so each target lands in several 4- and
+    /// 8-lane positions.
+    fn mixes_hashing_to(targets: &[u64], seed: u64) -> Vec<u64> {
+        (0..33)
+            .map(|i| unmix64(targets[i % targets.len()]) ^ seed)
+            .collect()
+    }
+
+    /// Runs `arm` and the scalar reference over every length 0..=33 (each
+    /// 4- and 8-lane remainder) and a spread of moduli, seeds and residues
+    /// `y < g`, asserting equal counts. Besides the hashes of `0..len`, each
+    /// case feeds hashes chosen at the residue test's edges: either side
+    /// of `y` and of `g`, and the `x < y` whose wrapped `x − y` is a
+    /// multiple of `g`, which only the `x ≥ y` guard rejects.
+    fn assert_olh_arm_matches_scalar(arm: impl Fn(&mut [u64], &[u64], u64, u64, ResidueTest)) {
+        let mut rng = SplitMix64::new(74);
+        for g in [2, 3, 4, 5, 8, 12, 13, 1 << 31, u64::from(u32::MAX)] {
+            let residue = ResidueTest::new(g);
+            for seed in [0, u64::MAX, rng.gen(), rng.gen()] {
+                for y in [0, 1, g / 2, g - 1, rng.gen_range(0..g)] {
+                    let wrapped = (y + g - (u64::MAX % g + 1) % g) % g;
+                    let targets = [
+                        0,
+                        y.saturating_sub(1),
+                        y,
+                        y + 1,
+                        g - 1,
+                        g,
+                        g + y,
+                        wrapped,
+                        u64::MAX - 1,
+                        u64::MAX,
+                        rng.gen(),
+                    ];
+                    let edges = mixes_hashing_to(&targets, seed);
+                    for len in 0..=33 {
+                        let hashed: Vec<u64> = (0..len as u64).map(crate::rng::mix64).collect();
+                        for mixes in [&hashed[..], &edges[..len]] {
+                            let start: Vec<u64> = (0..len as u64).map(|i| i * 3).collect();
+                            let mut a = start.clone();
+                            let mut b = start;
+                            arm(&mut a, mixes, seed, y, residue);
+                            olh_support_scalar(&mut b, mixes, seed, y, residue);
+                            assert_eq!(a, b, "len = {len}, g = {g}, seed = {seed}, y = {y}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unmix64_inverts_mix64() {
+        let mut rng = SplitMix64::new(76);
+        for x in [0, 1, u64::MAX, rng.gen(), rng.gen()] {
+            assert_eq!(crate::rng::mix64(unmix64(x)), x);
+        }
+    }
+
+    #[test]
+    fn olh_support_dispatch_matches_scalar_reference() {
+        assert_olh_arm_matches_scalar(olh_support);
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    #[allow(unsafe_code)]
+    fn olh_support_avx2_arm_matches_scalar_reference() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            eprintln!("skipped: no avx2 on this host");
+            return;
+        }
+        // SAFETY: AVX2 detected above; every case draws y < g.
+        assert_olh_arm_matches_scalar(|s, m, seed, y, r| unsafe {
+            avx2::olh_support_avx2(s, m, seed, y, r)
+        });
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    #[allow(unsafe_code)]
+    fn olh_support_avx512_arm_matches_scalar_reference() {
+        if !(std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512dq"))
+        {
+            eprintln!("skipped: no avx512f/avx512dq on this host");
+            return;
+        }
+        // SAFETY: AVX-512F and AVX-512DQ detected above; every case draws
+        // y < g.
+        assert_olh_arm_matches_scalar(|s, m, seed, y, r| unsafe {
+            avx512::olh_support_avx512(s, m, seed, y, r)
+        });
+    }
+
+    #[test]
+    fn residue_test_matches_modulo_and_rejects_out_of_range_residues() {
+        let mut rng = SplitMix64::new(75);
+        let moduli: [u64; 9] = [2, 3, 6, 7, 64, 96, u32::MAX as u64, 1 << 63, u64::MAX];
+        for g in moduli {
+            let residue = ResidueTest::new(g);
+            for _ in 0..200 {
+                let x: u64 = rng.gen();
+                let y = x % g;
+                assert!(residue.hit(x, y), "x = {x}, g = {g}");
+                assert!(!residue.hit(x, y ^ 1), "x = {x}, g = {g}");
+                if let Some(above) = y.checked_add(g) {
+                    assert!(!residue.hit(x, above), "x = {x}, g = {g}");
+                }
+            }
+        }
+        // y ≥ g never matches, even where x − y is a multiple of g.
+        let residue = ResidueTest::new(4);
+        assert!(!residue.hit(8, 4));
+        let mut support = [0u64; 9];
+        olh_support(&mut support, &[0; 9], 1, 4, residue);
+        assert_eq!(support, [0; 9]);
     }
 
     #[test]

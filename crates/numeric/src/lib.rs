@@ -22,13 +22,13 @@
 //! - [`stats`]: streaming and batch summary statistics.
 //! - [`exact`]: [`exact::ExactSum`], exact order-independent float
 //!   accumulation so sharded aggregation merges bit-identically.
-//! - [`kernels`]: runtime-dispatched SIMD/unrolled absorb kernels
-//!   (bit-identical to their scalar references; `LDP_NO_SIMD=1` forces
-//!   the scalar path).
+//! - [`kernels`]: runtime-dispatched SIMD/unrolled absorb kernels, among
+//!   them the OLH support walk (bit-identical to their scalar references;
+//!   `LDP_NO_SIMD=1` forces the scalar path).
 
-// The only unsafe code in this crate is the runtime-dispatched AVX2
-// intrinsic routines in `kernels`, which carries its own module-level
-// allowance; everything else stays denied.
+// The only unsafe code in this crate is the runtime-dispatched AVX2 and
+// AVX-512 intrinsic routines in `kernels`, which carry their own
+// item-level allowances; everything else stays denied.
 #![deny(unsafe_code)]
 // `!(x > 0.0)` is used deliberately throughout: unlike `x <= 0.0` it is
 // also true for NaN, which is exactly what the validators need to reject.

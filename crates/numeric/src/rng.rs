@@ -9,15 +9,22 @@
 use rand::{Error, RngCore, SeedableRng};
 
 /// The SplitMix64 state increment (Weyl constant).
-const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+pub(crate) const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The finalizer's xor-shift amounts, in order. Shared with the vector
+/// lanes of [`crate::kernels::olh_support`], which replay [`mix64`].
+pub(crate) const FINALIZE_SHIFTS: [u32; 3] = [30, 27, 31];
+
+/// The finalizer's two multipliers, in order.
+pub(crate) const FINALIZE_MULS: [u64; 2] = [0xBF58_476D_1CE4_E5B9, 0x94D0_49BB_1331_11EB];
 
 /// The 64-bit finalizer alone (no Weyl increment): the output function
 /// applied to each advanced state.
 #[inline]
 fn finalize(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    z = (z ^ (z >> FINALIZE_SHIFTS[0])).wrapping_mul(FINALIZE_MULS[0]);
+    z = (z ^ (z >> FINALIZE_SHIFTS[1])).wrapping_mul(FINALIZE_MULS[1]);
+    z ^ (z >> FINALIZE_SHIFTS[2])
 }
 
 /// The 64-bit finalizer from SplitMix64 / MurmurHash3.

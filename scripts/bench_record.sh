@@ -17,10 +17,20 @@
 #                                    # when the two were recorded on
 #                                    # different hosts (re-baseline then)
 #
+# Noise model: a full run takes EM_SAMPLES (5) samples of every
+# em_reconstruction key and stores each key's median as its value, with
+# the samples' [min, max] under `spread` and the count under `samples`.
+# `compare` gates the medians. Smoke runs take one sample;
+# sustained_ingest runs once.
+#
 # Each snapshot records a `host` identity: nproc, the CPU model from
 # /proc/cpuinfo, and the SIMD dispatch (`avx2` when the CPU has AVX2 and
 # LDP_NO_SIMD is unset or `0`, else `scalar`). Snapshots recorded before
-# that field existed are identified by `host_threads` alone.
+# that field existed are identified by `host_threads` alone. The top-level
+# `simd_kernels` field is the widest kernel arm the bench binary reports
+# it dispatched to (`avx512`, `avx2` or `scalar`; absent when the binary
+# does not report one); `compare` prints both sides' arms. It sits outside
+# `host`, so adding it changed no host identity.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,6 +50,8 @@ if not snapshots or len(snapshots) < 2:
           f"(found {len(snapshots or [])}); nothing to gate", file=sys.stderr)
     sys.exit(1)
 prev, last = snapshots[-2], snapshots[-1]
+print(f"bench compare: simd_kernels: {prev.get('simd_kernels', 'not recorded')} -> "
+      f"{last.get('simd_kernels', 'not recorded')}")
 
 # Timings from different hosts are not comparable: a changed host is a
 # re-baseline, not a regression. Older snapshots carry no `host` object,
@@ -72,6 +84,21 @@ GATED = [
 # kernel figure.
 INFORMATIONAL = {("em_iteration_ns", "ems_converging_d1024"),
                  ("em_iteration_ns", "ems_converging_d256")}
+
+
+def spread(section, key):
+    """Each side's recorded [min, max] over its samples, where it has one
+    (snapshots before the noise model hold a single sample per key)."""
+    sides = []
+    for snap in (prev, last):
+        lo_hi = snap.get("spread", {}).get(section, {}).get(key)
+        n = snap.get("samples", 1)
+        sides.append(f"{lo_hi[0]:.1f}..{lo_hi[1]:.1f} (n={n})" if lo_hi else "n=1")
+    if sides == ["n=1", "n=1"]:
+        return ""
+    return f"  [spread {sides[0]} -> {sides[1]}]"
+
+
 failed = False
 for section, unit in GATED:
     a, b = prev.get(section, {}), last.get(section, {})
@@ -86,11 +113,12 @@ for section, unit in GATED:
         ratio = b[key] / a[key]
         if (section, key) in INFORMATIONAL:
             print(f"bench compare: {section}/{key}: {a[key]:.1f} -> {b[key]:.1f} "
-                  f"{unit}  ({ratio:.1%} of baseline, informational)")
+                  f"{unit}  ({ratio:.1%} of baseline, informational)"
+                  f"{spread(section, key)}")
             continue
         verdict = "REGRESSION" if ratio > LIMIT else "ok"
         print(f"bench compare: {section}/{key}: {a[key]:.1f} -> {b[key]:.1f} "
-              f"{unit}  ({ratio:.1%} of baseline, {verdict})")
+              f"{unit}  ({ratio:.1%} of baseline, {verdict}){spread(section, key)}")
         if ratio > LIMIT:
             failed = True
 if failed:
@@ -103,34 +131,56 @@ PY
 fi
 
 OUT="BENCH_em.json"
+EM_SAMPLES=5
 if [ "$MODE" = "smoke" ]; then
   export BENCH_SMOKE=1
   OUT="BENCH_em.smoke.json"
+  EM_SAMPLES=1
 fi
 
-RAW_EM="$(cargo bench --bench em_reconstruction 2>&1 | tee /dev/stderr | grep '^bench: ' || true)"
+# One `sample:` marker line ahead of each em_reconstruction run's lines.
+RAW_EM=""
+for i in $(seq 1 "$EM_SAMPLES"); do
+  echo "bench_record: em_reconstruction sample $i/$EM_SAMPLES" >&2
+  LINES="$(cargo bench --bench em_reconstruction 2>&1 | tee /dev/stderr | grep -E '^(bench|simd_kernels): ' || true)"
+  RAW_EM="${RAW_EM}sample: $i"$'\n'"${LINES}"$'\n'
+done
 RAW_SERVE="$(cargo bench --bench sustained_ingest 2>&1 | tee /dev/stderr | grep '^bench: ' || true)"
-RAW="${RAW_EM}${RAW_SERVE:+$'\n'}${RAW_SERVE}"
-if [ -z "$RAW" ]; then
+if ! grep -q '^bench: ' <<<"${RAW_EM}${RAW_SERVE}"; then
   echo "bench_record: no 'bench:' lines captured" >&2
   exit 1
 fi
 
-# RAW travels via the environment: the script body arrives on stdin (the
-# heredoc), so piping the bench lines in as well would clobber it.
-RAW="$RAW" MODE="$MODE" OUT="$OUT" python3 - <<'PY'
-import datetime, json, os, re, sys
+# The bench lines travel via the environment: the script body arrives on
+# stdin (the heredoc), so piping them in as well would clobber it.
+RAW_EM="$RAW_EM" RAW_SERVE="$RAW_SERVE" MODE="$MODE" OUT="$OUT" python3 - <<'PY'
+import datetime, json, os, re, statistics, sys
 
 mode, out = os.environ["MODE"], os.environ["OUT"]
 
-ns = {}
-for line in os.environ["RAW"].splitlines():
-    parts = line.split()
-    if len(parts) >= 3 and parts[0] == "bench:":
-        ns[parts[1]] = float(parts[2])
+def parse(lines):
+    ns = {}
+    for line in lines:
+        parts = line.split()
+        if len(parts) >= 3 and parts[0] == "bench:":
+            ns[parts[1]] = float(parts[2])
+    return ns
 
-def host_identity():
-    model, avx2 = "unknown", False
+em_samples = []
+arms = set()
+for line in os.environ["RAW_EM"].splitlines():
+    if line.startswith("simd_kernels: "):
+        arms.add(line.split()[1])
+    elif line.startswith("sample: "):
+        em_samples.append([])
+    elif em_samples:
+        em_samples[-1].append(line)
+em_samples = [parse(lines) for lines in em_samples]
+em_samples = [ns for ns in em_samples if ns]
+serve_ns = parse(os.environ["RAW_SERVE"].splitlines())
+
+def cpu_model_and_flags():
+    model, flags = "unknown", set()
     try:
         with open("/proc/cpuinfo") as f:
             for line in f:
@@ -138,17 +188,22 @@ def host_identity():
                 key = key.strip()
                 if key == "model name" and model == "unknown":
                     model = value.strip()
-                elif key == "flags" and "avx2" in value.split():
-                    avx2 = True
+                elif key == "flags" and not flags:
+                    flags = set(value.split())
     except OSError:
         pass
-    # Mirrors the kernels' dispatch rule: LDP_NO_SIMD set to anything but
-    # "" or "0" forces the scalar path.
-    forced_off = os.environ.get("LDP_NO_SIMD", "") not in ("", "0")
+    return model, flags
+
+MODEL, FLAGS = cpu_model_and_flags()
+# Mirrors the kernels' dispatch rule: LDP_NO_SIMD set to anything but
+# "" or "0" forces the scalar path.
+FORCED_OFF = os.environ.get("LDP_NO_SIMD", "") not in ("", "0")
+
+def host_identity():
     return {
         "nproc": os.cpu_count() or 1,
-        "cpu_model": model,
-        "simd": "avx2" if avx2 and not forced_off else "scalar",
+        "cpu_model": MODEL,
+        "simd": "avx2" if "avx2" in FLAGS and not FORCED_OFF else "scalar",
     }
 
 def env_threads():
@@ -157,6 +212,72 @@ def env_threads():
         return int(override)
     return os.cpu_count() or 1
 
+DERIVED = [
+    "em_iteration_ns",
+    "grid_ns_per_trial",
+    "bootstrap_ns_per_replicate",
+    "streaming_agg_ns_per_report",
+    "absorb_ns_per_report",
+    "absorb_push_ns_per_report",
+    "absorb_pooled_ns_per_report",
+    "sustained_ingest_ns_per_report",
+    "sustained_ingest_reports_per_sec",
+]
+
+def derive(ns):
+    """Per-unit-of-work keys from one sample's raw ns-per-call figures."""
+    out = {section: {} for section in DERIVED}
+    for name, v in sorted(ns.items()):
+        m = re.fullmatch(r"em_fixed/(\w+)_d(\d+)_iters(\d+)", name)
+        if m:
+            kind, d, iters = m.group(1), m.group(2), int(m.group(3))
+            out["em_iteration_ns"][f"{kind}_d{d}"] = round(v / iters, 1)
+        m = re.fullmatch(r"grid/(\w+?)_jobs(\d+)_d(\d+)", name)
+        if m:
+            label, jobs, d = m.group(1), int(m.group(2)), m.group(3)
+            out["grid_ns_per_trial"][f"{label}_d{d}"] = round(v / jobs, 1)
+        m = re.fullmatch(r"bootstrap/replicates(\d+)_d(\d+)", name)
+        if m:
+            reps, d = int(m.group(1)), m.group(2)
+            out["bootstrap_ns_per_replicate"][f"d{d}"] = round(v / reps, 1)
+        m = re.fullmatch(r"streaming/(\w+?)_n(\d+)_d(\d+)", name)
+        if m:
+            path, n, d = m.group(1), int(m.group(2)), m.group(3)
+            out["streaming_agg_ns_per_report"][f"{path}_d{d}"] = round(v / n, 2)
+        m = re.fullmatch(r"absorb/(\w+?)_n(\d+)", name)
+        if m:
+            fam, n = m.group(1), int(m.group(2))
+            out["absorb_ns_per_report"][fam] = round(v / n, 2)
+        m = re.fullmatch(r"absorb_push/(\w+?)_n(\d+)", name)
+        if m:
+            fam, n = m.group(1), int(m.group(2))
+            out["absorb_push_ns_per_report"][fam] = round(v / n, 2)
+        m = re.fullmatch(r"absorb_pooled/(\w+?)_n(\d+)_w(\d+)", name)
+        if m:
+            fam, n, w = m.group(1), int(m.group(2)), m.group(3)
+            out["absorb_pooled_ns_per_report"][f"{fam}_w{w}"] = round(v / n, 2)
+        m = re.fullmatch(r"sustained/ingest_c(\d+)_n(\d+)", name)
+        if m:
+            conns, n = m.group(1), int(m.group(2))
+            out["sustained_ingest_ns_per_report"][f"c{conns}"] = round(v / n, 1)
+            out["sustained_ingest_reports_per_sec"][f"c{conns}"] = round(n / (v * 1e-9))
+    return out
+
+def median_and_spread(samples):
+    """Per key: the median over the samples that measured it, and their
+    [min, max]."""
+    keys = sorted(set().union(*samples)) if samples else []
+    medians, spreads = {}, {}
+    for key in keys:
+        values = [s[key] for s in samples if key in s]
+        medians[key] = round(statistics.median(values), 2)
+        spreads[key] = [min(values), max(values)]
+    return medians, spreads
+
+raw_medians, _ = median_and_spread(em_samples)
+per_sample = [derive(ns) for ns in em_samples]
+serve = derive(serve_ns)
+
 snapshot = {
     "mode": mode,
     "recorded_at": datetime.datetime.now(datetime.timezone.utc)
@@ -164,8 +285,10 @@ snapshot = {
     "host_threads": os.cpu_count() or 1,
     "host": host_identity(),
     "pool_threads": env_threads(),
+    "samples": len(em_samples),
     "em_iters_per_call": 32,
-    "median_ns_per_call": {k: round(v, 1) for k, v in sorted(ns.items())},
+    "median_ns_per_call": {k: round(v, 1)
+                           for k, v in sorted({**raw_medians, **serve_ns}.items())},
     "em_iteration_ns": {},
     "em_speedup_structured_vs_dense": {},
     "grid_ns_per_trial": {},
@@ -177,42 +300,18 @@ snapshot = {
     "absorb_speedup_slice_vs_push": {},
     "sustained_ingest_ns_per_report": {},
     "sustained_ingest_reports_per_sec": {},
+    "spread": {},
 }
-
-for name, v in sorted(ns.items()):
-    m = re.fullmatch(r"em_fixed/(\w+)_d(\d+)_iters(\d+)", name)
-    if m:
-        kind, d, iters = m.group(1), m.group(2), int(m.group(3))
-        snapshot["em_iteration_ns"][f"{kind}_d{d}"] = round(v / iters, 1)
-    m = re.fullmatch(r"grid/(\w+?)_jobs(\d+)_d(\d+)", name)
-    if m:
-        label, jobs, d = m.group(1), int(m.group(2)), m.group(3)
-        snapshot["grid_ns_per_trial"][f"{label}_d{d}"] = round(v / jobs, 1)
-    m = re.fullmatch(r"bootstrap/replicates(\d+)_d(\d+)", name)
-    if m:
-        reps, d = int(m.group(1)), m.group(2)
-        snapshot["bootstrap_ns_per_replicate"][f"d{d}"] = round(v / reps, 1)
-    m = re.fullmatch(r"streaming/(\w+?)_n(\d+)_d(\d+)", name)
-    if m:
-        path, n, d = m.group(1), int(m.group(2)), m.group(3)
-        snapshot["streaming_agg_ns_per_report"][f"{path}_d{d}"] = round(v / n, 2)
-    m = re.fullmatch(r"absorb/(\w+?)_n(\d+)", name)
-    if m:
-        fam, n = m.group(1), int(m.group(2))
-        snapshot["absorb_ns_per_report"][fam] = round(v / n, 2)
-    m = re.fullmatch(r"absorb_push/(\w+?)_n(\d+)", name)
-    if m:
-        fam, n = m.group(1), int(m.group(2))
-        snapshot["absorb_push_ns_per_report"][fam] = round(v / n, 2)
-    m = re.fullmatch(r"absorb_pooled/(\w+?)_n(\d+)_w(\d+)", name)
-    if m:
-        fam, n, w = m.group(1), int(m.group(2)), m.group(3)
-        snapshot["absorb_pooled_ns_per_report"][f"{fam}_w{w}"] = round(v / n, 2)
-    m = re.fullmatch(r"sustained/ingest_c(\d+)_n(\d+)", name)
-    if m:
-        conns, n = m.group(1), int(m.group(2))
-        snapshot["sustained_ingest_ns_per_report"][f"c{conns}"] = round(v / n, 1)
-        snapshot["sustained_ingest_reports_per_sec"][f"c{conns}"] = round(n / (v * 1e-9))
+if len(arms) > 1:
+    sys.exit(f"bench_record: the samples dispatched to different kernel arms: {sorted(arms)}")
+if arms:
+    snapshot["simd_kernels"] = arms.pop()
+for section in DERIVED:
+    medians, spreads = median_and_spread([s[section] for s in per_sample])
+    # sustained_ingest runs once, outside the em_reconstruction samples.
+    snapshot[section] = {**medians, **serve[section]}
+    if spreads:
+        snapshot["spread"][section] = spreads
 
 # Kernel-path speedup per family: the per-report push baseline over the
 # bulk absorb_slice path (the bit-count families are the headline).

@@ -1,8 +1,9 @@
 //! Kernel-equivalence differential suite: every vectorized / unrolled
 //! kernel in `ldp_numeric::kernels`, the batched `SplitMix64` fills, and
 //! `ExactSum::add_slice` are pinned **bit-for-bit** against their scalar
-//! serial references, and the OLH support walk (divide-free remainder over
-//! cached value mixes) is pinned against a reference loop over `olh_hash`.
+//! serial references, and the OLH support walk (multiply-only residue test
+//! over cached value mixes) is pinned against a reference loop over
+//! `olh_hash`.
 //!
 //! The suite sweeps domain sizes `d ∈ {1, 2, 7, 64, 257, 1024}`, every
 //! lane-remainder length (0..=17 and beyond the 4-lane / 7-row block
@@ -16,11 +17,11 @@
 
 use proptest::prelude::*;
 use rand::Rng;
-use sw_ldp::cfo::olh::{olh_hash, FastRemainder, OlhReport};
+use sw_ldp::cfo::olh::{olh_hash, OlhReport};
 use sw_ldp::cfo::{AdaptiveOracle, BinningEstimator, Olh, OracleKind};
 use sw_ldp::core_api::{Aggregator, Client, Mechanism};
 use sw_ldp::hierarchy::HierarchicalHistogram;
-use sw_ldp::numeric::kernels;
+use sw_ldp::numeric::kernels::{self, ResidueTest};
 use sw_ldp::numeric::{ExactSum, SplitMix64};
 
 /// Domain sizes crossing every dispatch boundary: single bucket, tiny,
@@ -321,31 +322,82 @@ fn batched_rng_golden_vector_pin() {
 }
 
 // ---------------------------------------------------------------------------
-// OLH support walk: divide-free remainder over cached value mixes
+// OLH support walk: multiply-only residue test over cached value mixes
 // ---------------------------------------------------------------------------
 
-/// Numerators at the edges of the remainder: zero, either side of `g`, and
-/// the top of the u64 range.
+/// Numerators at the edges of the residue test: zero, either side of `g`,
+/// and the top of the u64 range.
 fn remainder_edges(g: u64) -> [u64; 5] {
     [0, g - 1, g, u64::MAX - 1, u64::MAX]
 }
 
+/// Residues to probe under modulus `g`: every one for `g ≤ 64`, else both
+/// ends and the middle.
+fn probe_residues(g: u64) -> Vec<u64> {
+    if g <= 64 {
+        (0..g).collect()
+    } else {
+        vec![0, 1, g / 2, g - 2, g - 1]
+    }
+}
+
 #[test]
-fn fast_remainder_equals_modulo_at_the_edges() {
+fn residue_test_equals_modulo_at_the_edges() {
     let near_u32_max = (u64::from(u32::MAX) - 8)..=u64::from(u32::MAX);
     let wide = [1 << 32, 1 << 63, (1 << 63) + 1, u64::MAX];
     for g in (2..=64).chain(near_u32_max).chain(wide) {
-        let rem = FastRemainder::new(g);
-        for x in remainder_edges(g) {
-            assert_eq!(rem.reduce(x), x % g, "x = {x}, g = {g}");
+        let test = ResidueTest::new(g);
+        for y in probe_residues(g) {
+            // x ∈ {y − 1, y, g + y} straddles the x ≥ y guard and the
+            // first wrap of the residue.
+            let near = [y.checked_sub(1), Some(y), g.checked_add(y)];
+            for x in remainder_edges(g)
+                .into_iter()
+                .chain(near.into_iter().flatten())
+            {
+                assert_eq!(test.hit(x, y), x % g == y, "x = {x}, y = {y}, g = {g}");
+            }
         }
     }
 }
 
 #[test]
-#[should_panic(expected = "remainder by 1")]
-fn fast_remainder_rejects_a_divisor_below_two() {
-    let _ = FastRemainder::new(1);
+#[should_panic(expected = "residue test modulo 1")]
+fn residue_test_rejects_a_modulus_below_two() {
+    let _ = ResidueTest::new(1);
+}
+
+/// Support counts by the definition over values `0..len`: `support[v]`
+/// counts `olh_hash(seed, v, g) == y`.
+fn hash_support(len: usize, g: u64, seed: u64, y: u64) -> Vec<u64> {
+    (0..len)
+        .map(|v| u64::from(u64::from(olh_hash(seed, v, g as usize)) == y))
+        .collect()
+}
+
+#[test]
+fn olh_support_equals_scalar_at_every_lane_remainder() {
+    let mut rng = SplitMix64::new(0x01E);
+    for g in [2, 3, 4, 5, 8, 12, 13, 1 << 31, u64::from(u32::MAX)] {
+        let residue = ResidueTest::new(g);
+        // 0..=33 lands every 4- and 8-lane remainder, several times over.
+        for len in 0..=33usize {
+            let mixes: Vec<u64> = (0..len as u64).map(sw_ldp::numeric::rng::mix64).collect();
+            for _ in 0..6 {
+                let (seed, y) = (rng.gen::<u64>(), rng.gen_range(0..g));
+                let mut fast = vec![0u64; len];
+                let mut scalar = vec![0u64; len];
+                kernels::olh_support(&mut fast, &mixes, seed, y, residue);
+                kernels::olh_support_scalar(&mut scalar, &mixes, seed, y, residue);
+                assert_eq!(fast, scalar, "len = {len}, g = {g}, seed = {seed}, y = {y}");
+                assert_eq!(
+                    scalar,
+                    hash_support(len, g, seed, y),
+                    "len = {len}, g = {g}"
+                );
+            }
+        }
+    }
 }
 
 /// Per-value support counts by the definition: report `(seed, y)` supports
@@ -364,10 +416,11 @@ fn reference_support(d: usize, g: usize, reports: &[OlhReport]) -> Vec<u64> {
 
 #[test]
 fn olh_support_walk_equals_the_hash_reference() {
-    // d = 1 is not a valid domain; 2..=9 lands every 4-lane remainder.
+    // d = 1 is not a valid domain; 2..=17 lands every 4- and 8-lane
+    // remainder.
     assert!(Olh::with_hash_range(1, 1.0, 2).is_err());
     let mut rng = SplitMix64::new(0x01F);
-    for d in (2..=9).chain([256]) {
+    for d in (2..=17).chain([256]) {
         for g in 2..=13 {
             let olh = Olh::with_hash_range(d, 1.0, g).unwrap();
             let reports: Vec<_> = (0..64)
@@ -470,14 +523,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn prop_fast_remainder_equals_modulo(
+    fn prop_residue_test_equals_modulo(
         x in 0u64..=u64::MAX,
+        y in 0u64..=u64::MAX,
         g_hash in 2u64..=u64::from(u32::MAX),
         g_small in 2u64..=64,
         g_any in 2u64..=u64::MAX,
     ) {
         for g in [g_hash, g_small, g_any] {
-            prop_assert_eq!(FastRemainder::new(g).reduce(x), x % g);
+            let test = ResidueTest::new(g);
+            for y in [y, y % g, x % g] {
+                prop_assert_eq!(test.hit(x, y), x % g == y);
+            }
         }
     }
 
