@@ -3,8 +3,8 @@
 //! Failure is the default-handled case on the serve path, and the only way
 //! to keep that true is to *schedule* failures in tests and drills instead
 //! of hoping for them. This module provides named **failpoints** at the
-//! seams where real deployments break — frame reads, decodes, commit-queue
-//! pushes, ack writes, and the snapshot tmp-write/rename pair — and a tiny
+//! seams where real deployments break — frame reads, decodes, commit
+//! handoffs, ack writes, and the snapshot tmp-write/rename pair — and a tiny
 //! schedule grammar for arming them:
 //!
 //! ```text
@@ -19,7 +19,7 @@
 //!
 //! Examples: `ack-write=exit@5` crashes the process (exit code
 //! [`FAULT_EXIT_CODE`]) the fifth time any success ack is about to be
-//! written — *after* the absorber committed, the canonical double-count
+//! written — *after* the batch was committed, the canonical double-count
 //! hazard; `snap-write=torn@2` tears the second snapshot tmp-file write in
 //! half and fails it.
 //!
@@ -47,8 +47,8 @@ pub const FAULT_EXIT_CODE: i32 = 42;
 
 /// Every failpoint name the serve path defines.
 ///
-/// `absorb` sits in the absorber stage immediately before a batch is
-/// committed (the supervisor's test seam); `admission` fires in the
+/// `absorb` sits in the commit step, under the window's lock, immediately
+/// before a batch is merged (the supervisor's test seam); `admission` fires in the
 /// acceptor as a connection is about to be admitted (forcing a busy-shed
 /// of an otherwise-admittable peer); `ack-evict` fires as a success ack is
 /// about to be written and simulates a slow-consumer ack-deadline expiry

@@ -1,4 +1,6 @@
-//! Token-bucket admission for the serve path's per-connection rate cap.
+//! The serve path's two admission limits: the token bucket behind the
+//! per-connection rate cap, and the per-window `ByteBudget` behind
+//! `--memory-budget-bytes`.
 //!
 //! The serve path charges every data frame against a per-connection
 //! bucket sized in **reports per second** (`--max-rps-per-conn`). The
@@ -14,6 +16,7 @@
 //! suite pins — over any window `w`, admitted cost ≤ `rate × w + burst` —
 //! is testable deterministically, with simulated time.
 
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::time::{Duration, Instant};
 
 /// A continuous-refill token bucket.
@@ -81,6 +84,86 @@ impl TokenBucket {
     #[must_use]
     pub fn burst(&self) -> f64 {
         self.burst
+    }
+}
+
+/// One window's pipeline byte budget: a charge counter shared by every
+/// reactor thread. A frame body is charged before its buffer exists and
+/// released once its commit has applied (or on an early-out path), so the
+/// budget bounds in-flight decode memory.
+///
+/// A charge is admitted when it fits under the limit, or when nothing is
+/// charged at all — one frame larger than the whole budget still makes
+/// progress instead of parking forever. The high-water mark of charged
+/// bytes is recorded for [`crate::server::ServeSummary::peak_queue_bytes`].
+///
+/// Waiting is the caller's: a refused connection calls
+/// [`ByteBudget::park`] and then retries [`ByteBudget::try_charge`] once
+/// more. [`ByteBudget::release`] reports whether anyone is parked, and
+/// only then does the caller wake the other reactors. Because both sides
+/// are sequentially consistent, either the re-check sees the release or
+/// the release sees the park, so no release is missed.
+#[derive(Debug)]
+pub(crate) struct ByteBudget {
+    /// The byte limit (`usize::MAX` = unbounded).
+    limit: usize,
+    used: AtomicUsize,
+    peak: AtomicUsize,
+    /// Connections currently parked on this budget.
+    parked: AtomicUsize,
+}
+
+impl ByteBudget {
+    /// A budget of `limit` bytes; `0` = unbounded (charges are still
+    /// counted, so the peak is measured).
+    pub(crate) fn new(limit: usize) -> Self {
+        ByteBudget {
+            limit: if limit == 0 { usize::MAX } else { limit },
+            used: AtomicUsize::new(0),
+            peak: AtomicUsize::new(0),
+            parked: AtomicUsize::new(0),
+        }
+    }
+
+    /// Charges `bytes` if the budget admits them right now.
+    pub(crate) fn try_charge(&self, bytes: usize) -> bool {
+        let mut used = self.used.load(SeqCst);
+        loop {
+            if used != 0 && used.saturating_add(bytes) > self.limit {
+                return false;
+            }
+            let next = used.saturating_add(bytes);
+            match self.used.compare_exchange_weak(used, next, SeqCst, SeqCst) {
+                Ok(_) => {
+                    self.peak.fetch_max(next, SeqCst);
+                    return true;
+                }
+                Err(now) => used = now,
+            }
+        }
+    }
+
+    /// Returns a charge. `true` means a connection is parked on this
+    /// budget and should be woken to retry.
+    pub(crate) fn release(&self, bytes: usize) -> bool {
+        self.used.fetch_sub(bytes, SeqCst);
+        self.parked.load(SeqCst) > 0
+    }
+
+    /// Counts a connection as parked. Retry [`ByteBudget::try_charge`]
+    /// after this call, so a release that raced the refusal is not missed.
+    pub(crate) fn park(&self) {
+        self.parked.fetch_add(1, SeqCst);
+    }
+
+    /// Uncounts a parked connection (its charge was granted, or it closed).
+    pub(crate) fn unpark(&self) {
+        self.parked.fetch_sub(1, SeqCst);
+    }
+
+    /// The most bytes ever charged at once.
+    pub(crate) fn peak(&self) -> usize {
+        self.peak.load(SeqCst)
     }
 }
 
@@ -178,5 +261,66 @@ mod tests {
                 "case {case}: admitted {admitted} > rate {rate} x window {window} + burst {burst}"
             );
         }
+    }
+
+    #[test]
+    fn byte_budget_refuses_over_the_limit_and_admits_after_release() {
+        let budget = ByteBudget::new(100);
+        assert!(budget.try_charge(60));
+        assert!(!budget.try_charge(60), "120 > 100");
+        assert!(!budget.release(60), "nobody is parked");
+        assert!(budget.try_charge(60));
+        budget.release(60);
+        assert_eq!(budget.peak(), 60, "the two charges never overlapped");
+    }
+
+    #[test]
+    fn an_oversized_charge_is_admitted_when_nothing_is_charged() {
+        let budget = ByteBudget::new(10);
+        assert!(budget.try_charge(50));
+        assert!(!budget.try_charge(1));
+        budget.release(50);
+        assert!(budget.try_charge(1));
+        assert_eq!(budget.peak(), 50);
+    }
+
+    #[test]
+    fn an_unbounded_budget_still_measures_its_peak() {
+        let budget = ByteBudget::new(0);
+        assert!(budget.try_charge(1 << 40));
+        assert!(budget.try_charge(1 << 40));
+        assert_eq!(budget.peak(), 2 << 40);
+    }
+
+    #[test]
+    fn a_release_reports_parked_connections() {
+        let budget = ByteBudget::new(10);
+        assert!(budget.try_charge(10));
+        assert!(!budget.try_charge(5));
+        budget.park();
+        assert!(budget.release(10), "a parked connection must be woken");
+        assert!(budget.try_charge(5), "the re-check after parking succeeds");
+        budget.unpark();
+        assert!(!budget.release(5));
+    }
+
+    #[test]
+    fn concurrent_chargers_never_exceed_the_limit() {
+        const PAYLOAD: usize = 64;
+        let budget = ByteBudget::new(PAYLOAD + PAYLOAD / 2);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..200 {
+                        while !budget.try_charge(PAYLOAD) {
+                            std::thread::yield_now();
+                        }
+                        budget.release(PAYLOAD);
+                    }
+                });
+            }
+        });
+        assert_eq!(budget.peak(), PAYLOAD, "one payload fits at a time");
+        assert!(budget.try_charge(PAYLOAD + PAYLOAD / 2), "all released");
     }
 }

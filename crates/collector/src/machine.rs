@@ -79,8 +79,8 @@ pub enum Action {
     Send(Vec<u8>),
     /// Charge `bytes` against window `window`'s pipeline budget, then
     /// call [`Machine::budget_granted`] (the machine is paused until
-    /// then). If the budget is exhausted right now, retry when the
-    /// window's absorber makes progress; if the absorber is gone, call
+    /// then). If the budget is exhausted right now, retry once a charge
+    /// is released; if the window can no longer commit, call
     /// [`Machine::absorber_gone`].
     Reserve {
         /// Index into [`MachineConfig::windows`].
@@ -89,16 +89,16 @@ pub enum Action {
         bytes: usize,
     },
     /// Release a charge previously granted for window `window` (an
-    /// early-out path: the bytes never reached the commit queue).
+    /// early-out path: the bytes never reached a commit).
     Release {
         /// Index into [`MachineConfig::windows`].
         window: usize,
         /// Bytes to release.
         bytes: usize,
     },
-    /// Submit this commit to its window's absorber, then call
+    /// Apply this commit to its window, then call
     /// [`Machine::commit_done`] with the outcome (the machine is paused
-    /// until then). If the absorber is gone, call
+    /// until then). If the window can no longer commit, call
     /// [`Machine::absorber_gone`].
     Commit(CommitRequest),
     /// A frame was shed by the rate limiter — count it.
@@ -109,8 +109,7 @@ pub enum Action {
     End(MachineEnd),
 }
 
-/// A commit the machine asks its driver to run through a window's
-/// absorber.
+/// A commit the machine asks to have applied to a window.
 pub enum CommitRequest {
     /// A sequenced session's hello: resolve the dedup cursor.
     Hello {
@@ -119,9 +118,8 @@ pub enum CommitRequest {
         /// The stable session id.
         session: String,
     },
-    /// A decoded batch. `weight` is the byte charge being transferred
-    /// into the queue (already granted; the absorber releases it at
-    /// pop).
+    /// A decoded batch. `weight` is the byte charge the batch carries
+    /// (already granted; it is released once the commit has applied).
     Batch {
         /// Index into [`MachineConfig::windows`].
         window: usize,
@@ -144,14 +142,14 @@ pub enum CommitRequest {
 
 /// The outcome the driver feeds back for a [`CommitRequest`].
 pub enum CommitDone {
-    /// The absorber's answer to [`CommitRequest::Hello`].
+    /// The answer to [`CommitRequest::Hello`].
     Hello {
         /// The next sequence number the window expects for the id.
         cursor: u64,
     },
-    /// The absorber's answer to [`CommitRequest::Batch`].
+    /// The answer to [`CommitRequest::Batch`].
     Batch(Result<(), CollectorError>),
-    /// The absorber's answer to [`CommitRequest::Flush`].
+    /// The answer to [`CommitRequest::Flush`].
     Flush(Result<u64, CollectorError>),
 }
 
@@ -377,7 +375,7 @@ impl Machine {
         }
     }
 
-    /// Resolves an [`Action::Commit`] with the absorber's outcome.
+    /// Resolves an [`Action::Commit`] with the commit's outcome.
     pub fn commit_done(&mut self, done: CommitDone, out: &mut Vec<Action>) {
         match (std::mem::replace(&mut self.phase, Phase::Ended), done) {
             (
@@ -437,8 +435,8 @@ impl Machine {
         }
     }
 
-    /// The window's absorber is gone (its commit queue disconnected, a
-    /// reservation failed, or a pending commit was cancelled). Ends the
+    /// The window can no longer commit (a commit on it panicked, or the
+    /// pipeline stopped before answering a pending commit). Ends the
     /// session.
     pub fn absorber_gone(&mut self, out: &mut Vec<Action>) {
         self.release_charge(out);
@@ -564,7 +562,7 @@ impl Machine {
             };
             // The hello's byte charge stays held across the commit; it is
             // released in commit_done. The commit targets the *routed* window (its
-            // absorber owns the cursor), while data frames switch windows
+            // session owns the cursor), while data frames switch windows
             // only after the hello ack.
             self.phase = Phase::AwaitHello {
                 session: hello.session.clone(),
@@ -623,8 +621,8 @@ impl Machine {
             self.end(MachineEnd::Failed(faults::error("commit-push")), out);
             return;
         }
-        // Transfer the charge into the queue: the absorber releases it at
-        // pop, exactly like `try_push_reserved`'s weight.
+        // The charge travels with the batch and is released once the
+        // commit has applied.
         let weight = self.charge.take().map_or(0, |(_, bytes)| bytes);
         self.phase = Phase::AwaitBatch;
         out.push(Action::Commit(CommitRequest::Batch {

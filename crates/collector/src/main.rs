@@ -11,7 +11,7 @@
 //! ldp-collector specs
 //! ldp-collector serve    --mechanism SPEC --listen ADDR [--snapshot FILE]
 //!                        [--snapshot-every N] [--keep N] [--max-connections K]
-//!                        [--connections N] [--queue-depth Q] [--idle-timeout MS]
+//!                        [--connections N] [--idle-timeout MS]
 //!                        [--max-frame-bytes B] [--max-rps-per-conn R]
 //!                        [--memory-budget-bytes B] [--report-quota N]
 //!                        [--busy-retry-ms MS] [--ack-deadline-ms MS]
@@ -93,7 +93,7 @@ fn print_help() {
     println!("  specs    list every mechanism spec name with its parameters");
     println!("  serve    --mechanism SPEC --listen ADDR [--snapshot FILE]");
     println!("           [--snapshot-every N] [--keep N] [--max-connections K]");
-    println!("           [--connections N] [--queue-depth Q] [--idle-timeout MS]");
+    println!("           [--connections N] [--idle-timeout MS]");
     println!("           [--max-frame-bytes B] [--max-rps-per-conn R]");
     println!("           [--memory-budget-bytes B] [--report-quota N]");
     println!("           [--busy-retry-ms MS] [--ack-deadline-ms MS]");
@@ -381,7 +381,6 @@ const SERVE_FLAGS: &[&str] = &[
     "keep",
     "max-connections",
     "connections",
-    "queue-depth",
     "idle-timeout",
     "max-frame-bytes",
     "max-rps-per-conn",
@@ -431,7 +430,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CollectorError> {
     let options = ServeOptions {
         max_connections: flags.u64_or("max-connections", defaults.max_connections as u64)? as usize,
         connections: flags.u64_or("connections", 0)?,
-        queue_depth: flags.u64_or("queue-depth", defaults.queue_depth as u64)? as usize,
         shutdown: Arc::new(AtomicBool::new(false)),
         idle_timeout: match flags.u64_or("idle-timeout", 0)? {
             0 => None,
@@ -462,7 +460,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CollectorError> {
         session.mechanism_id()
     );
     // Routed windows: `--window name=spec` each gets its own
-    // session, absorber, and snapshot file `<snapshot>.<name>`.
+    // session, commit lock, and snapshot file `<snapshot>.<name>`.
     let mut windows = Vec::new();
     for decl in flags.get_all("window") {
         let (name, spec) = decl.split_once('=').ok_or_else(|| {

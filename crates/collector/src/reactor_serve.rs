@@ -1,47 +1,58 @@
 //! The serve engine: N epoll reactor threads multiplexing every
 //! admitted connection through the resumable protocol machine
-//! ([`crate::machine`]) into per-window absorber/snapshot pipelines —
-//! plus the multi-window session router ([`crate::server::serve_routed`]).
+//! ([`crate::machine`]) and committing each decoded frame into its window
+//! themselves — plus the multi-window session router
+//! ([`crate::server::serve_routed`]).
 //!
 //! # Shape
 //!
 //! ```text
-//!             ┌ reactor thread 0 ── epoll ── conns… ┐
-//!  acceptor ──┤ reactor thread 1 ── epoll ── conns… ├─┬─ "default" absorber ── spool ── writer
-//!  (admission,│ …                                   │ ├─ "hourly"  absorber ── spool ── writer
-//!   quota,    └ reactor thread N ── epoll ── conns… ┘ └─ "coarse"  absorber ── spool ── writer
-//!   backoff)
+//!             ┌ reactor thread 0 ── epoll ── conns… ┐   ┌ "default" session lock ── spool ── writer
+//!  acceptor ──┤ reactor thread 1 ── epoll ── conns… ├───┤ "hourly"  session lock ── spool ── writer
+//!  (admission,│ …                                   │   └ "coarse"  session lock ── spool ── writer
+//!   quota,    └ reactor thread N ── epoll ── conns… ┘
+//!   backoff)        read → decode → lock, merge → ack, all on one thread
 //! ```
 //!
 //! The acceptor admits (open-connection bound, quota sheds,
-//! `admission`/`accept` failpoints, EMFILE backoff) and deals admitted sockets round-robin to
-//! the reactor threads' mailboxes. Each reactor thread owns an epoll
-//! instance, a [`Slab`] of connections, and a [`TimerWheel`] for
-//! idle/ack-deadline/shutdown deadlines; each connection owns a
-//! [`Machine`] that turns bytes into [`Action`]s. Commits cross to the
-//! per-window absorber over a byte-budgeted queue — nonblockingly
-//! (`try_reserve` / `try_push_reserved`), with the connection **parked**
-//! when the queue pushes back and retried when the absorber signals
-//! progress. The absorber answers through a [`Done`] handle that posts
-//! to the owning reactor's mailbox and wakes its epoll. Every window —
-//! the default one is window 0 — runs the same absorber and writer.
+//! `admission`/`accept` failpoints, EMFILE backoff) and deals admitted
+//! sockets round-robin to the reactor threads' mailboxes. Each reactor
+//! thread owns an epoll instance, a [`Slab`] of connections, and a
+//! [`TimerWheel`] for idle/ack-deadline/shutdown deadlines; each
+//! connection owns a [`Machine`] that turns bytes into [`Action`]s.
+//!
+//! A commit runs where the frame was decoded: the reactor locks the
+//! window's session (one mutex per window), applies the hello, batch or
+//! flush, and feeds the outcome straight back into the connection's
+//! machine, so the ack goes out in the same `drive` pass. A frame never
+//! crosses threads between its read and its ack. Two things still do:
+//!
+//! - a sequenced end-of-stream ack waits until its snapshot generation is
+//!   durable. No reactor blocks on disk for it: the window's snapshot
+//!   writer answers through a [`Done`] handle that posts to the owning
+//!   reactor's mailbox and wakes its epoll;
+//! - a connection over the window's byte budget **parks** and is retried
+//!   when its thread wakes. A release wakes the reactors only while some
+//!   connection is parked on that budget.
+//!
+//! Every window — the default one is window 0 — runs the same commit
+//! step and writer.
 
 use crate::error::CollectorError;
 use crate::faults;
 use crate::machine::{Action, CommitDone, CommitRequest, Machine, MachineConfig, MachineEnd};
 use crate::protocol;
 use crate::server::{
-    absorb_commit, is_fd_exhaustion, panic_message, run_writer, shed_at_accept, Commit, Done,
-    ServeOptions, ServeSummary, SnapshotPolicy, Stats, Window, WindowRoute,
+    absorb_commit, flush_when_written, is_fd_exhaustion, panic_message, run_writer, shed_at_accept,
+    Applied, Done, ServeOptions, ServeSummary, SnapshotPolicy, Stats, Window, WindowRoute,
 };
 use crate::session::{BatchDecoder, CollectorSession};
-use ldp_pool::chan::{bounded_weighted, Receiver, Sender};
 use ldp_reactor::{Events, Interest, Poller, Slab, TimerWheel, Waker};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Timer kinds on the per-thread [`TimerWheel`].
@@ -55,8 +66,7 @@ const K_GRACE: u32 = 2;
 const READ_CHUNK: usize = 16 * 1024;
 
 /// The longest a reactor thread sleeps in `epoll_wait` — the bound on
-/// how late it notices a raised shutdown flag or retries a parked
-/// connection when nothing wakes it.
+/// how late it notices a raised shutdown flag when nothing wakes it.
 const POLL_TICK: Duration = Duration::from_millis(100);
 
 /// How long a connection stalled mid-frame may keep the serve loop
@@ -72,8 +82,8 @@ const ACCEPT_TICK: Duration = Duration::from_millis(20);
 const ACCEPT_BACKOFF_CAP: Duration = Duration::from_secs(1);
 
 /// A reactor thread's inbox: the acceptor posts admitted sockets, the
-/// absorbers post commit completions, and both wake the epoll so the
-/// thread reacts immediately instead of on its next tick.
+/// snapshot writers post durable-flush answers, and both wake the epoll
+/// so the thread reacts immediately instead of on its next tick.
 pub(crate) struct Mailbox {
     streams: Mutex<Vec<TcpStream>>,
     completions: Mutex<Vec<(u64, Option<CommitDone>)>>,
@@ -86,8 +96,8 @@ impl Mailbox {
         self.waker.wake();
     }
 
-    /// Delivers the absorber's answer for connection `token` (`None`:
-    /// the absorber stopped before answering). Called from `Done`'s
+    /// Delivers a deferred commit answer for connection `token` (`None`:
+    /// the pipeline stopped before answering). Called from `Done`'s
     /// `Drop`, so it must not panic: a poisoned lock still guards a valid
     /// queue (a push either lands whole or not at all).
     pub(crate) fn post_completion(&self, token: u64, reply: Option<CommitDone>) {
@@ -109,19 +119,13 @@ enum Close {
     Failed(CollectorError),
 }
 
-/// A connection paused on pipeline backpressure, retried every time the
-/// thread wakes (the absorbers wake all reactors on progress).
-enum Parked {
-    /// `Action::Reserve` found the byte budget exhausted.
-    Budget { window: usize, bytes: usize },
-    /// A commit found its queue's count slots full. `weight > 0` means
-    /// the value carries a byte reservation (a batch); the reservation
-    /// stays with us until the push lands or the connection dies.
-    Push {
-        window: usize,
-        commit: Commit,
-        weight: usize,
-    },
+/// A connection whose `Action::Reserve` found window `window`'s byte
+/// budget exhausted. It is counted on the budget and retried every time
+/// its thread wakes (a release wakes the reactors while anyone is parked).
+#[derive(Clone, Copy)]
+struct Parked {
+    window: usize,
+    bytes: usize,
 }
 
 /// One multiplexed connection.
@@ -137,8 +141,8 @@ struct Conn {
     out: Vec<u8>,
     out_pos: usize,
     parked: Option<Parked>,
-    /// A commit is in flight; the machine is paused until its
-    /// completion posts back.
+    /// A sequenced flush is waiting for its snapshot to be durable; the
+    /// machine is paused until the writer's answer posts back.
     awaiting: bool,
     eof_seen: bool,
     /// The machine ended; close with this reason once `out` drains.
@@ -162,7 +166,11 @@ struct Shared<'a> {
     /// Set (before the acceptor's last wake) once no more connections
     /// can arrive.
     accepting_done: AtomicBool,
-    absorber_panic: Mutex<Option<String>>,
+    /// Reactor threads still running; the last one to exit closes every
+    /// window's spool so the writers drain and exit.
+    live_reactors: AtomicUsize,
+    /// The first panic caught inside a commit.
+    commit_panic: Mutex<Option<String>>,
     accept_error: Mutex<Option<CollectorError>>,
     reactor_error: Mutex<Option<CollectorError>>,
     writer_error: Mutex<Option<CollectorError>>,
@@ -175,6 +183,14 @@ impl Shared<'_> {
         }
     }
 
+    /// Returns `bytes` to window `window`'s budget, waking the reactors
+    /// if a connection is parked on it.
+    fn release(&self, window: usize, bytes: usize) {
+        if self.windows[window].budget.release(bytes) {
+            self.wake_reactors();
+        }
+    }
+
     /// Counts a session that ended badly and records why.
     fn session_error(&self, counter: fn(&mut ServeSummary) -> &mut u64, msg: String) {
         self.stats.update(|s| {
@@ -184,18 +200,30 @@ impl Shared<'_> {
     }
 }
 
-/// One reactor thread's view: the shared state, its own mailbox, and its
-/// own senders into the windows' commit queues. The senders go when the
-/// thread exits, so the absorbers drain out once every reactor is gone.
+/// One reactor thread's view: the shared state and its own mailbox.
 struct Reactor<'a> {
     shared: &'a Shared<'a>,
     mailbox: Arc<Mailbox>,
-    commit_txs: Vec<Sender<Commit>>,
+}
+
+/// Marks one reactor thread's exit, on every path (a panic included): the
+/// last reactor out closes every spool, since nothing can publish after
+/// it, and the writers drain and exit.
+struct ReactorExit<'a>(&'a Shared<'a>);
+
+impl Drop for ReactorExit<'_> {
+    fn drop(&mut self) {
+        if self.0.live_reactors.fetch_sub(1, Ordering::SeqCst) == 1 {
+            for window in &self.0.windows {
+                window.spool.close();
+            }
+        }
+    }
 }
 
 /// The engine behind [`crate::server::serve_routed`]. Window 0 is the
 /// default (the `session`/`policy` arguments); each [`WindowRoute`] adds
-/// a named window. Every window runs the same absorber and snapshot
+/// a named window. Every window runs the same commit step and snapshot
 /// writer.
 pub(crate) fn serve_reactor(
     listener: &TcpListener,
@@ -256,22 +284,21 @@ pub(crate) fn serve_reactor(
         windows: names
             .into_iter()
             .zip(policies)
-            .zip(&sessions)
-            .map(|((name, policy), s)| Window::new(name, policy, s.count()))
+            .zip(sessions)
+            .map(|((name, policy), session)| {
+                Window::new(name, session, policy, options.memory_budget_bytes)
+            })
             .collect(),
         mailboxes,
         stats: Stats::default(),
         open: AtomicUsize::new(0),
         accepting_done: AtomicBool::new(false),
-        absorber_panic: Mutex::new(None),
+        live_reactors: AtomicUsize::new(reactor_threads),
+        commit_panic: Mutex::new(None),
         accept_error: Mutex::new(None),
         reactor_error: Mutex::new(None),
         writer_error: Mutex::new(None),
     };
-    let (commit_txs, commit_rxs): (Vec<Sender<Commit>>, Vec<Receiver<Commit>>) = sessions
-        .iter()
-        .map(|_| bounded_weighted(options.queue_depth.max(1), options.memory_budget_bytes))
-        .unzip();
     let faults_before = faults::injected();
 
     listener
@@ -293,38 +320,37 @@ pub(crate) fn serve_reactor(
             let reactor = Reactor {
                 shared,
                 mailbox: Arc::clone(mailbox),
-                commit_txs: commit_txs.clone(),
             };
             scope.spawn("reactor", move || run_reactor(poller, &reactor));
-        }
-        // The originals go now: once every reactor thread exits, the
-        // queues disconnect and the absorbers drain out.
-        drop(commit_txs);
-        for ((session, window), rx) in sessions.iter_mut().zip(&shared.windows).zip(commit_rxs) {
-            scope.spawn("absorber", move || {
-                run_absorber(&mut **session, window, rx, shared)
-            });
         }
     });
 
     let _ = listener.set_nonblocking(false);
     // Final durable snapshots for every window, attempted on every exit
-    // path; the first failure is the one reported.
+    // path (a window poisoned by a panicked commit still holds every
+    // acked frame); the first failure is the one reported.
     let mut final_snapshot = Ok(());
-    for (window, session) in shared.windows.iter().zip(&sessions) {
+    let mut absorbed = Vec::with_capacity(shared.windows.len());
+    for window in &shared.windows {
+        let session = window
+            .session
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let applied = window.policy.apply(&**session, session.count(), true);
         if final_snapshot.is_ok() {
             final_snapshot = applied;
         }
+        absorbed.push(session.count() - window.start);
     }
     scope_result.map_err(|e| CollectorError::Io(format!("serve service failure: {e}")))?;
     if let Some(msg) = shared
-        .absorber_panic
+        .commit_panic
         .lock()
-        .expect("absorber panic lock")
+        .expect("commit panic lock")
         .take()
     {
         final_snapshot?;
+        // The commit stage keeps the name operators know it by.
         return Err(CollectorError::Panicked(format!("absorber: {msg}")));
     }
     for slot in [
@@ -338,17 +364,12 @@ pub(crate) fn serve_reactor(
     }
     final_snapshot?;
     let windows = &shared.windows;
-    let absorbed: Vec<u64> = windows
-        .iter()
-        .zip(&sessions)
-        .map(|(window, session)| session.count() - window.start)
-        .collect();
     let mut summary = shared.stats.update(std::mem::take);
     summary.reports = absorbed.iter().sum();
     summary.snapshots_superseded = windows.iter().map(|w| w.spool.superseded()).sum();
     summary.peak_queue_bytes = windows
         .iter()
-        .map(|w| w.peak_bytes.load(Ordering::SeqCst))
+        .map(|w| w.budget.peak() as u64)
         .max()
         .unwrap_or(0);
     summary.faults_injected = faults::injected() - faults_before;
@@ -437,46 +458,12 @@ fn run_acceptor(listener: &TcpListener, shared: &Shared<'_>) {
     shared.wake_reactors();
 }
 
-/// One window's absorber: applies commits in queue order until every
-/// reactor has dropped its sender, waking the reactors after each so
-/// parked connections retry. A panic is contained — the first one is
-/// recorded, shutdown raised, and the reactors woken so parked
-/// connections fail fast. Either way the queue's peak is recorded, its
-/// undelivered commits dropped (failing their connections), and the
-/// spool closed so the writer drains and exits.
-fn run_absorber(
-    session: &mut dyn CollectorSession,
-    window: &Window<'_>,
-    rx: Receiver<Commit>,
-    shared: &Shared<'_>,
-) {
-    let absorb = AssertUnwindSafe(|| {
-        while let Some(commit) = rx.pop() {
-            absorb_commit(session, window, &shared.stats, commit);
-            shared.wake_reactors();
-        }
-    });
-    if let Err(panic) = std::panic::catch_unwind(absorb) {
-        shared
-            .absorber_panic
-            .lock()
-            .expect("absorber panic lock")
-            .get_or_insert_with(|| panic_message(panic.as_ref()));
-        shared.shutdown.store(true, Ordering::SeqCst);
-        shared.wake_reactors();
-    }
-    window
-        .peak_bytes
-        .store(rx.peak_bytes() as u64, Ordering::SeqCst);
-    drop(rx);
-    window.spool.close();
-}
-
 /// One reactor thread: wait on epoll, drain the mailbox, pump
 /// connections, fire timers, and wind down once accepting is over and
 /// the slab is empty.
 fn run_reactor(poller: Poller, reactor: &Reactor<'_>) {
     let shared = reactor.shared;
+    let _exit = ReactorExit(shared);
     let mut events = Events::with_capacity(256);
     let mut slab: Slab<Conn> = Slab::new();
     let mut timers = TimerWheel::new();
@@ -541,9 +528,9 @@ fn run_reactor(poller: Poller, reactor: &Reactor<'_>) {
             pump(token, &mut slab, &mut timers, &poller, reactor);
         }
 
-        // Commit completions from the absorbers. The slab's generation
-        // check discards completions for connections that died while
-        // their commit was in flight.
+        // Durable-flush answers from the snapshot writers. The slab's
+        // generation check discards answers for connections that died
+        // while they waited.
         let completions: Vec<(u64, Option<CommitDone>)> =
             std::mem::take(&mut *reactor.mailbox.completions.lock().expect("mailbox lock"));
         for (token, reply) in completions {
@@ -571,8 +558,8 @@ fn run_reactor(poller: Poller, reactor: &Reactor<'_>) {
             pump(event.token, &mut slab, &mut timers, &poller, reactor);
         }
 
-        // Backpressure retries: the absorbers wake every reactor on
-        // progress, and the tick bounds the wait otherwise.
+        // Budget retries: a release wakes every reactor while anyone is
+        // parked on its budget.
         for token in slab.tokens() {
             let is_parked = slab.get(token).is_some_and(|c| c.parked.is_some());
             if is_parked {
@@ -776,16 +763,10 @@ fn drive(
             return Some(Close::Shutdown);
         }
 
-        // Parked backpressure: retry now, stay parked on no progress.
-        if let Some(parked) = conn.parked.take() {
-            match parked {
-                Parked::Budget { window, bytes } => charge_budget(conn, window, bytes, reactor),
-                Parked::Push {
-                    window,
-                    commit,
-                    weight,
-                } => enqueue(conn, window, commit, weight, reactor),
-            }
+        // Parked on the byte budget: retry now, stay parked on no
+        // progress.
+        if let Some(Parked { window, bytes }) = conn.parked {
+            charge_budget(conn, window, bytes, reactor);
             if conn.parked.is_some() {
                 return None;
             }
@@ -867,9 +848,9 @@ fn drive(
 }
 
 /// Resolves the machine's queued actions. Returns the close reason if
-/// the session ended. Resolving one action (a granted budget, a gone
-/// absorber) may make the machine emit more — the outer loop drains
-/// until quiescent.
+/// the session ended. Resolving one action (a granted budget, an applied
+/// commit) may make the machine emit more — the outer loop drains until
+/// quiescent.
 fn apply_actions(conn: &mut Conn, token: u64, reactor: &Reactor<'_>) -> Option<Close> {
     let mut close = None;
     while !conn.actions.is_empty() {
@@ -877,26 +858,8 @@ fn apply_actions(conn: &mut Conn, token: u64, reactor: &Reactor<'_>) -> Option<C
             match action {
                 Action::Send(bytes) => conn.out.extend_from_slice(&bytes),
                 Action::Reserve { window, bytes } => charge_budget(conn, window, bytes, reactor),
-                Action::Release { window, bytes } => reactor.commit_txs[window].unreserve(bytes),
-                Action::Commit(request) => {
-                    conn.awaiting = true;
-                    let done = Done::new(Arc::clone(&reactor.mailbox), token);
-                    let (window, commit, weight) = match request {
-                        CommitRequest::Hello { window, session } => {
-                            (window, Commit::Hello { session, done }, 0)
-                        }
-                        CommitRequest::Batch {
-                            window,
-                            batch,
-                            seq,
-                            weight,
-                        } => (window, Commit::Batch { batch, seq, done }, weight),
-                        CommitRequest::Flush { window, sequenced } => {
-                            (window, Commit::Flush { sequenced, done }, 0)
-                        }
-                    };
-                    enqueue(conn, window, commit, weight, reactor);
-                }
+                Action::Release { window, bytes } => reactor.shared.release(window, bytes),
+                Action::Commit(request) => commit(conn, token, request, reactor),
                 Action::RateShed => reactor.shared.stats.update(|s| s.rate_sheds += 1),
                 Action::Oversized => reactor.shared.stats.update(|s| s.oversized_frames += 1),
                 Action::End(end) => {
@@ -913,38 +876,82 @@ fn apply_actions(conn: &mut Conn, token: u64, reactor: &Reactor<'_>) -> Option<C
     close
 }
 
-/// Charges `bytes` of a frame body against window `window`'s budget,
-/// parking the connection while the budget is exhausted. A gone absorber
-/// fails the session through the machine.
+/// Charges `bytes` of a frame body against window `window`'s budget.
+/// A refused charge parks the connection: it is counted on the budget
+/// and then re-checked, so a release that raced the refusal is never
+/// missed; a parked connection retries here whenever its thread wakes.
+/// A window whose commit panicked fails the session through the machine.
 fn charge_budget(conn: &mut Conn, window: usize, bytes: usize, reactor: &Reactor<'_>) {
-    match reactor.commit_txs[window].try_reserve(bytes) {
-        Ok(true) => conn.machine.budget_granted(),
-        Ok(false) => conn.parked = Some(Parked::Budget { window, bytes }),
-        Err(_) => conn.machine.absorber_gone(&mut conn.actions),
+    let target = &reactor.shared.windows[window];
+    let was_parked = conn.parked.take().is_some();
+    if target.session.is_poisoned() {
+        if was_parked {
+            target.budget.unpark();
+        }
+        conn.machine.absorber_gone(&mut conn.actions);
+        return;
+    }
+    if !was_parked {
+        if target.budget.try_charge(bytes) {
+            conn.machine.budget_granted();
+            return;
+        }
+        target.budget.park();
+    }
+    if target.budget.try_charge(bytes) {
+        target.budget.unpark();
+        conn.machine.budget_granted();
+    } else {
+        conn.parked = Some(Parked { window, bytes });
     }
 }
 
-/// Queues `commit` for window `window`'s absorber, parking the connection
-/// while the queue is full. A batch (`weight > 0`) rides on the bytes its
-/// body reserved, and a full queue leaves that reservation with us; a
-/// hello or flush is admitted at weight 0. If the absorber is gone the
-/// commit is dropped, and its `Done` posts the `None` completion that
-/// fails the connection through the normal path.
-fn enqueue(conn: &mut Conn, window: usize, commit: Commit, weight: usize, reactor: &Reactor<'_>) {
-    let tx = &reactor.commit_txs[window];
-    let result = if weight > 0 {
-        tx.try_push_reserved(commit, weight)
-    } else {
-        tx.try_push(commit)
+/// Applies one commit on this thread: lock the window's session, run the
+/// commit step, release the batch's byte charge, and feed the outcome
+/// straight back into the machine (its ack lands in `conn.actions`). A
+/// sequenced flush instead pauses the connection until the snapshot
+/// writer answers through the mailbox.
+///
+/// A panic inside the commit is caught here: it is recorded, shutdown is
+/// raised, and the session's lock stays poisoned, so this and every later
+/// commit on the window fail the connection as a stopped pipeline.
+fn commit(conn: &mut Conn, token: u64, request: CommitRequest, reactor: &Reactor<'_>) {
+    let shared = reactor.shared;
+    let (window, weight) = match &request {
+        CommitRequest::Hello { window, .. } | CommitRequest::Flush { window, .. } => (*window, 0),
+        CommitRequest::Batch { window, weight, .. } => (*window, *weight),
     };
-    if let Err(e) = result {
-        if e.full {
-            conn.parked = Some(Parked::Push {
-                window,
-                commit: e.value,
-                weight,
-            });
+    let target = &shared.windows[window];
+    let applied = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        let mut session = target.session.lock().ok()?;
+        Some(absorb_commit(
+            &mut **session,
+            target,
+            &shared.stats,
+            request,
+        ))
+    }))
+    .unwrap_or_else(|panic| {
+        shared
+            .commit_panic
+            .lock()
+            .expect("commit panic lock")
+            .get_or_insert_with(|| panic_message(panic.as_ref()));
+        shared.shutdown.store(true, Ordering::SeqCst);
+        shared.wake_reactors();
+        None
+    });
+    if weight > 0 {
+        shared.release(window, weight);
+    }
+    match applied {
+        Some(Applied::Now(done)) => conn.machine.commit_done(done, &mut conn.actions),
+        Some(Applied::Durable { generation, count }) => {
+            conn.awaiting = true;
+            let done = Done::new(Arc::clone(&reactor.mailbox), token);
+            flush_when_written(target, generation, count, done);
         }
+        None => conn.machine.absorber_gone(&mut conn.actions),
     }
 }
 
@@ -966,26 +973,16 @@ fn close_conn(
     timers.clear(token, K_WRITE);
     timers.clear(token, K_GRACE);
     let _ = poller.delete(&conn.stream);
+    let shared = reactor.shared;
     if let Some((window, bytes)) = conn.machine.take_charge() {
-        reactor.commit_txs[window].unreserve(bytes);
+        shared.release(window, bytes);
     }
-    if let Some(Parked::Push {
-        window,
-        commit,
-        weight,
-    }) = conn.parked.take()
-    {
-        // The commit's `Done` posts a completion for a token the slab
-        // no longer knows — discarded by the generation check.
-        drop(commit);
-        if weight > 0 {
-            reactor.commit_txs[window].unreserve(weight);
-        }
+    if let Some(parked) = conn.parked.take() {
+        shared.windows[parked.window].budget.unpark();
     }
     if conn.out_pos < conn.out.len() {
         let _ = conn.stream.write(&conn.out[conn.out_pos..]);
     }
-    let shared = reactor.shared;
     match close {
         Close::Completed => shared.stats.update(|s| s.completed += 1),
         Close::Shutdown => {}
@@ -1004,4 +1001,58 @@ fn close_conn(
         Close::Failed(e) => shared.session_error(|s| &mut s.failed, e.to_string()),
     }
     shared.open.fetch_sub(1, Ordering::SeqCst);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::registry::build_session;
+
+    fn mailbox() -> Arc<Mailbox> {
+        Arc::new(Mailbox {
+            streams: Mutex::new(Vec::new()),
+            completions: Mutex::new(Vec::new()),
+            waker: Arc::new(Waker::new().unwrap()),
+        })
+    }
+
+    fn flush_answers(mailbox: &Mailbox) -> Vec<(u64, Result<u64, String>)> {
+        std::mem::take(&mut *mailbox.completions.lock().unwrap())
+            .into_iter()
+            .map(|(token, reply)| match reply {
+                Some(CommitDone::Flush(result)) => (token, result.map_err(|e| e.to_string())),
+                _ => panic!("expected a flush answer"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_deferred_flush_is_answered_through_the_mailbox_once_durable() {
+        let mut session = build_session("grr:eps=1,d=8").unwrap();
+        let policy = SnapshotPolicy::default();
+        let window = Window::new("default".into(), session.as_mut(), &policy, 0);
+        let mailbox = mailbox();
+        let generation = window.spool.publish("snapshot".into());
+        flush_when_written(&window, generation, 5, Done::new(Arc::clone(&mailbox), 7));
+        assert!(flush_answers(&mailbox).is_empty(), "not durable yet");
+        window.spool.mark_written(generation);
+        assert_eq!(flush_answers(&mailbox), vec![(7, Ok(5))]);
+    }
+
+    #[test]
+    fn a_deferred_flush_fails_when_the_writer_dies_first() {
+        let mut session = build_session("grr:eps=1,d=8").unwrap();
+        let policy = SnapshotPolicy::default();
+        let window = Window::new("default".into(), session.as_mut(), &policy, 0);
+        let mailbox = mailbox();
+        let generation = window.spool.publish("snapshot".into());
+        flush_when_written(&window, generation, 5, Done::new(Arc::clone(&mailbox), 7));
+        window.spool.poison();
+        let answers = flush_answers(&mailbox);
+        assert_eq!(answers.len(), 1);
+        let (token, result) = &answers[0];
+        assert_eq!(*token, 7);
+        let msg = result.as_ref().unwrap_err();
+        assert!(msg.contains("could not be persisted"), "{msg}");
+    }
 }

@@ -22,7 +22,7 @@
 //!
 //! A session that opens with a hello frame (`crate::protocol`) upgrades
 //! itself from at-least-once to exactly-once: every data frame carries a
-//! sequence number, the absorber keeps a per-session dedup cursor that is
+//! sequence number, the window keeps a per-session dedup cursor that is
 //! snapshotted *with* the state it vouches for, and a replayed frame —
 //! after a reconnect or a collector restart — acks `+` idempotently
 //! instead of double-counting. Bare sessions keep the original semantics
@@ -34,7 +34,7 @@
 //!
 //! The seams of this pipeline carry named failpoints (`crate::faults`):
 //! `frame-read`, `decode`, `commit-push`, `ack-write`, and `ack-evict` in
-//! the protocol machine ([`crate::machine`]), `absorb` in the absorber,
+//! the protocol machine ([`crate::machine`]), `absorb` in the commit step,
 //! `accept` and `admission` in the acceptor, plus
 //! `snap-write`/`snap-rename` in `crate::io`. They are inert unless a
 //! schedule is armed (`LDP_FAULTS`); the chaos suite drives them to prove
@@ -53,25 +53,27 @@
 //!    [`crate::session::BatchDecoder`]: parse, validate, and pre-absorb
 //!    into a private shard state. Malformed frames are rejected *here*
 //!    (`-` ack) and never reach the shared window.
-//! 2. **absorb** — prepared batches flow through a bounded queue
-//!    ([`ldp_pool::chan`]; a full queue parks the connection =
-//!    backpressure to the TCP peer) into the window's absorber, the
-//!    single owner of its session; state merges stay serialized, so the
-//!    final window is bit-identical to a single-connection ingest of the
-//!    concatenated frames. The `+` ack is sent only after the absorber
-//!    commits.
-//! 3. **snapshot** — on each cadence crossing the absorber *publishes*
+//! 2. **commit** — the same reactor thread then locks the window's
+//!    session (one mutex per window) and merges the prepared batch in;
+//!    state merges stay serialized, so the final window is bit-identical
+//!    to a single-connection ingest of the concatenated frames. The `+`
+//!    ack is queued in the same pass, right after the commit. A frame is
+//!    read, decoded, merged and acked without leaving its thread.
+//! 3. **snapshot** — on each cadence crossing the commit *publishes*
 //!    the rendered snapshot to a latest-wins
 //!    [`ldp_core::snapshot::SnapshotSpool`]; a dedicated
 //!    writer thread does the fsync-and-rename (with `--keep N`
 //!    rotation) off the hot path, so snapshot writes never stall acks.
+//!    A sequenced end-of-stream ack waits for durability without
+//!    blocking anyone: the writer answers it through the reactor's
+//!    mailbox once the generation is on disk.
 //!
-//! The engine (acceptor, reactor threads, and one absorber and one
-//! snapshot writer per window) lives in the private `reactor_serve`
-//! module. This module holds the public surface and the per-window
-//! stage bodies the engine runs for every window alike: the absorber
-//! step (`absorb_commit`), the snapshot writer (`run_writer`), the
-//! serve counters (`Stats`), and the admission helpers.
+//! The engine (acceptor, reactor threads, and one snapshot writer per
+//! window) lives in the private `reactor_serve` module. This module holds
+//! the public surface and the per-window stage bodies the engine runs
+//! for every window alike: the commit step (`absorb_commit`), the
+//! snapshot writer (`run_writer`), the serve counters (`Stats`), and the
+//! admission helpers.
 //!
 //! # Overload safety
 //!
@@ -91,26 +93,27 @@
 //!   [`ServeOptions::max_rps_per_conn`]; an over-rate frame is shed
 //!   mid-stream (the connection stays open, the client re-sends);
 //! - **byte budgets** — [`ServeOptions::max_frame_bytes`] rejects
-//!   oversized length headers before allocating, and the commit queue is
-//!   byte-weighted ([`ldp_pool::chan::bounded_weighted`]) so
-//!   [`ServeOptions::memory_budget_bytes`] caps queued payloads *plus*
-//!   in-flight decode buffers (reserved before allocation);
+//!   oversized length headers before allocating, and
+//!   [`ServeOptions::memory_budget_bytes`] caps each window's in-flight
+//!   frame bodies (charged before allocation, released once committed);
+//!   a connection over budget parks until a charge is released;
 //! - **eviction** — a peer that stops draining acks past
 //!   [`ServeOptions::ack_deadline`] is disconnected, freeing its slot.
 //!
 //! A **supervisor** completes the story: the snapshot writer restarts
-//! itself after a panic (bounded retries), and an absorber panic quiesces
-//! the loop, attempts a final durable snapshot, and surfaces
+//! itself after a panic (bounded retries), and a panic inside a commit
+//! quiesces the loop, attempts a final durable snapshot, and surfaces
 //! [`CollectorError::Panicked`] — the serve path fails loudly, never as a
 //! silent wedge.
 
 use crate::error::CollectorError;
 use crate::faults;
 use crate::io::write_snapshot_rotating;
-use crate::machine::CommitDone;
+use crate::limit::ByteBudget;
+use crate::machine::{CommitDone, CommitRequest};
 use crate::protocol;
 use crate::reactor_serve::Mailbox;
-use crate::session::{CollectorSession, PreparedBatch};
+use crate::session::CollectorSession;
 use ldp_core::snapshot::SnapshotSpool;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -145,7 +148,7 @@ pub struct SnapshotPolicy {
 impl SnapshotPolicy {
     /// Whether a batch that moved the count from `before` to `after`
     /// crossed a cadence boundary — the one cadence rule, shared by the
-    /// serve absorber and the `ingest` subcommand.
+    /// serve commit step and the `ingest` subcommand.
     #[must_use]
     pub fn due(&self, before: u64, after: u64) -> bool {
         self.path.is_some() && self.every > 0 && after / self.every > before / self.every
@@ -196,10 +199,6 @@ pub struct ServeOptions {
     /// Total sessions to accept before returning (0 = keep serving until
     /// [`ServeOptions::shutdown`] is raised).
     pub connections: u64,
-    /// Capacity of the bounded decode→absorb queue. When the absorber
-    /// falls behind, connections park here (and their peers' acks wait) —
-    /// the memory bound on in-flight work.
-    pub queue_depth: usize,
     /// Cooperative shutdown flag: raise it (from a signal watcher, a
     /// shutdown file, a test) and the loop stops accepting, lets in-flight
     /// frames commit, closes every open connection at its next frame
@@ -222,10 +221,10 @@ pub struct ServeOptions {
     /// absorbed, connection stays open) and counted in
     /// [`ServeSummary::rate_sheds`].
     pub max_rps_per_conn: f64,
-    /// Byte budget for the decode→absorb pipeline (`0` = unbounded):
-    /// queued frame payloads **plus** in-flight decode buffers, which are
-    /// charged against the budget before they are allocated. Connections
-    /// park (backpressure) when the budget is exhausted; the measured
+    /// Byte budget per window for in-flight frame bodies (`0` =
+    /// unbounded): each body is charged before its buffer is allocated
+    /// and released once its commit has applied. Connections park
+    /// (backpressure) when the budget is exhausted; the measured
     /// high-water mark lands in [`ServeSummary::peak_queue_bytes`].
     pub memory_budget_bytes: usize,
     /// Absorbed-report quota for this window (`0` = unlimited). Once the
@@ -253,7 +252,6 @@ impl Default for ServeOptions {
         ServeOptions {
             max_connections: 8,
             connections: 0,
-            queue_depth: 32,
             shutdown: Arc::new(AtomicBool::new(false)),
             idle_timeout: None,
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
@@ -308,8 +306,8 @@ pub struct ServeSummary {
     pub evictions: u64,
     /// Times the supervisor restarted a panicked snapshot-writer stage.
     pub supervisor_restarts: u64,
-    /// High-water mark, in bytes, of the decode→absorb pipeline's charged
-    /// memory (queued payloads + in-flight decode buffers) — compare
+    /// High-water mark, in bytes, of any window's charged frame bodies
+    /// (in-flight decode buffers and batches not yet committed) — compare
     /// against [`ServeOptions::memory_budget_bytes`] to verify a sizing
     /// plan.
     pub peak_queue_bytes: u64,
@@ -390,14 +388,16 @@ pub fn summary_json(summary: &ServeSummary) -> String {
     json
 }
 
-/// Where the absorber's answer to one [`Commit`] goes: the mailbox of
-/// the reactor thread that owns the connection, tagged with the
-/// connection's slab token (a connection that died meanwhile fails the
-/// slab's generation check and the answer is discarded).
+/// Where a deferred commit answer goes: the mailbox of the reactor
+/// thread that owns the connection, tagged with the connection's slab
+/// token (a connection that died meanwhile fails the slab's generation
+/// check and the answer is discarded). Only a sequenced flush defers its
+/// answer, until its snapshot is durable; every other commit is answered
+/// in place.
 ///
-/// Dropping an unresolved `Done` posts `None` ("the absorber stopped
-/// before answering") — a commit drained and dropped by a dying queue can
-/// never strand its connection.
+/// Dropping an unresolved `Done` posts `None` ("the pipeline stopped
+/// before answering"), so a dropped answer can never strand its
+/// connection.
 pub(crate) struct Done {
     mailbox: Option<Arc<Mailbox>>,
     token: u64,
@@ -428,23 +428,34 @@ impl Drop for Done {
     }
 }
 
-/// One unit of work for the absorber.
-pub(crate) enum Commit {
-    /// A sequenced session's hello: resolve the dedup cursor (serialized
-    /// with absorption, so the answer can never race a commit).
-    Hello { session: String, done: Done },
-    /// A decoded batch plus the completion the connection acks on. `seq`
-    /// is the sequenced session's `(id, sequence)` — `None` for bare
-    /// sessions.
-    Batch {
-        batch: PreparedBatch,
-        seq: Option<(String, u64)>,
-        done: Done,
-    },
-    /// A session's end-of-stream: publish a snapshot, ack the total.
-    /// For a sequenced session the ack waits until the snapshot is
-    /// durable — the client retires its replay buffer on this ack.
-    Flush { sequenced: bool, done: Done },
+/// What applying one commit produced.
+pub(crate) enum Applied {
+    /// The answer to feed back into the connection's machine now.
+    Now(CommitDone),
+    /// A sequenced end-of-stream: ack `count` only once snapshot
+    /// `generation` is durable.
+    Durable { generation: u64, count: u64 },
+}
+
+/// Answers a deferred sequenced flush once snapshot `generation` is
+/// durable — or fails it, if the writer died first — by posting to the
+/// connection's reactor through `done`. Never blocks.
+pub(crate) fn flush_when_written(window: &Window<'_>, generation: u64, count: u64, done: Done) {
+    window.spool.when_written(
+        generation,
+        Box::new(move |durable| {
+            done.resolve(CommitDone::Flush(if durable {
+                Ok(count)
+            } else {
+                // The writer died: the cursor the client is about to
+                // trust was never persisted. Fail the flush so the client
+                // keeps its replay buffer.
+                Err(CollectorError::Io(
+                    "the final session snapshot could not be persisted".into(),
+                ))
+            }))
+        }),
+    );
 }
 
 /// Best-effort `!busy` shed of a connection that was never admitted: tell
@@ -496,60 +507,70 @@ impl Stats {
 }
 
 /// One estimation window's pipeline state, shared by every serve thread:
-/// its snapshot policy, the spool between its absorber and its writer,
-/// and the counts the acceptor and the summary read. Window 0 is the
-/// default window; each [`WindowRoute`] follows in order.
+/// its session behind the commit lock, its snapshot policy, the spool to
+/// its writer, its byte budget, and the counts the acceptor and the
+/// summary read. Window 0 is the default window; each [`WindowRoute`]
+/// follows in order.
 pub(crate) struct Window<'a> {
     pub(crate) name: String,
+    /// The window's session. Every commit locks it, on whichever reactor
+    /// thread decoded the frame; a commit that panicked leaves it
+    /// poisoned, which fails every later commit on the window.
+    pub(crate) session: Mutex<&'a mut dyn CollectorSession>,
     pub(crate) policy: &'a SnapshotPolicy,
     pub(crate) spool: SnapshotSpool,
+    pub(crate) budget: ByteBudget,
     /// The session's report count when serve started.
     pub(crate) start: u64,
     /// The session's running report count, published for the
     /// acceptor's quota check.
     pub(crate) absorbed: AtomicU64,
-    /// High-water mark of the window's charged queue bytes, stored as
-    /// its absorber exits.
-    pub(crate) peak_bytes: AtomicU64,
 }
 
 impl<'a> Window<'a> {
-    pub(crate) fn new(name: String, policy: &'a SnapshotPolicy, start: u64) -> Self {
+    pub(crate) fn new(
+        name: String,
+        session: &'a mut dyn CollectorSession,
+        policy: &'a SnapshotPolicy,
+        budget_bytes: usize,
+    ) -> Self {
+        let start = session.count();
         Window {
             name,
+            session: Mutex::new(session),
             policy,
             spool: SnapshotSpool::new(),
+            budget: ByteBudget::new(budget_bytes),
             start,
             absorbed: AtomicU64::new(start),
-            peak_bytes: AtomicU64::new(0),
         }
     }
 }
 
-/// Applies one [`Commit`] to the window — **the** serialization point:
-/// cursor dedup, state merge, cadence publish, and durability waits all
-/// happen here, in queue order.
+/// Applies one commit to the window's session — **the** serialization
+/// point, run under the window's lock: cursor dedup, state merge and
+/// cadence publish happen here, in lock order. A sequenced flush comes
+/// back as [`Applied::Durable`]; the caller defers its ack.
 pub(crate) fn absorb_commit(
     session: &mut dyn CollectorSession,
     window: &Window<'_>,
     stats: &Stats,
-    commit: Commit,
-) {
-    match commit {
-        Commit::Hello { session: id, done } => {
+    request: CommitRequest,
+) -> Applied {
+    match request {
+        CommitRequest::Hello { session: id, .. } => {
             let cursor = session.session_cursor(&id);
             if cursor > 0 {
                 stats.update(|s| s.sessions_resumed += 1);
             }
-            done.resolve(CommitDone::Hello { cursor });
+            Applied::Now(CommitDone::Hello { cursor })
         }
-        Commit::Batch { batch, seq, done } => {
+        CommitRequest::Batch { batch, seq, .. } => {
             if faults::hit("absorb").is_some() {
                 // The injected failure stands in for a bug in the merge
                 // itself; with the `panic` action it exercises the
                 // supervisor's containment.
-                done.resolve(CommitDone::Batch(Err(faults::error("absorb"))));
-                return;
+                return Applied::Now(CommitDone::Batch(Err(faults::error("absorb"))));
             }
             let before = session.count();
             let result = match seq {
@@ -579,25 +600,19 @@ pub(crate) fn absorb_commit(
                     window.spool.publish(session.snapshot_text());
                 }
             }
-            done.resolve(CommitDone::Batch(result));
+            Applied::Now(CommitDone::Batch(result))
         }
-        Commit::Flush { sequenced, done } => {
-            let result = if window.policy.path.is_some() {
-                let generation = window.spool.publish(session.snapshot_text());
-                if sequenced && !window.spool.wait_written(generation) {
-                    // The writer died: the cursor the client is about to
-                    // trust was never persisted. Fail the flush so the
-                    // client keeps its replay buffer.
-                    Err(CollectorError::Io(
-                        "the final session snapshot could not be persisted".into(),
-                    ))
-                } else {
-                    Ok(session.count())
-                }
+        CommitRequest::Flush { sequenced, .. } => {
+            let count = session.count();
+            if window.policy.path.is_none() {
+                return Applied::Now(CommitDone::Flush(Ok(count)));
+            }
+            let generation = window.spool.publish(session.snapshot_text());
+            if sequenced {
+                Applied::Durable { generation, count }
             } else {
-                Ok(session.count())
-            };
-            done.resolve(CommitDone::Flush(result));
+                Applied::Now(CommitDone::Flush(Ok(count)))
+            }
         }
     }
 }
@@ -605,8 +620,8 @@ pub(crate) fn absorb_commit(
 /// One window's snapshot-writer stage: drain the spool, persist each
 /// taken generation under the policy, retry a panicking persist in place
 /// (bounded by [`MAX_WRITER_RESTARTS`]), and on giving up poison the
-/// spool and raise shutdown so durability waiters fail instead of
-/// hanging. Every window runs one.
+/// spool and raise shutdown so durability waiters are answered "not
+/// durable" instead of hanging. Every window runs one.
 pub(crate) fn run_writer(
     window: &Window<'_>,
     stats: &Stats,
@@ -649,14 +664,14 @@ pub(crate) fn run_writer(
 
 /// A named estimation window served next to the default one by
 /// [`serve_routed`]: its own session (mechanism + state), its own
-/// snapshot policy, its own absorber/snapshot pipeline. A sequenced
+/// snapshot policy, its own commit lock and snapshot writer. A sequenced
 /// client routes to it with the hello's `window <name>` line.
 pub struct WindowRoute {
     /// The route name clients put on their hello's `window` line (same
     /// charset as session ids).
     pub name: String,
-    /// The window's session — exclusively owned by its absorber while
-    /// serve runs.
+    /// The window's session — owned by serve (behind the window's commit
+    /// lock) while serve runs.
     pub session: Box<dyn CollectorSession>,
     /// When and where this window snapshots (independent of the default
     /// window's policy).
@@ -676,12 +691,11 @@ pub struct WindowRoute {
 /// acceptor admits connections (shedding `!busy` beyond
 /// `max_connections` or past the report quota, and surviving fd
 /// exhaustion with backoff); per-connection decode charges payload bytes
-/// against the pipeline budget and feeds prepared batches through the
-/// byte-budgeted queue; a single absorber merges batches into the
-/// session in queue order and publishes cadence snapshots to a
-/// latest-wins spool; a writer service persists them (rotating per the
-/// policy) off the hot path. A final snapshot is written synchronously
-/// before returning.
+/// against the window's byte budget; the reactor thread that decoded a
+/// frame merges it into the session under the window's lock, acks it,
+/// and publishes cadence snapshots to a latest-wins spool; a writer
+/// service persists them (rotating per the policy) off the hot path. A
+/// final snapshot is written synchronously before returning.
 ///
 /// Because every commit is an exact state merge, the final window is
 /// **bit-identical** to a single-connection ingest of the same frames in
@@ -693,10 +707,13 @@ pub struct WindowRoute {
 ///
 /// # Supervision
 ///
-/// The absorber runs under a supervisor: if it panics, the loop quiesces
-/// (shutdown raised, every parked connection fails fast), a final durable
-/// snapshot covering **every acked frame** is still attempted, and serve
-/// returns [`CollectorError::Panicked`] instead of wedging. A panicked
+/// Commits run under a supervisor: if one panics, the panic is caught on
+/// its reactor thread, the window's lock stays poisoned (every later
+/// commit on that window fails), the loop quiesces (shutdown raised,
+/// every parked connection fails fast), a final durable snapshot
+/// covering **every acked frame** is still attempted, and serve returns
+/// [`CollectorError::Panicked`] (naming the `absorber` stage) instead of
+/// wedging. A panicked
 /// snapshot-writer stage is restarted in place a bounded number of times
 /// (counted in [`ServeSummary::supervisor_restarts`]) before the window
 /// gives up
@@ -713,7 +730,7 @@ pub fn serve(
 
 /// [`serve`] with additional named windows: a hello frame carrying
 /// `window <name>` routes its whole session to that window's own
-/// absorber/snapshot pipeline; sessions without the line (and bare
+/// session and snapshot pipeline; sessions without the line (and bare
 /// at-least-once sessions) land in the default window.
 pub fn serve_routed(
     listener: &TcpListener,

@@ -76,9 +76,9 @@ pub trait CollectorSession: Send {
     /// connection-local half of the concurrent serve path. Handlers call
     /// [`BatchDecoder::prepare`] on their own threads (decode +
     /// validation + pre-absorption into a private shard state, no shared
-    /// state touched); the resulting [`PreparedBatch`]es flow through a
-    /// bounded queue to the single thread that owns the session and
-    /// calls [`CollectorSession::absorb_prepared`].
+    /// state touched); each resulting [`PreparedBatch`] is then
+    /// committed with [`CollectorSession::absorb_prepared`] under the
+    /// window's lock, one commit at a time.
     fn batch_decoder(&self) -> Arc<dyn BatchDecoder>;
 
     /// Commits a batch prepared by this session's [`BatchDecoder`]:
@@ -94,7 +94,7 @@ pub trait CollectorSession: Send {
     fn session_cursor(&self, id: &str) -> u64;
 
     /// Records `cursor` as the next expected sequence number for `id`.
-    /// The caller (the serve path's absorber) advances the cursor in the
+    /// The caller (the serve path's commit step) advances the cursor in the
     /// same serialized step as the absorb it vouches for, so snapshots
     /// always capture state and cursors consistently.
     fn set_session_cursor(&mut self, id: &str, cursor: u64);
@@ -105,8 +105,8 @@ pub trait CollectorSession: Send {
     fn session_cursors(&self) -> SessionCursors;
 }
 
-/// A decoded and pre-absorbed batch in flight from a reactor thread to
-/// the absorber: a type-erased shard state plus its report count, stamped
+/// A decoded and pre-absorbed batch on its way from the decoder into the
+/// window: a type-erased shard state plus its report count, stamped
 /// with the preparing configuration's fingerprint so a batch can never
 /// commit into the wrong window.
 pub struct PreparedBatch {
@@ -132,7 +132,7 @@ pub trait BatchDecoder: Send + Sync {
     /// Decodes every non-blank line of `text` and pre-absorbs the reports
     /// into a fresh shard state. Any malformed line fails the whole batch
     /// with nothing to commit — atomic frame rejection happens *here*, on
-    /// the reactor thread, before the absorber ever sees the frame.
+    /// the reactor thread, before the frame ever reaches the window.
     fn prepare(&self, text: &str) -> Result<PreparedBatch, CollectorError>;
 }
 

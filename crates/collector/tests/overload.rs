@@ -15,7 +15,10 @@
 //!    contained with a clear error and a snapshot covering every acked
 //!    frame, proven by restart-and-resume;
 //! 4. a panicked snapshot writer restarted in place — and, past the
-//!    restart budget, a loud failure that still wrote a final snapshot.
+//!    restart budget, a loud failure that still wrote a final snapshot;
+//! 5. a sequenced flush whose snapshot write stalls or fails: only its
+//!    own ack waits (or fails), while the reactor keeps acking the
+//!    window's other sessions.
 
 mod common;
 
@@ -29,7 +32,7 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The fault schedule is process-global; every test that runs a serve
 /// loop holds this lock so a concurrent test's schedule is never
@@ -613,5 +616,175 @@ fn a_writer_past_its_restart_budget_fails_loudly_with_a_final_snapshot() {
         recovered.count() >= acked,
         "acked frames are in the snapshot"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Opens a fresh sequenced session and checks its 9-byte hello ack
+/// (cursor 0).
+fn open_sequenced(addr: std::net::SocketAddr, id: &str) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    write_frame(&mut stream, &protocol::encode_hello(id, 0)).unwrap();
+    assert_eq!(read_ack(&mut stream), b'+', "hello refused");
+    let mut cursor = [0u8; 8];
+    stream.read_exact(&mut cursor).unwrap();
+    assert_eq!(u64::from_be_bytes(cursor), 0);
+    stream
+}
+
+/// Streams `frames` as sequence numbers `0..`, asserting a `+` per frame.
+fn send_sequenced(stream: &mut TcpStream, frames: &[String]) {
+    for (seq, frame) in frames.iter().enumerate() {
+        write_frame(stream, &protocol::encode_seq_frame(seq as u64, frame)).unwrap();
+        assert_eq!(read_ack(stream), b'+', "frame {seq} refused");
+    }
+}
+
+/// A sequenced end-of-stream ack waits for its snapshot to be durable,
+/// but nothing else does: on a single reactor, while session A's flush
+/// snapshot is stalled on disk, session B on the same window keeps
+/// getting every frame acked, and A's closing `+` arrives only once that
+/// snapshot generation is written.
+#[test]
+fn a_stalled_flush_snapshot_delays_only_its_own_ack() {
+    const STALL_MS: u64 = 1_500;
+    let guard = FAULTS.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = scratch("overload", "stalled-flush");
+    let snap = dir.join("window.snap");
+    let spec = "grr:eps=1,d=8";
+    let generator = build_session(spec).unwrap();
+    let a_frames = frames_of(&generator.gen_reports(60, 53).unwrap(), 20);
+    let b_frames = frames_of(&generator.gen_reports(100, 59).unwrap(), 10);
+
+    // With no cadence, A's end-of-stream snapshot is the first write.
+    faults::install(&format!("snap-write=stall:{STALL_MS}@1")).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let options = ServeOptions {
+        connections: 2,
+        reactor_threads: 1,
+        ..ServeOptions::default()
+    };
+    let policy = SnapshotPolicy {
+        path: Some(snap.clone()),
+        every: 0,
+        keep: 0,
+    };
+    let server = std::thread::spawn(move || {
+        let mut session = build_session(spec).unwrap();
+        let summary = serve(&listener, session.as_mut(), &policy, &options).unwrap();
+        (summary, session.count())
+    });
+
+    let mut a = open_sequenced(addr, "stall-a");
+    send_sequenced(&mut a, &a_frames);
+    let mut b = open_sequenced(addr, "stall-b");
+
+    // A's end-of-stream publishes the snapshot whose write stalls. When
+    // its ack lands, that snapshot must already be on disk.
+    a.write_all(&0u32.to_be_bytes()).unwrap();
+    let flushed_at = Instant::now();
+    let a_flush = std::thread::spawn({
+        let snap = snap.clone();
+        move || {
+            let ack = read_ack(&mut a);
+            let waited = flushed_at.elapsed();
+            let text = std::fs::read_to_string(&snap).expect("no snapshot at A's flush ack");
+            let mut durable = build_session(spec).unwrap();
+            durable.restore(&text).unwrap();
+            (ack, waited, durable.count())
+        }
+    });
+
+    // Give the writer time to enter the stall, then stream B.
+    std::thread::sleep(Duration::from_millis(100));
+    let started = Instant::now();
+    send_sequenced(&mut b, &b_frames);
+    let b_took = started.elapsed();
+    assert!(
+        b_took < Duration::from_millis(STALL_MS / 3),
+        "B's frames waited on A's stalled snapshot: {b_took:?}"
+    );
+
+    let (a_ack, a_waited, durable_count) = a_flush.join().unwrap();
+    assert_eq!(a_ack, b'+', "A's flush refused");
+    assert!(
+        a_waited >= Duration::from_millis(STALL_MS),
+        "A's flush was acked after {a_waited:?}, before its snapshot was written"
+    );
+    assert_eq!(durable_count, 60, "the written generation is A's flush");
+
+    b.write_all(&0u32.to_be_bytes()).unwrap();
+    assert_eq!(read_ack(&mut b), b'+', "B's flush refused");
+    drop(b);
+
+    let (summary, count) = server.join().unwrap();
+    faults::clear();
+    drop(guard);
+    assert_eq!(summary.completed, 2);
+    assert_eq!(summary.failed, 0);
+    assert_eq!(count, 160);
+    let mut recovered = build_session(spec).unwrap();
+    recovered
+        .restore(&std::fs::read_to_string(&snap).unwrap())
+        .unwrap();
+    assert_eq!(recovered.count(), 160);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The failing variant: when A's flush snapshot cannot be written, the
+/// writer gives up, and A's end-of-stream is refused with `-` (its
+/// cursor was never persisted, so the client keeps its replay buffer)
+/// instead of hanging. The serve ends loudly with the writer's error.
+#[test]
+fn a_flush_whose_snapshot_cannot_be_written_is_refused() {
+    let guard = FAULTS.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = scratch("overload", "failed-flush");
+    let snap = dir.join("window.snap");
+    let spec = "grr:eps=1,d=8";
+    let generator = build_session(spec).unwrap();
+    let frames = frames_of(&generator.gen_reports(40, 61).unwrap(), 20);
+
+    faults::install("snap-write=err@1").unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let options = ServeOptions {
+        reactor_threads: 1,
+        ..ServeOptions::default() // connections: 0 — the writer's give-up ends it
+    };
+    let policy = SnapshotPolicy {
+        path: Some(snap.clone()),
+        every: 0,
+        keep: 0,
+    };
+    let server = std::thread::spawn(move || {
+        let mut session = build_session(spec).unwrap();
+        let err = serve(&listener, session.as_mut(), &policy, &options).unwrap_err();
+        (err, session.count())
+    });
+
+    let mut a = open_sequenced(addr, "doomed");
+    send_sequenced(&mut a, &frames);
+    a.write_all(&0u32.to_be_bytes()).unwrap();
+    assert_eq!(
+        read_ack(&mut a),
+        b'-',
+        "a non-durable flush must be refused"
+    );
+    drop(a);
+
+    let (err, count) = server.join().unwrap();
+    faults::clear();
+    drop(guard);
+    assert!(
+        err.to_string().contains("failpoint snap-write"),
+        "serve names the failed write: {err}"
+    );
+    assert_eq!(count, 40, "the acked frames stay committed");
+    // The final snapshot, written by the serve thread, still covers them.
+    let mut recovered = build_session(spec).unwrap();
+    recovered
+        .restore(&std::fs::read_to_string(&snap).unwrap())
+        .unwrap();
+    assert_eq!(recovered.count(), 40);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -84,7 +84,6 @@ fn eight_concurrent_sessions_match_serial_ingest_bit_for_bit() {
     let options = ServeOptions {
         max_connections: 8,
         connections: 8,
-        queue_depth: 4,
         ..ServeOptions::default()
     };
     let server = serve_fleet(listener, policy, options);
@@ -141,7 +140,6 @@ fn a_depth_one_queue_blocks_rather_than_drops() {
     let options = ServeOptions {
         max_connections: 6,
         connections: 6,
-        queue_depth: 1,
         ..ServeOptions::default()
     };
     let server = serve_fleet(listener, policy, options);
@@ -158,43 +156,49 @@ fn a_depth_one_queue_blocks_rather_than_drops() {
 
 #[test]
 fn a_byte_budgeted_depth_one_pipeline_blocks_never_drops() {
-    // The harshest memory setting: one queue slot and a byte budget two
-    // frames deep, shared by six writers. Handlers must block on the
-    // budget (backpressure), never drop, and the measured high-water
-    // mark must respect the configured ceiling.
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let generator = build_session(SPEC).unwrap();
-    let log = generator.gen_reports(1_200, 29).unwrap();
-    let frames = fleet_frames(&log, 6, 25);
-    let budget = 2 * frames.iter().flatten().map(|f| f.len()).max().unwrap();
-    let policy = SnapshotPolicy {
-        path: None,
-        every: 0,
-        keep: 0,
-    };
-    let options = ServeOptions {
-        max_connections: 6,
-        connections: 6,
-        queue_depth: 1,
-        memory_budget_bytes: budget,
-        ..ServeOptions::default()
-    };
-    let server = serve_fleet(listener, policy, options);
-    std::thread::scope(|scope| {
-        for conn_frames in &frames {
-            scope.spawn(move || stream_session(addr, conn_frames));
-        }
-    });
-    let (summary, session) = server.join().unwrap();
-    assert_eq!(session.count(), 1_200, "the byte budget must never drop");
-    assert_eq!(summary.completed, 6);
-    assert!(summary.peak_queue_bytes > 0, "charges were measured");
-    assert!(
-        summary.peak_queue_bytes <= budget as u64,
-        "peak pipeline charge {} exceeded the {budget}-byte budget",
-        summary.peak_queue_bytes
-    );
+    // The harshest memory setting: a byte budget two frames deep, shared
+    // by six writers. Handlers must block on the budget (backpressure),
+    // never drop, and the measured high-water mark must respect the
+    // configured ceiling. With more than one reactor, a connection parked
+    // on the budget must be woken by a charge released on another
+    // reactor's thread — pinned at every reactor count, whatever the
+    // host's core count.
+    for reactor_threads in 1..=3 {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let generator = build_session(SPEC).unwrap();
+        let log = generator.gen_reports(1_200, 29).unwrap();
+        let frames = fleet_frames(&log, 6, 25);
+        let budget = 2 * frames.iter().flatten().map(|f| f.len()).max().unwrap();
+        let policy = SnapshotPolicy {
+            path: None,
+            every: 0,
+            keep: 0,
+        };
+        let options = ServeOptions {
+            max_connections: 6,
+            connections: 6,
+            memory_budget_bytes: budget,
+            reactor_threads,
+            ..ServeOptions::default()
+        };
+        let server = serve_fleet(listener, policy, options);
+        std::thread::scope(|scope| {
+            for conn_frames in &frames {
+                scope.spawn(move || stream_session(addr, conn_frames));
+            }
+        });
+        let (summary, session) = server.join().unwrap();
+        assert_eq!(session.count(), 1_200, "the byte budget must never drop");
+        assert_eq!(summary.completed, 6);
+        assert!(summary.peak_queue_bytes > 0, "charges were measured");
+        assert!(
+            summary.peak_queue_bytes <= budget as u64,
+            "peak pipeline charge {} exceeded the {budget}-byte budget \
+             ({reactor_threads} reactors)",
+            summary.peak_queue_bytes
+        );
+    }
 }
 
 #[test]

@@ -524,15 +524,20 @@ where
 /// A single-slot, latest-wins handoff between the thread that *renders*
 /// snapshots and the thread that *persists* them.
 ///
-/// The copy-on-snapshot discipline for concurrent ingest: the absorber
-/// renders the container text (a cheap O(d̃) encode of a clone-free borrow
-/// — encoding never mutates the state) and [`publish`](Self::publish)es
-/// it without ever blocking; a dedicated writer service loops on
-/// [`take_tagged`](Self::take_tagged) and does the slow fsync-and-rename
-/// I/O off the hot path. If the writer falls behind, newly published snapshots
-/// *replace* the unwritten one — persisting a superseded recovery point
-/// would be pure wasted I/O, and crash recovery only ever needs the most
-/// recent snapshot plus the replay log.
+/// The copy-on-snapshot discipline for concurrent ingest: the committing
+/// thread renders the container text (a cheap O(d̃) encode of a clone-free
+/// borrow — encoding never mutates the state) and
+/// [`publish`](Self::publish)es it without ever blocking; a dedicated
+/// writer service loops on [`take_tagged`](Self::take_tagged) and does the
+/// slow fsync-and-rename I/O off the hot path. If the writer falls behind,
+/// newly published snapshots *replace* the unwritten one — persisting a
+/// superseded recovery point would be pure wasted I/O, and crash recovery
+/// only ever needs the most recent snapshot plus the replay log.
+///
+/// A caller that must not answer anyone until a snapshot is durable
+/// registers a callback with [`when_written`](Self::when_written) instead
+/// of blocking: the writer runs it once the generation lands (or the
+/// spool is [`poison`](Self::poison)ed).
 ///
 /// [`close`](Self::close) ends the stream: the writer drains the last
 /// pending snapshot (if any) and then sees `None`.
@@ -551,8 +556,23 @@ struct SpoolSlot {
     published: u64,
     /// Highest generation the writer has durably persisted.
     written: u64,
-    /// The writer died without persisting: waiters must not block forever.
+    /// The writer died without persisting: waiters are answered `false`.
     poisoned: bool,
+    /// Callbacks waiting for a generation to become durable.
+    waiters: Vec<DurabilityWaiter>,
+}
+
+/// A [`SnapshotSpool::when_written`] callback and the generation it waits
+/// for.
+struct DurabilityWaiter {
+    generation: u64,
+    then: Box<dyn FnOnce(bool) + Send>,
+}
+
+impl std::fmt::Debug for DurabilityWaiter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "DurabilityWaiter({})", self.generation)
+    }
 }
 
 impl SnapshotSpool {
@@ -564,12 +584,11 @@ impl SnapshotSpool {
 
     /// Deposits a rendered snapshot, replacing any unwritten predecessor,
     /// and returns the publication's generation stamp (monotonic; pass it
-    /// to [`wait_written`](Self::wait_written) when the caller must not
-    /// proceed until this snapshot — or a newer one — is durable).
-    /// Never blocks — this is the absorber-side half of the "snapshot
-    /// writes never stall ingest" guarantee. Publishing after
-    /// [`close`](Self::close) is a no-op (the stamp of the last accepted
-    /// publish is returned).
+    /// to [`when_written`](Self::when_written) when an answer must wait
+    /// until this snapshot — or a newer one — is durable). Never blocks —
+    /// this is the committing side of the "snapshot writes never stall
+    /// ingest" guarantee. Publishing after [`close`](Self::close) is a
+    /// no-op (the stamp of the last accepted publish is returned).
     pub fn publish(&self, text: String) -> u64 {
         let mut slot = self.slot.lock().expect("spool lock poisoned");
         if slot.closed {
@@ -604,38 +623,54 @@ impl SnapshotSpool {
     }
 
     /// Records that the snapshot stamped `generation` has been durably
-    /// persisted, releasing any [`wait_written`](Self::wait_written)
-    /// caller waiting at or below it. Because the spool is latest-wins,
-    /// persisting a later snapshot subsumes every earlier one.
+    /// persisted and runs, on the calling thread, every
+    /// [`when_written`](Self::when_written) callback waiting at or below
+    /// it. Because the spool is latest-wins, persisting a later snapshot
+    /// subsumes every earlier one.
     pub fn mark_written(&self, generation: u64) {
         let mut slot = self.slot.lock().expect("spool lock poisoned");
         slot.written = slot.written.max(generation);
+        let written = slot.written;
+        let (due, waiting) = std::mem::take(&mut slot.waiters)
+            .into_iter()
+            .partition(|w| w.generation <= written);
+        slot.waiters = waiting;
         drop(slot);
-        self.ready.notify_all();
+        answer(due, true);
     }
 
-    /// Marks the writer as dead without durability: every current and
-    /// future [`wait_written`](Self::wait_written) call returns `false`
-    /// instead of blocking forever.
+    /// Marks the writer as dead without durability: every waiting and
+    /// every later [`when_written`](Self::when_written) callback is
+    /// answered `false`.
     pub fn poison(&self) {
-        self.slot.lock().expect("spool lock poisoned").poisoned = true;
-        self.ready.notify_all();
+        let mut slot = self.slot.lock().expect("spool lock poisoned");
+        slot.poisoned = true;
+        let due = std::mem::take(&mut slot.waiters);
+        drop(slot);
+        answer(due, false);
     }
 
-    /// Blocks until the writer has persisted the snapshot stamped
-    /// `generation` (or a newer one). Returns `false` if the spool was
-    /// [`poison`](Self::poison)ed first — the caller must treat the
-    /// snapshot as *not* durable.
-    pub fn wait_written(&self, generation: u64) -> bool {
+    /// Runs `then(true)` once the writer has persisted the snapshot
+    /// stamped `generation` (or a newer one), or `then(false)` if the
+    /// spool is [`poison`](Self::poison)ed first — the snapshot must then
+    /// be treated as *not* durable. Never blocks: when the answer is
+    /// already known, `then` runs here, before this call returns;
+    /// otherwise it runs later on the writer's thread.
+    pub fn when_written(&self, generation: u64, then: Box<dyn FnOnce(bool) + Send>) {
         let mut slot = self.slot.lock().expect("spool lock poisoned");
-        loop {
-            if slot.written >= generation {
-                return true;
+        let known = if slot.written >= generation {
+            Some(true)
+        } else if slot.poisoned {
+            Some(false)
+        } else {
+            None
+        };
+        match known {
+            Some(durable) => {
+                drop(slot);
+                then(durable);
             }
-            if slot.poisoned {
-                return false;
-            }
-            slot = self.ready.wait(slot).expect("spool lock poisoned");
+            None => slot.waiters.push(DurabilityWaiter { generation, then }),
         }
     }
 
@@ -650,6 +685,14 @@ impl SnapshotSpool {
     #[must_use]
     pub fn superseded(&self) -> u64 {
         self.slot.lock().expect("spool lock poisoned").superseded
+    }
+}
+
+/// Runs durability callbacks outside the spool lock, so a callback may
+/// take other locks freely.
+fn answer(waiters: Vec<DurabilityWaiter>, durable: bool) {
+    for waiter in waiters {
+        (waiter.then)(durable);
     }
 }
 
@@ -872,46 +915,67 @@ mod tests {
         assert_eq!(spool.take_tagged(), None);
     }
 
+    /// Registers a durability callback for `generation` and returns the
+    /// receiving end of its answer.
+    fn durability(spool: &SnapshotSpool, generation: u64) -> std::sync::mpsc::Receiver<bool> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        spool.when_written(
+            generation,
+            Box::new(move |durable| tx.send(durable).unwrap()),
+        );
+        rx
+    }
+
     #[test]
     fn spool_generations_track_durability() {
         let spool = SnapshotSpool::new();
         let g1 = spool.publish("one".into());
         let g2 = spool.publish("two".into());
         assert!(g2 > g1);
+        let early = durability(&spool, g1);
         // Latest-wins: the writer takes g2, and marking it written
         // subsumes g1.
         let (taken, text) = spool.take_tagged().unwrap();
         assert_eq!((taken, text.as_str()), (g2, "two"));
         spool.mark_written(taken);
-        assert!(spool.wait_written(g1));
-        assert!(spool.wait_written(g2));
+        assert_eq!(early.try_recv(), Ok(true));
+        // Already durable: a late registration is answered at once.
+        assert_eq!(durability(&spool, g2).try_recv(), Ok(true));
     }
 
     #[test]
-    fn spool_wait_written_blocks_until_the_writer_reports() {
+    fn spool_durability_waiter_fires_when_the_writer_reports() {
         let spool = SnapshotSpool::new();
         let g = spool.publish("pending".into());
+        let answer = durability(&spool, g);
+        assert!(answer.try_recv().is_err(), "nothing is durable yet");
         std::thread::scope(|s| {
-            let waiter = s.spawn(|| spool.wait_written(g));
-            std::thread::sleep(std::time::Duration::from_millis(30));
-            let (taken, _) = spool.take_tagged().unwrap();
-            spool.mark_written(taken);
-            assert!(waiter.join().unwrap());
+            s.spawn(|| {
+                let (taken, _) = spool.take_tagged().unwrap();
+                spool.mark_written(taken);
+            });
+            // Answered from the writer's thread, once it has persisted.
+            assert_eq!(
+                answer.recv_timeout(std::time::Duration::from_secs(5)),
+                Ok(true)
+            );
         });
+        // A newer generation is not covered by the older write.
+        let g2 = spool.publish("newer".into());
+        let later = durability(&spool, g2);
+        spool.mark_written(g);
+        assert!(later.try_recv().is_err());
     }
 
     #[test]
     fn spool_poison_releases_waiters_as_not_durable() {
         let spool = SnapshotSpool::new();
         let g = spool.publish("never written".into());
-        std::thread::scope(|s| {
-            let waiter = s.spawn(|| spool.wait_written(g));
-            std::thread::sleep(std::time::Duration::from_millis(30));
-            spool.poison();
-            assert!(!waiter.join().unwrap());
-        });
+        let waiting = durability(&spool, g);
+        spool.poison();
+        assert_eq!(waiting.try_recv(), Ok(false));
         // Poisoned stays poisoned for later waiters too.
-        assert!(!spool.wait_written(g));
+        assert_eq!(durability(&spool, g).try_recv(), Ok(false));
     }
 
     #[test]

@@ -1,14 +1,12 @@
 //! A bounded multi-producer, single-consumer channel with **nonblocking
 //! producers**.
 //!
-//! The collector's serve path needs exactly one queue shape: many epoll
-//! reactor threads producing decoded batches, one absorber thread per
-//! window consuming them, with a hard bound on in-flight work so a fast
-//! fleet of forwarders cannot balloon the collector's memory. A reactor
-//! cannot park on a condvar, so producers never block:
-//! [`Sender::try_push`] hands a value back when the channel is full, the
-//! reactor **parks** the connection (the forwarder's next frame simply
-//! isn't acked yet), and retries once the consumer signals progress.
+//! The queue shape for many event-loop producers feeding one consumer
+//! thread, with a hard bound on in-flight work so fast producers cannot
+//! balloon memory. An event loop cannot park on a condvar, so producers
+//! never block: [`Sender::try_push`] hands a value back when the channel
+//! is full, the producer **parks** the work item, and retries once the
+//! consumer signals progress.
 //! Nothing is ever silently discarded: every pushed value is either
 //! delivered to the receiver or handed back in a [`TrySendError`].
 //!
@@ -294,7 +292,7 @@ mod tests {
     use super::*;
 
     /// Pushes `value` at weight 0, yielding while the channel is full —
-    /// a producer that parks and retries, as the collector's reactor does.
+    /// a producer that parks and retries, as an event loop does.
     fn push_parked<T>(tx: &Sender<T>, mut value: T) {
         loop {
             match tx.try_push(value) {
@@ -513,8 +511,8 @@ mod tests {
     #[test]
     fn dropping_the_receiver_drops_undelivered_values() {
         // A queued value may hold the only sender of a reply channel that
-        // some other thread is blocked popping (the collector's commit
-        // queue carries per-frame completion handles exactly like this).
+        // some other thread is blocked popping (a queue of work items that
+        // carry completion handles looks exactly like this).
         // When the receiver is dropped, the undelivered value's destructor
         // must run so the reply waiter observes a disconnect instead of
         // wedging.

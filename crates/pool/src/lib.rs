@@ -26,9 +26,8 @@
 //! The batch model deliberately excludes threads that live for the
 //! duration of a connection or a serve loop. Those go through
 //! [`service_scope`] (structured, named, panic-contained service threads)
-//! and talk over [`chan::bounded_weighted`] channels, whose nonblocking
-//! producers park and retry — the backpressure edge of the collector's
-//! serve path.
+//! and can talk over [`chan::bounded_weighted`] channels, whose
+//! nonblocking producers park and retry instead of blocking.
 //!
 //! # Determinism
 //!

@@ -2,7 +2,7 @@
 //!
 //! The work-stealing [`Pool`](crate::Pool) is built for short, indexed,
 //! CPU-bound jobs — it deliberately has no notion of a thread that lives
-//! for the duration of a TCP session or an absorber loop. [`service_scope`]
+//! for the duration of a TCP session or a serve loop. [`service_scope`]
 //! fills that gap: a thin structured-concurrency wrapper over
 //! [`std::thread::scope`] that
 //!

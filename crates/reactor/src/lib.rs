@@ -10,8 +10,9 @@
 //!   (create1/ctl/pwait issued as direct syscalls in [`sys`]; the
 //!   workspace vendors no `libc`), registering fds edge- or
 //!   level-triggered under caller-chosen `u64` tokens;
-//! - [`Waker`] — an eventfd for cross-thread nudges (absorber
-//!   completions, newly accepted connections, shutdown);
+//! - [`Waker`] — an eventfd for cross-thread nudges (durable-flush
+//!   answers, newly accepted connections, released byte budget,
+//!   shutdown);
 //! - [`Poller`] — an [`Epoll`] with its [`Waker`] pre-registered under a
 //!   reserved token, the per-reactor-thread bundle;
 //! - [`Slab`] — generation-tagged connection slots whose tokens double

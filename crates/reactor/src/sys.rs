@@ -63,8 +63,6 @@ pub const EPOLLET: u32 = 1 << 31;
 
 /// `EINTR`, the one errno the wait loop handles specially.
 pub const EINTR: i32 = 4;
-/// `EAGAIN`, returned by a drained nonblocking eventfd read.
-pub const EAGAIN: i32 = 11;
 
 /// The kernel's `struct epoll_event`. x86_64 declares it packed (12
 /// bytes); every other architecture uses natural alignment (16 bytes).

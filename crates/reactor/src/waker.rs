@@ -5,7 +5,7 @@ use std::io;
 use std::os::unix::io::RawFd;
 
 /// A nonblocking eventfd another thread writes to nudge a sleeping
-/// reactor out of `epoll_wait` — completions arriving from an absorber,
+/// reactor out of `epoll_wait` — durability answers from a snapshot writer,
 /// new connections from the acceptor, shutdown.
 ///
 /// Register [`Waker::fd`] level-triggered under a reserved token; when
@@ -45,15 +45,12 @@ impl Waker {
     }
 
     /// Consumes pending wakeups so the next `epoll_wait` sleeps again.
+    /// One read suffices: a (non-semaphore) eventfd read returns the whole
+    /// counter and resets it to zero. An `EAGAIN` (nothing pending) is
+    /// the same outcome.
     pub fn drain(&self) {
         let mut buf = [0u8; 8];
-        loop {
-            match sys::read(self.fd, &mut buf) {
-                Ok(_) => continue,
-                Err(e) if e.raw_os_error() == Some(sys::EAGAIN) => return,
-                Err(_) => return,
-            }
-        }
+        let _ = sys::read(self.fd, &mut buf);
     }
 }
 
