@@ -169,22 +169,53 @@ where
     M::State: Send + 'static,
 {
     fn prepare(&self, text: &str) -> Result<PreparedBatch, CollectorError> {
-        // Decode the whole frame first, then absorb through the bulk
-        // `absorb_slice` path so every family's vectorized kernel (OUE
-        // bit-count, HRR scatter, ExactSum bulk add, SW bucket pass)
-        // carries the serve path too. Bit-identical to per-line absorbs.
-        let mut reports = Vec::new();
-        for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
-            reports.push(M::Report::decode(line)?);
-        }
-        let mut state = self.mechanism.empty_state();
-        self.mechanism.absorb_slice(&mut state, &reports)?;
+        let (state, reports) = absorb_frame(&self.mechanism, text)?;
         Ok(PreparedBatch {
             payload: Box::new(state),
             fingerprint: self.mechanism.fingerprint(),
-            reports: reports.len() as u64,
+            reports,
         })
     }
+}
+
+/// Decodes every line of `text` into a fresh shard state: the one
+/// decode+absorb step behind [`BatchDecoder::prepare`] and
+/// [`CollectorSession::ingest_text`]. The whole frame decodes before any
+/// report absorbs, so a malformed line is reported ahead of an
+/// out-of-domain report on an earlier line. The absorb goes through the
+/// bulk `absorb_slice` path, so every family's vectorized kernel (OUE
+/// bit-count, HRR scatter, ExactSum bulk add, SW bucket pass) carries the
+/// serve path too. Bit-identical to per-line absorbs.
+fn absorb_frame<M>(mechanism: &M, text: &str) -> Result<(M::State, u64), CollectorError>
+where
+    M: Mechanism,
+    M::Report: WireReport,
+{
+    let mut reports = Vec::new();
+    M::Report::decode_frame(text, &mut reports)?;
+    let mut state = mechanism.empty_state();
+    mechanism.absorb_slice(&mut state, &reports)?;
+    Ok((state, reports.len() as u64))
+}
+
+/// Cuts `text` into at most `parts` consecutive pieces of similar byte
+/// length, each ending just after a `\n` (the last at the end of `text`),
+/// so no line straddles two pieces.
+fn split_lines(text: &str, parts: usize) -> Vec<&str> {
+    let bytes = text.as_bytes();
+    let target = bytes.len().div_ceil(parts.max(1));
+    let mut pieces = Vec::with_capacity(parts);
+    let mut start = 0;
+    while start < bytes.len() {
+        let cut = (start + target).min(bytes.len());
+        let end = bytes[cut..]
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(bytes.len(), |n| cut + n + 1);
+        pieces.push(&text[start..end]);
+        start = end;
+    }
+    pieces
 }
 
 impl<M> Session<M>
@@ -211,23 +242,6 @@ where
             to_input,
             render,
         }
-    }
-
-    /// Decodes a block of lines into reports (no state change).
-    fn decode_block(&self, lines: &[&str]) -> Result<Vec<M::Report>, CollectorError> {
-        let mut reports = Vec::with_capacity(lines.len());
-        for line in lines {
-            reports.push(M::Report::decode(line)?);
-        }
-        Ok(reports)
-    }
-
-    /// Decode + absorb a block into a fresh state (the per-shard job).
-    fn absorb_block(&self, lines: &[&str]) -> Result<(M::State, u64), CollectorError> {
-        let reports = self.decode_block(lines)?;
-        let mut state = self.mechanism.empty_state();
-        self.mechanism.absorb_slice(&mut state, &reports)?;
-        Ok((state, reports.len() as u64))
     }
 }
 
@@ -258,39 +272,38 @@ where
     }
 
     fn ingest_text(&mut self, text: &str) -> Result<u64, CollectorError> {
-        let lines: Vec<&str> = text
-            .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty())
-            .collect();
-        if lines.is_empty() {
-            return Ok(0);
-        }
+        // A line count for the sharding decision only: blank lines count
+        // too, which at worst shards a little early.
+        let lines = text.bytes().filter(|&b| b == b'\n').count() + 1;
         let threads = ldp_pool::configured_threads();
-        let shards = threads.min(lines.len() / (SHARD_MIN_LINES / 2)).max(1);
+        let shards = threads.min(lines / (SHARD_MIN_LINES / 2)).max(1);
         if shards <= 1 {
-            // Sequential path with an explicit checkpoint for the
-            // all-or-nothing contract (state is O(d̃), cheap to clone).
-            let (shard_state, absorbed) = self.absorb_block(&lines)?;
-            self.mechanism.merge_state(&mut self.state, &shard_state)?;
-            self.count += absorbed;
+            // Sequential path: the frame absorbs into a private state that
+            // merges only on success, for the all-or-nothing contract.
+            let (shard_state, absorbed) = absorb_frame(&self.mechanism, text)?;
+            if absorbed > 0 {
+                self.mechanism.merge_state(&mut self.state, &shard_state)?;
+                self.count += absorbed;
+            }
             return Ok(absorbed);
         }
-        // Sharded path: each pool job decodes and absorbs its chunk into
-        // a private state; shard states merge in index order, so the
-        // result is identical to sequential ingestion by the
-        // merge-equals-concatenation contract.
-        let chunk = lines.len().div_ceil(shards);
-        let chunks: Vec<&[&str]> = lines.chunks(chunk).collect();
+        // Sharded path: each pool job decodes and absorbs its piece of
+        // the text into a private state; shard states merge in order, so
+        // the result is identical to sequential ingestion by the
+        // merge-equals-concatenation contract. The first failing piece's
+        // error is the one reported.
+        let pieces = split_lines(text, shards);
         let results = ldp_pool::global()
-            .run(chunks.len(), |i| self.absorb_block(chunks[i]))
+            .run(pieces.len(), |i| absorb_frame(&self.mechanism, pieces[i]))
             .map_err(|e| CollectorError::Io(format!("worker pool failure: {e}")))?;
         let mut absorbed = 0;
         let mut shard_states = Vec::with_capacity(results.len());
         for r in results {
             let (state, n) = r?;
-            absorbed += n;
-            shard_states.push(state);
+            if n > 0 {
+                absorbed += n;
+                shard_states.push(state);
+            }
         }
         for shard in &shard_states {
             self.mechanism.merge_state(&mut self.state, shard)?;
@@ -487,4 +500,83 @@ pub fn ingest_resuming(
         8_192,
         |_, _| Ok(()),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::registry::build_session;
+    use ldp_core::CoreError;
+
+    const SW: &str = "sw-ems:eps=1,d=1024";
+
+    #[test]
+    fn decode_error_outranks_an_earlier_out_of_domain_report() {
+        let mut session = build_session(SW).unwrap();
+        session.ingest_text("0.5\n0.25\n").unwrap();
+        let before = session.snapshot_text();
+        let decoder = session.batch_decoder();
+        // 7.5 lies outside SW's [-b, 1 + b] and comes first, but the whole
+        // frame decodes before anything absorbs.
+        let frame = "0.5\n7.5\nnot-a-number\n0.25\n";
+        let decode_error = "wire decode failed: cannot parse f64 report from \"not-a-number\"";
+        let prepared = decoder.prepare(frame).err().unwrap().to_string();
+        assert!(prepared.contains(decode_error), "{prepared}");
+        let ingested = session.ingest_text(frame).unwrap_err().to_string();
+        assert_eq!(ingested, prepared);
+        assert_eq!(
+            session.snapshot_text(),
+            before,
+            "a rejected frame leaves the window"
+        );
+        // Without the malformed line the domain check is what fails.
+        let domain = decoder.prepare("0.5\n7.5\n0.25\n").err().unwrap();
+        assert!(
+            matches!(domain, CollectorError::Core(CoreError::InvalidReport(_))),
+            "{domain}"
+        );
+        assert!(session.ingest_text("0.5\n7.5\n0.25\n").is_err());
+        assert_eq!(session.snapshot_text(), before);
+    }
+
+    #[test]
+    fn fallback_form_frame_matches_the_per_line_reference() {
+        let session = build_session(SW).unwrap();
+        let reports = session.gen_reports(600, 11).unwrap();
+        // CRLF endings, ASCII and Unicode padding and blank lines: every
+        // line takes the per-line path.
+        let pads = [("", "\r"), (" ", " \r"), ("\t", ""), ("\u{a0}", "\u{3000}")];
+        let mut frame = String::new();
+        for (i, line) in reports.lines().enumerate() {
+            let (before, after) = pads[i % pads.len()];
+            frame.push_str(&format!("{before}{line}{after}\n"));
+            if i % 7 == 0 {
+                frame.push_str(" \r\n");
+            }
+        }
+        let mut served = build_session(SW).unwrap();
+        let batch = served.batch_decoder().prepare(&frame).unwrap();
+        assert_eq!(served.absorb_prepared(batch).unwrap(), 600);
+        let mut reference = build_session(SW).unwrap();
+        for line in reports.lines() {
+            reference.ingest_line(line).unwrap();
+        }
+        assert_eq!(served.snapshot_text(), reference.snapshot_text());
+        let mut ingested = build_session(SW).unwrap();
+        assert_eq!(ingested.ingest_text(&frame).unwrap(), 600);
+        assert_eq!(ingested.snapshot_text(), reference.snapshot_text());
+    }
+
+    #[test]
+    fn sharded_ingest_splits_on_line_boundaries() {
+        let text = "0.5\n0.25\n\n0.125\n1\n";
+        for parts in 1..8 {
+            let pieces = split_lines(text, parts);
+            assert_eq!(pieces.concat(), text);
+            assert!(pieces.len() <= parts);
+            assert!(pieces[..pieces.len() - 1].iter().all(|p| p.ends_with('\n')));
+        }
+        assert_eq!(split_lines("0.5", 4), vec!["0.5"]);
+        assert!(split_lines("", 4).is_empty());
+    }
 }

@@ -114,21 +114,25 @@ fn snapshot_merge_across_three_collectors_equals_concatenated_ingest() {
 #[test]
 fn bulk_sharded_ingest_equals_line_by_line() {
     // Large enough to take the pool-sharded path when the pool has
-    // workers (CI runs this suite under LDP_POOL_THREADS=2).
-    let spec = "grr:eps=1,d=8";
-    let gen = build_session(spec).unwrap();
-    let reports = gen.gen_reports(12_000, 7).unwrap();
-    let mut bulk = build_session(spec).unwrap();
-    bulk.ingest_text(&reports).unwrap();
-    let mut serial = build_session(spec).unwrap();
-    for line in reports.lines() {
-        serial.ingest_line(line).unwrap();
+    // workers (CI runs this suite under LDP_POOL_THREADS=2). GRR decodes
+    // through the default line loop, SW through the f64 frame decoder.
+    for spec in ["grr:eps=1,d=8", "sw-ems:eps=1,d=64"] {
+        let gen = build_session(spec).unwrap();
+        let reports = gen.gen_reports(12_000, 7).unwrap();
+        let mut bulk = build_session(spec).unwrap();
+        bulk.ingest_text(&reports).unwrap();
+        let mut serial = build_session(spec).unwrap();
+        for line in reports.lines() {
+            serial.ingest_line(line).unwrap();
+        }
+        assert_eq!(bulk.count(), serial.count(), "{spec}");
+        assert_eq!(bulk.snapshot_text(), serial.snapshot_text(), "{spec}");
+        assert_eq!(
+            bulk.finalize_text().unwrap(),
+            serial.finalize_text().unwrap(),
+            "{spec}"
+        );
     }
-    assert_eq!(bulk.count(), serial.count());
-    assert_eq!(
-        bulk.finalize_text().unwrap(),
-        serial.finalize_text().unwrap()
-    );
 }
 
 #[test]

@@ -2,9 +2,9 @@
 //! and aggregating must produce the bit-identical estimate — reports can
 //! cross process boundaries (device → collector → replay log) losslessly.
 //!
-//! The report structs also carry `serde` derives (via the vendored stub,
-//! swap-in compatible with the real `serde`); the encoding exercised here
-//! is `ldp-core`'s dependency-free line format.
+//! The encoding exercised here is `ldp-core`'s dependency-free line
+//! format, the only encoding reports have: the report structs carry
+//! `serde` derives, but the vendored `serde` is a stub with no serializer.
 
 use sw_ldp::cfo::select::AdaptiveReport;
 use sw_ldp::cfo::{Grr, Hrr, Olh, Oue};
