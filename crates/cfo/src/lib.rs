@@ -13,8 +13,9 @@
 //! - [`oue::Oue`] — Optimized Unary Encoding, included as an extension;
 //!
 //! plus [`select`] (the variance-driven GRR/OLH choice the paper applies),
-//! [`postprocess`] (Norm-Sub and friends, §4.1), and [`binning`] (the
-//! complete "CFO with binning" distribution estimator of §4.1).
+//! [`postprocess`] (Norm-Sub and friends, §4.1), [`binning`] (the
+//! complete "CFO with binning" distribution estimator of §4.1), and
+//! [`block`] (GRR and OLH in draw form, for block randomization).
 //!
 //! Every oracle and the binning estimator is driven through one API, the
 //! workspace-wide [`ldp_core::Mechanism`] trait (see [`mechanism`]):
@@ -29,6 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod binning;
+pub mod block;
 pub mod error;
 pub mod grr;
 pub mod hadamard;
@@ -40,6 +42,7 @@ pub mod postprocess;
 pub mod select;
 
 pub use binning::BinningEstimator;
+pub use block::DrawPlan;
 pub use error::CfoError;
 pub use grr::Grr;
 pub use hadamard::Hrr;

@@ -20,7 +20,7 @@ use ldp_core::snapshot::{
     expect_tag, next_line, parse_fields, parse_snapshot_field, SnapshotState,
 };
 use ldp_core::wire::parse_field;
-use ldp_core::{CoreError, Epsilon, Mechanism, WireReport};
+use ldp_core::{randomize_serial, CoreError, Epsilon, Mechanism, WireReport};
 use ldp_numeric::histogram::bucket_of;
 use ldp_numeric::Histogram;
 use rand::Rng;
@@ -152,6 +152,23 @@ impl Mechanism for Grr {
         }
     }
 
+    fn randomize_block<R: Rng + ?Sized>(
+        &self,
+        inputs: &[usize],
+        rng: &mut R,
+        out: &mut Vec<usize>,
+    ) -> Result<(), CoreError> {
+        let plan = self.draw_plan();
+        let walked = inputs.iter().all(|&v| v < self.d)
+            && plan.walk(inputs.len(), rng, out, |i, draws, steps| {
+                plan.grr(inputs[i], draws, steps)
+            });
+        if walked {
+            return Ok(());
+        }
+        randomize_serial(self, inputs, rng, out)
+    }
+
     fn empty_state(&self) -> CountState {
         CountState::new(self.domain_size())
     }
@@ -218,6 +235,23 @@ impl Mechanism for Olh {
             other
         };
         Ok(OlhReport { seed, y })
+    }
+
+    fn randomize_block<R: Rng + ?Sized>(
+        &self,
+        inputs: &[usize],
+        rng: &mut R,
+        out: &mut Vec<OlhReport>,
+    ) -> Result<(), CoreError> {
+        let plan = self.draw_plan();
+        let walked = inputs.iter().all(|&v| v < self.d)
+            && plan.walk(inputs.len(), rng, out, |i, draws, steps| {
+                plan.olh(inputs[i], draws, steps)
+            });
+        if walked {
+            return Ok(());
+        }
+        randomize_serial(self, inputs, rng, out)
     }
 
     fn empty_state(&self) -> SupportState {
@@ -603,6 +637,23 @@ impl Mechanism for AdaptiveOracle {
         })
     }
 
+    fn randomize_block<R: Rng + ?Sized>(
+        &self,
+        inputs: &[usize],
+        rng: &mut R,
+        out: &mut Vec<AdaptiveReport>,
+    ) -> Result<(), CoreError> {
+        let plan = self.draw_plan();
+        let walked = inputs.iter().all(|&v| v < self.domain_size())
+            && plan.walk(inputs.len(), rng, out, |i, draws, steps| {
+                plan.report(inputs[i], draws, steps)
+            });
+        if walked {
+            return Ok(());
+        }
+        randomize_serial(self, inputs, rng, out)
+    }
+
     fn empty_state(&self) -> AdaptiveState {
         match self {
             AdaptiveOracle::Grr(o) => AdaptiveState::Grr(o.empty_state()),
@@ -686,6 +737,32 @@ impl Mechanism for BinningEstimator {
         }
         let bucket = bucket_of(input.clamp(0.0, 1.0), self.bins());
         Mechanism::randomize(self.oracle(), &bucket, rng)
+    }
+
+    fn randomize_block<R: Rng + ?Sized>(
+        &self,
+        inputs: &[f64],
+        rng: &mut R,
+        out: &mut Vec<AdaptiveReport>,
+    ) -> Result<(), CoreError> {
+        // Every finite value maps to a bin, which the oracle's plan
+        // randomizes; a NaN or infinity stays serial. The bins are found
+        // in a pass of their own: inside the walk they would lengthen
+        // each report's chain from input to output.
+        if !inputs.iter().all(|v| v.is_finite()) {
+            return randomize_serial(self, inputs, rng, out);
+        }
+        let bins: Vec<usize> = inputs
+            .iter()
+            .map(|v| bucket_of(v.clamp(0.0, 1.0), self.bins()))
+            .collect();
+        let plan = self.oracle().draw_plan();
+        if plan.walk(bins.len(), rng, out, |i, draws, steps| {
+            plan.report(bins[i], draws, steps)
+        }) {
+            return Ok(());
+        }
+        randomize_serial(self, inputs, rng, out)
     }
 
     fn empty_state(&self) -> AdaptiveState {

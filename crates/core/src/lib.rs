@@ -38,6 +38,9 @@
 //!    mechanisms achieve this through `ldp_numeric::ExactSum`).
 //! 3. **Determinism.** Client randomization is a pure function of the
 //!    mechanism configuration, the input, and the RNG stream.
+//! 4. **Block = serial.** [`Mechanism::randomize_block`] (behind
+//!    [`Client::randomize_batch`]) returns the reports, and leaves the
+//!    generator where, one [`Mechanism::randomize`] call per input would.
 //!
 //! # Example
 //!
@@ -109,7 +112,7 @@ pub mod snapshot;
 pub mod wire;
 
 pub use error::CoreError;
-pub use mechanism::{Aggregator, Client, Mechanism};
+pub use mechanism::{randomize_serial, Aggregator, Client, Mechanism};
 pub use params::{Domain, Epsilon};
 pub use snapshot::{
     decode_snapshot, decode_snapshot_with_sessions, encode_snapshot, encode_snapshot_with_sessions,

@@ -47,6 +47,32 @@ pub trait Mechanism {
         rng: &mut R,
     ) -> Result<Self::Report, CoreError>;
 
+    /// Client side, in bulk: perturbs `inputs` in order on one RNG stream,
+    /// appending one report per input to `out`. The result — reports and
+    /// the generator's final position — is that of calling
+    /// [`Mechanism::randomize`] once per input ([`randomize_serial`], this
+    /// method's default). On the first invalid input the error is
+    /// returned, `out` holds the reports before it, and the generator
+    /// sits where the serial loop leaves it.
+    ///
+    /// Mechanisms whose randomizer consumes a data-dependent number of
+    /// draws override this with a block walk over the counter-based
+    /// `SplitMix64` stream ([`ldp_numeric::SplitMix64::walk_reports`]), taken only when
+    /// `rng` is that generator and the vector draw window is live; every
+    /// other generator, and any block holding an invalid input, runs the
+    /// serial loop.
+    fn randomize_block<R: Rng + ?Sized>(
+        &self,
+        inputs: &[Self::Input],
+        rng: &mut R,
+        out: &mut Vec<Self::Report>,
+    ) -> Result<(), CoreError>
+    where
+        Self::Input: Sized,
+    {
+        randomize_serial(self, inputs, rng, out)
+    }
+
     /// A fresh, empty accumulator state for this configuration.
     fn empty_state(&self) -> Self::State;
 
@@ -91,6 +117,27 @@ pub trait Mechanism {
     }
 }
 
+/// The reference semantics of [`Mechanism::randomize_block`]: one
+/// [`Mechanism::randomize`] call per input, in order, stopping at the
+/// first error.
+pub fn randomize_serial<M, R>(
+    mechanism: &M,
+    inputs: &[M::Input],
+    rng: &mut R,
+    out: &mut Vec<M::Report>,
+) -> Result<(), CoreError>
+where
+    M: Mechanism + ?Sized,
+    M::Input: Sized,
+    R: Rng + ?Sized,
+{
+    out.reserve(inputs.len());
+    for input in inputs {
+        out.push(mechanism.randomize(input, rng)?);
+    }
+    Ok(())
+}
+
 /// Forwarding impl so borrowed mechanisms plug into [`Client`] and
 /// [`Aggregator`] without cloning.
 impl<M: Mechanism + ?Sized> Mechanism for &M {
@@ -113,6 +160,18 @@ impl<M: Mechanism + ?Sized> Mechanism for &M {
         rng: &mut R,
     ) -> Result<Self::Report, CoreError> {
         (**self).randomize(input, rng)
+    }
+
+    fn randomize_block<R: Rng + ?Sized>(
+        &self,
+        inputs: &[Self::Input],
+        rng: &mut R,
+        out: &mut Vec<Self::Report>,
+    ) -> Result<(), CoreError>
+    where
+        Self::Input: Sized,
+    {
+        (**self).randomize_block(inputs, rng, out)
     }
 
     fn empty_state(&self) -> Self::State {
@@ -213,7 +272,9 @@ impl<'a, M: Mechanism> Client<'a, M> {
         self.mechanism.randomize(input, rng)
     }
 
-    /// Perturbs a batch of inputs with one sequential RNG stream.
+    /// Perturbs a batch of inputs with one sequential RNG stream, through
+    /// [`Mechanism::randomize_block`]: the same reports and generator
+    /// position as one [`Client::randomize`] call per input.
     pub fn randomize_batch<R: Rng + ?Sized>(
         &self,
         inputs: &[M::Input],
@@ -223,9 +284,7 @@ impl<'a, M: Mechanism> Client<'a, M> {
         M::Input: Sized,
     {
         let mut reports = Vec::with_capacity(inputs.len());
-        for input in inputs {
-            reports.push(self.mechanism.randomize(input, rng)?);
-        }
+        self.mechanism.randomize_block(inputs, rng, &mut reports)?;
         Ok(reports)
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! Every estimation method in the evaluation is driven through the same
 //! streaming loop: map each dataset value to the mechanism's input type,
-//! perturb it through a [`Client`], push the wire report into an
-//! [`Aggregator`], and adapt the finalized output into an [`Estimate`].
+//! perturb it on the client side ([`Mechanism::randomize_block`], block by
+//! block), push the wire reports into an [`Aggregator`], and adapt the
+//! finalized output into an [`Estimate`].
 //! [`MethodRunner`] erases the mechanism's associated types so the grid
 //! executor dispatches through one trait object; what used to be
 //! per-mechanism randomize/aggregate match arms in `run_method` is now a
@@ -11,7 +12,7 @@
 
 use crate::error::ExperimentError;
 use crate::methods::Estimate;
-use ldp_core::{Aggregator, Client, Mechanism};
+use ldp_core::{Aggregator, Mechanism};
 use ldp_mean::MeanVariance;
 use ldp_numeric::SplitMix64;
 
@@ -40,28 +41,32 @@ pub(crate) struct Streaming<M, FIn, FOut> {
     pub(crate) to_estimate: FOut,
 }
 
-/// Streams `values` through `mechanism` on `rng`, bulk-ingesting reports
-/// in fixed-size blocks, and finalizes the estimate.
+/// Streams `values` through `mechanism` on `rng`, randomizing and
+/// bulk-ingesting in fixed-size blocks, and finalizes the estimate. Each
+/// block goes through [`Mechanism::randomize_block`], which equals one
+/// `randomize` per input on the same stream.
 pub(crate) fn stream<M>(
     mechanism: &M,
-    inputs: impl Iterator<Item = M::Input>,
+    mut inputs: impl Iterator<Item = M::Input>,
     rng: &mut SplitMix64,
 ) -> Result<M::Output, ExperimentError>
 where
     M: Mechanism,
     M::Input: Sized,
 {
-    let client = Client::new(mechanism);
     let mut agg = Aggregator::new(mechanism);
+    let mut values = Vec::with_capacity(INGEST_BLOCK);
     let mut block = Vec::with_capacity(INGEST_BLOCK);
-    for input in inputs {
-        block.push(client.randomize(&input, rng)?);
-        if block.len() == INGEST_BLOCK {
-            agg.push_slice(&block)?;
-            block.clear();
+    loop {
+        values.clear();
+        values.extend(inputs.by_ref().take(INGEST_BLOCK));
+        if values.is_empty() {
+            break;
         }
+        block.clear();
+        mechanism.randomize_block(&values, rng, &mut block)?;
+        agg.push_slice(&block)?;
     }
-    agg.push_slice(&block)?;
     Ok(agg.finalize()?)
 }
 

@@ -17,11 +17,14 @@ use crate::hh::{HhRaw, HierarchicalHistogram};
 use crate::tree::TreeValues;
 use ldp_cfo::hadamard::HrrReport;
 use ldp_cfo::select::AdaptiveReport;
+use ldp_cfo::DrawPlan;
 use ldp_cfo::{AdaptiveState, SpectrumState};
 use ldp_core::params::fingerprint_fields;
 use ldp_core::snapshot::{expect_tag, next_line, parse_snapshot_field, SnapshotState};
 use ldp_core::wire::parse_field;
-use ldp_core::{CoreError, Epsilon, Mechanism, WireReport};
+use ldp_core::{randomize_serial, CoreError, Epsilon, Mechanism, WireReport};
+use ldp_numeric::kernels::Divisor;
+use ldp_numeric::SplitMix64;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write;
@@ -103,6 +106,54 @@ impl Mechanism for HierarchicalHistogram {
             level: level as u32,
             report,
         })
+    }
+
+    fn randomize_block<R: Rng + ?Sized>(
+        &self,
+        inputs: &[usize],
+        rng: &mut R,
+        out: &mut Vec<HhReport>,
+    ) -> Result<(), CoreError> {
+        let d = self.shape().leaves();
+        if !inputs.iter().all(|&v| v < d) {
+            return randomize_serial(self, inputs, rng, out);
+        }
+        let Some(stream) = SplitMix64::block_stream(rng) else {
+            return randomize_serial(self, inputs, rng, out);
+        };
+        // Per level (index `level - 1`): the oracle in draw form, and the
+        // leaves under one node, which divide a value into its ancestor.
+        let h = self.shape().height();
+        let plans: Vec<DrawPlan> = (1..=h)
+            .map(|level| self.level_oracle(level).draw_plan())
+            .collect();
+        let spans: Vec<Divisor> = (1..=h)
+            .map(|level| Divisor::new(self.shape().leaf_range(level, 0).1 as u64))
+            .collect();
+        let max_draws = 1 + plans.iter().map(|p| p.max_draws()).max().unwrap_or(0);
+        // The level draw is `gen_range(1..=h)`: level index `u % h`.
+        let levels = Divisor::new(h as u64);
+        out.reserve(inputs.len());
+        // A report's step count needs its level and that level's coin,
+        // about as much work as the report itself, so the walk counts at
+        // each report rather than filling a table for every position.
+        stream.walk_reports(
+            inputs.len(),
+            max_draws,
+            |_, _| {},
+            |draws, _, i| {
+                let index = (draws[0] % levels) as usize;
+                let (plan, oracle_draws) = (plans[index], &draws[1..]);
+                let steps = plan.steps(oracle_draws);
+                let ancestor = (inputs[i] as u64 / spans[index]) as usize;
+                out.push(HhReport {
+                    level: index as u32 + 1,
+                    report: plan.report(ancestor, oracle_draws, steps),
+                });
+                1 + usize::from(steps)
+            },
+        );
+        Ok(())
     }
 
     fn empty_state(&self) -> HhState {

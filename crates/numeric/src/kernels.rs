@@ -5,13 +5,16 @@
 //! ([`first_out_of_range`] + [`bucket_histogram`]), the OUE bit-count
 //! accumulation ([`bitcount_rows`]) and the OLH support walk
 //! ([`olh_support`]) that OLH, CFO-binning and every HH level absorb
-//! through. Each kernel has
+//! through. So does the client side's block randomization: the
+//! [`draw_window`] of `SplitMix64` draws ahead of the cursor that
+//! [`SplitMix64::walk_reports`](crate::rng::SplitMix64::walk_reports)
+//! walks, with [`Divisor`] for its exact remainders. Each kernel has
 //!
 //! - a **scalar reference** implementation — the semantics, always compiled,
 //!   always available;
 //! - an optional 4–8-lane unrolled / `core::arch` AVX2 variant selected at
-//!   runtime behind [`simd_enabled`]; [`olh_support`] also has an 8-lane
-//!   AVX-512 variant.
+//!   runtime behind [`simd_enabled`]; [`olh_support`] and [`draw_window`]
+//!   also have an 8-lane AVX-512 variant.
 //!
 //! The contract, pinned by the workspace `kernel_equivalence` differential
 //! suite, is that every variant is **bit-identical** to its scalar
@@ -24,10 +27,13 @@
 //!
 //! [`simd_enabled`] is computed once per process: it requires `x86_64`,
 //! a runtime `is_x86_feature_detected!("avx2")` hit, and the `LDP_NO_SIMD`
-//! environment variable to be unset (or `0`/empty). [`olh_support`] takes
-//! its AVX-512 arm when [`simd_enabled`] holds and `avx512f` and
-//! `avx512dq` are detected (also checked once and cached), else its AVX2
-//! arm when [`simd_enabled`] holds, else the scalar reference.
+//! environment variable to be unset (or `0`/empty). [`olh_support`] and
+//! [`draw_window`] take their AVX-512 arm when [`simd_enabled`] holds and
+//! `avx512f` and `avx512dq` are detected (also checked once and cached),
+//! else their AVX2 arm when [`simd_enabled`] holds, else the scalar
+//! reference. The block randomizers run only when [`simd_enabled`] holds,
+//! so under `LDP_NO_SIMD=1` they are the serial per-report loop, their
+//! reference semantics.
 //! `LDP_NO_SIMD=1` is the only switch: it forces every kernel, both
 //! AVX-512 and AVX2 arms included, onto its scalar reference — CI runs the
 //! whole test suite in both configurations. Non-x86 targets always take
@@ -373,6 +379,82 @@ impl ResidueTest {
     }
 }
 
+/// Exact `n / d` and `n % d` for a fixed divisor `d ≥ 1` from one high
+/// multiply and one branch-free correction, where a hardware divide costs
+/// tens of cycles (Granlund and Montgomery, PLDI 1994); a power of two is
+/// a shift and a mask.
+///
+/// With `m = ⌊2⁶⁴/d⌋` (`2⁶⁴ − 1` for `d = 1`), `q̂ = ⌊n·m/2⁶⁴⌋` satisfies
+/// `q − 1 ≤ q̂ ≤ q` for `q = ⌊n/d⌋`: `m ≤ 2⁶⁴/d` bounds it above, and
+/// `m > 2⁶⁴/d − 1` gives `n·m/2⁶⁴ > n/d − 1`. So `r̂ = n − q̂·d` lies in
+/// `[0, 2d)` (and never exceeds `n`), and one conditional subtract yields
+/// the exact remainder, for every `n: u64`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Divisor {
+    d: u64,
+    /// `⌊2⁶⁴/d⌋`, or `2⁶⁴ − 1` for `d = 1`.
+    m: u64,
+    /// `log₂ d` when `d` is a power of two. The tree spans of a
+    /// power-of-two branching and OLH's `g` at ε = 1 and 2 are; there the
+    /// shortcut takes the multiply off a report's dependency chain.
+    shift: Option<u32>,
+}
+
+impl Divisor {
+    /// Precomputes division by `d`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d` is 0.
+    #[must_use]
+    pub fn new(d: u64) -> Self {
+        assert!(d >= 1, "division by zero");
+        let m = if d == 1 {
+            u64::MAX
+        } else {
+            ((1u128 << 64) / u128::from(d)) as u64
+        };
+        let shift = d.is_power_of_two().then(|| d.trailing_zeros());
+        Divisor { d, m, shift }
+    }
+
+    /// `(n / d, n % d)`.
+    #[inline]
+    #[must_use]
+    pub fn div_rem(self, n: u64) -> (u64, u64) {
+        if let Some(k) = self.shift {
+            return (n >> k, n & (self.d - 1));
+        }
+        let q = ((u128::from(n) * u128::from(self.m)) >> 64) as u64;
+        let r = n - q * self.d;
+        let over = r >= self.d;
+        (
+            q + u64::from(over),
+            std::hint::select_unpredictable(over, r.wrapping_sub(self.d), r),
+        )
+    }
+}
+
+/// `n / d` through [`Divisor::div_rem`].
+impl std::ops::Div<Divisor> for u64 {
+    type Output = u64;
+
+    #[inline]
+    fn div(self, d: Divisor) -> u64 {
+        d.div_rem(self).0
+    }
+}
+
+/// `n % d` through [`Divisor::div_rem`].
+impl std::ops::Rem<Divisor> for u64 {
+    type Output = u64;
+
+    #[inline]
+    fn rem(self, d: Divisor) -> u64 {
+        d.div_rem(self).1
+    }
+}
+
 /// The scalar reference for [`olh_support`]: one [`mix64`] and one
 /// [`ResidueTest::hit`] per value.
 ///
@@ -428,6 +510,87 @@ pub fn olh_support(
         return;
     }
     olh_support_scalar(support, value_mix, seed, y, residue);
+}
+
+// ---------------------------------------------------------------------------
+// SplitMix64 draw window (block randomization)
+// ---------------------------------------------------------------------------
+
+/// The scalar reference for [`draw_window`]: `out[i]` is the `i`-th raw
+/// output a [`SplitMix64`] in state `state` would return, computed
+/// without advancing anything.
+///
+/// [`SplitMix64`]: crate::rng::SplitMix64
+pub fn draw_window_scalar(state: u64, out: &mut [u64]) {
+    for (i, o) in (1u64..).zip(out.iter_mut()) {
+        *o = crate::rng::finalize(state.wrapping_add(i.wrapping_mul(crate::rng::GAMMA)));
+    }
+}
+
+/// Fills `out` with the next `out.len()` raw outputs of a [`SplitMix64`]
+/// in state `state`: `out[i] = finalize(state + (i + 1)·γ)`, with every
+/// add and multiply wrapping. The generator is counter-based, so a window
+/// of draws ahead of the cursor is one independent finalizer per lane —
+/// the first pass of the block randomizers
+/// ([`SplitMix64::walk_reports`]).
+///
+/// The AVX-512 arm runs 8 lanes (`vpmullq`, the tail under a store mask);
+/// the AVX2 arm runs 4 lanes, each 64-bit multiply built from three
+/// `vpmuludq`. Lane counters step by `8γ` or `4γ` with wrapping adds,
+/// which is the same residue mod 2⁶⁴ as `(i + 1)·γ`, so every arm equals
+/// [`draw_window_scalar`] on every state, the wrap of the counter past
+/// `u64::MAX` included.
+///
+/// [`SplitMix64`]: crate::rng::SplitMix64
+/// [`SplitMix64::walk_reports`]: crate::rng::SplitMix64::walk_reports
+#[allow(unsafe_code)] // runtime-dispatched AVX-512/AVX2 call sites
+pub fn draw_window(state: u64, out: &mut [u64]) {
+    #[cfg(target_arch = "x86_64")]
+    if avx512_enabled() {
+        // SAFETY: avx512_enabled() verified AVX-512F and AVX-512DQ
+        // support at runtime.
+        unsafe { avx512::draw_window_avx512(state, out) };
+        return;
+    } else if simd_enabled() {
+        // SAFETY: simd_enabled() verified AVX2 support at runtime.
+        unsafe { avx2::draw_window_avx2(state, out) };
+        return;
+    }
+    draw_window_scalar(state, out);
+}
+
+/// Runs the AVX2 arm of [`draw_window`], or returns `false` without
+/// touching `out` when this host lacks AVX2. For the differential suite,
+/// which pins each arm on its own whatever the dispatch picks.
+#[must_use]
+#[allow(unsafe_code)] // runtime-detected AVX2 call site
+pub fn draw_window_avx2(state: u64, out: &mut [u64]) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 detected just above.
+        unsafe { avx2::draw_window_avx2(state, out) };
+        return true;
+    }
+    let _ = (state, out);
+    false
+}
+
+/// Runs the AVX-512 arm of [`draw_window`], or returns `false` without
+/// touching `out` when this host lacks AVX-512F or AVX-512DQ. For the
+/// differential suite, like [`draw_window_avx2`].
+#[must_use]
+#[allow(unsafe_code)] // runtime-detected AVX-512 call site
+pub fn draw_window_avx512(state: u64, out: &mut [u64]) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512dq")
+    {
+        // SAFETY: AVX-512F and AVX-512DQ detected just above.
+        unsafe { avx512::draw_window_avx512(state, out) };
+        return true;
+    }
+    let _ = (state, out);
+    false
 }
 
 // ---------------------------------------------------------------------------
@@ -657,6 +820,38 @@ mod avx2 {
             residue,
         );
     }
+
+    /// # Safety
+    /// Caller must have verified AVX2 support.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn draw_window_avx2(state: u64, out: &mut [u64]) {
+        let n = out.len();
+        let blocks = n / 4;
+        let splat = |v: u64| _mm256_set1_epi64x(v as i64);
+        let (mul0, mul1) = (splat(FINALIZE_MULS[0]), splat(FINALIZE_MULS[1]));
+        let (mul0_hi, mul1_hi) = (splat(FINALIZE_MULS[0] >> 32), splat(FINALIZE_MULS[1] >> 32));
+        let lane = |i: u64| state.wrapping_add(i.wrapping_mul(GAMMA)) as i64;
+        // Lane j of block b holds the counter state + (4b + j + 1)·γ.
+        let mut counter = _mm256_set_epi64x(lane(4), lane(3), lane(2), lane(1));
+        let stride = splat(GAMMA.wrapping_mul(4));
+        let o = out.as_mut_ptr();
+        for b in 0..blocks {
+            let z = counter;
+            let z = _mm256_xor_si256(z, _mm256_srli_epi64::<{ FINALIZE_SHIFTS[0] as i32 }>(z));
+            let z = mullo_epi64(z, mul0, mul0_hi);
+            let z = _mm256_xor_si256(z, _mm256_srli_epi64::<{ FINALIZE_SHIFTS[1] as i32 }>(z));
+            let z = mullo_epi64(z, mul1, mul1_hi);
+            let z = _mm256_xor_si256(z, _mm256_srli_epi64::<{ FINALIZE_SHIFTS[2] as i32 }>(z));
+            // SAFETY: 4*b + 3 < n by the blocks bound; the store is unaligned.
+            unsafe { _mm256_storeu_si256(o.add(4 * b).cast(), z) };
+            counter = _mm256_add_epi64(counter, stride);
+        }
+        let done = 4 * blocks as u64;
+        super::draw_window_scalar(
+            state.wrapping_add(done.wrapping_mul(GAMMA)),
+            &mut out[4 * blocks..],
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -720,6 +915,42 @@ mod avx512 {
             let cur = unsafe { _mm512_maskz_loadu_epi64(lanes, s.add(i).cast()) };
             let sum = _mm512_mask_add_epi64(cur, hit, cur, one);
             unsafe { _mm512_mask_storeu_epi64(s.add(i).cast(), lanes, sum) };
+            i += 8;
+        }
+    }
+
+    /// # Safety
+    /// Caller must have verified AVX-512F and AVX-512DQ support.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    pub(super) unsafe fn draw_window_avx512(state: u64, out: &mut [u64]) {
+        let n = out.len();
+        let splat = |v: u64| _mm512_set1_epi64(v as i64);
+        let (mul0, mul1) = (splat(FINALIZE_MULS[0]), splat(FINALIZE_MULS[1]));
+        // Lane j of the block at i holds the counter state + (i + j + 1)·γ.
+        let ones_to_eight = _mm512_set_epi64(8, 7, 6, 5, 4, 3, 2, 1);
+        let mut counter = _mm512_add_epi64(
+            splat(state),
+            _mm512_mullo_epi64(ones_to_eight, splat(GAMMA)),
+        );
+        let stride = splat(GAMMA.wrapping_mul(8));
+        let o = out.as_mut_ptr();
+        let mut i = 0;
+        while i < n {
+            let lanes: __mmask8 = if n - i >= 8 {
+                0xFF
+            } else {
+                (1u8 << (n - i)) - 1
+            };
+            let z = counter;
+            let z = _mm512_xor_si512(z, _mm512_srli_epi64::<{ FINALIZE_SHIFTS[0] }>(z));
+            let z = _mm512_mullo_epi64(z, mul0);
+            let z = _mm512_xor_si512(z, _mm512_srli_epi64::<{ FINALIZE_SHIFTS[1] }>(z));
+            let z = _mm512_mullo_epi64(z, mul1);
+            let z = _mm512_xor_si512(z, _mm512_srli_epi64::<{ FINALIZE_SHIFTS[2] }>(z));
+            // SAFETY: lanes selects only indices i..min(i + 8, n), which are
+            // in bounds of out; masked-off lanes are not written.
+            unsafe { _mm512_mask_storeu_epi64(o.add(i).cast(), lanes, z) };
+            counter = _mm512_add_epi64(counter, stride);
             i += 8;
         }
     }
@@ -918,6 +1149,35 @@ mod tests {
         let mut support = [0u64; 9];
         olh_support(&mut support, &[0; 9], 1, 4, residue);
         assert_eq!(support, [0; 9]);
+    }
+
+    #[test]
+    fn divisor_matches_hardware_division() {
+        let mut rng = SplitMix64::new(77);
+        let mut divisors: Vec<u64> = (1..=300).collect();
+        divisors.extend([
+            1 << 31,
+            u64::from(u32::MAX),
+            1 << 62,
+            (1 << 63) - 1,
+            1 << 63,
+        ]);
+        divisors.extend([(1 << 63) + 1, u64::MAX - 1, u64::MAX]);
+        divisors.extend(
+            (0..20)
+                .map(|_| rng.gen::<u64>() >> rng.gen_range(0..64u32))
+                .map(|d| d.max(1)),
+        );
+        for d in divisors {
+            let div = Divisor::new(d);
+            let mut ns = vec![0, 1, d - 1, d, d.wrapping_add(1), u64::MAX, u64::MAX - 1];
+            ns.extend((1..=4).map(|k| u64::MAX / d * d - k));
+            ns.extend((0..200).map(|_| rng.gen::<u64>()));
+            for n in ns {
+                assert_eq!(div.div_rem(n), (n / d, n % d), "n = {n}, d = {d}");
+                assert_eq!((n / div, n % div), (n / d, n % d), "n = {n}, d = {d}");
+            }
+        }
     }
 
     #[test]

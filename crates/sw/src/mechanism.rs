@@ -16,8 +16,8 @@ use crate::error::SwError;
 use crate::pipeline::{Reconstruction, SwPipeline};
 use crate::wave::WaveShape;
 use ldp_core::params::fingerprint_fields;
-use ldp_core::{CoreError, Domain, Epsilon, Mechanism};
-use ldp_numeric::Histogram;
+use ldp_core::{randomize_serial, CoreError, Domain, Epsilon, Mechanism};
+use ldp_numeric::{Histogram, SplitMix64};
 use rand::Rng;
 
 const TAG_SW: u64 = 0x21;
@@ -157,6 +157,24 @@ impl Mechanism for SwMechanism {
             .wave()
             .randomize(*input, rng)
             .map_err(|e| CoreError::InvalidInput(e.to_string()))
+    }
+
+    fn randomize_block<R: Rng + ?Sized>(
+        &self,
+        inputs: &[f64],
+        rng: &mut R,
+        out: &mut Vec<f64>,
+    ) -> Result<(), CoreError> {
+        // The square wave takes the block walk; the trapezoid and triangle
+        // samplers, and blocks holding an invalid value, stay serial.
+        let wave = self.pipeline.wave();
+        if wave.shape() == WaveShape::Square && inputs.iter().all(|v| (0.0..=1.0).contains(v)) {
+            if let Some(stream) = SplitMix64::block_stream(rng) {
+                wave.randomize_square_block(inputs, stream, out);
+                return Ok(());
+            }
+        }
+        randomize_serial(self, inputs, rng, out)
     }
 
     fn empty_state(&self) -> ShardAggregator {

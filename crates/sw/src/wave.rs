@@ -10,6 +10,8 @@
 
 use crate::error::SwError;
 use ldp_core::Epsilon;
+use ldp_numeric::rng::{unit_f64, unit_threshold};
+use ldp_numeric::SplitMix64;
 use rand::Rng;
 
 /// The profile of a wave inside `[-b, b]`.
@@ -206,6 +208,54 @@ impl Wave {
             return Ok(self.output_lo() + (1.0 + 2.0 * self.b) * rng.gen::<f64>());
         }
         Ok(v + self.sample_bump_offset(rng))
+    }
+
+    /// The square wave's [`Wave::randomize`] over a block of valid inputs
+    /// (`[0, 1]`, not NaN), as a walk over `stream`'s draw windows; the
+    /// reports and the generator's final state equal the per-value loop.
+    ///
+    /// Per value, the serial sampler draws a coin `u₀`: below the baseline
+    /// mass it reports `-b + (1 + 2b)·u₁` (two draws), else it draws the
+    /// flat-top coin `u₁` — `rect/total` is exactly 1 for the square wave,
+    /// so it always lands — and reports `v + (-b + 2b·u₂)` (three draws).
+    /// The step table is `3 − [u₀ < base]` as an integer compare.
+    ///
+    /// The output needs no select, which the compiler would turn back into
+    /// a mispredicting branch. It reads the report's step count `s` (2 or
+    /// 3) back from the table as a float and computes
+    /// `v·(s − 2) + (-b + (2b + (3 − s))·u_{s−1})`. Every step is exact:
+    /// `2b + 1` is the serial `1 + 2b` (addition commutes), and `v·0 = ±0`
+    /// added to `-b + (1 + 2b)·u₁` changes nothing, because that sum of a
+    /// negative and a non-negative term is never `-0`.
+    pub(crate) fn randomize_square_block(
+        &self,
+        values: &[f64],
+        stream: &mut SplitMix64,
+        out: &mut Vec<f64>,
+    ) {
+        debug_assert_eq!(self.shape, WaveShape::Square);
+        let base = unit_threshold(self.q * (1.0 + 2.0 * self.b));
+        // The flat top of the square wave is the whole band: `flat = b`,
+        // so the baseline's `-b` and the bump's `-flat` are one offset.
+        let flat = self.flat_top_halfwidth();
+        debug_assert_eq!(flat.to_bits(), self.b.to_bits());
+        let (neg_b, two_b) = (-flat, 2.0 * flat);
+        out.reserve(values.len());
+        stream.walk_reports(
+            values.len(),
+            3,
+            |draws, steps| {
+                for (s, &u) in steps.iter_mut().zip(draws) {
+                    *s = 3 - u8::from((u >> 11) < base);
+                }
+            },
+            |draws, steps, i| {
+                let u = unit_f64(draws[usize::from(steps) - 1]);
+                let s = f64::from(steps);
+                out.push(values[i] * (s - 2.0) + (neg_b + (two_b + (3.0 - s)) * u));
+                usize::from(steps)
+            },
+        );
     }
 
     /// Samples an offset from the normalized bump profile

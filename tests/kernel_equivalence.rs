@@ -1,9 +1,10 @@
 //! Kernel-equivalence differential suite: every vectorized / unrolled
 //! kernel in `ldp_numeric::kernels`, the batched `SplitMix64` fills, and
 //! `ExactSum::add_slice` are pinned **bit-for-bit** against their scalar
-//! serial references, and the OLH support walk (multiply-only residue test
+//! serial references, the OLH support walk (multiply-only residue test
 //! over cached value mixes) is pinned against a reference loop over
-//! `olh_hash`.
+//! `olh_hash`, and each arm of the block randomizers' draw window
+//! (AVX-512, AVX2, scalar) is pinned against serial `SplitMix64::next`.
 //!
 //! The suite sweeps domain sizes `d ∈ {1, 2, 7, 64, 257, 1024}`, every
 //! lane-remainder length (0..=17 and beyond the 4-lane / 7-row block
@@ -319,6 +320,95 @@ fn batched_rng_golden_vector_pin() {
             9_817_491_932_198_370_423,
         ]
     );
+}
+
+// ---------------------------------------------------------------------------
+// Draw window: the block randomizers' SplitMix64 look-ahead fill
+// ---------------------------------------------------------------------------
+
+/// Window lengths covering every 4- and 8-lane remainder 0..=15 twice
+/// over, plus one block-randomizer window.
+fn window_lengths() -> Vec<usize> {
+    let mut lens: Vec<usize> = (0..=33).collect();
+    lens.extend([63, 64, 65, 2051]);
+    lens
+}
+
+/// Seeds at the top of the state space, where the counter `state + i·γ`
+/// wraps past `u64::MAX` in the first lanes, and ordinary ones.
+const WINDOW_SEEDS: [u64; 5] = [0, 1, 0xDEAD_BEEF, u64::MAX - 1, u64::MAX];
+
+/// Offsets into the stream at which a window starts: at the cursor and
+/// after serial draws, across lane and block boundaries.
+const WINDOW_OFFSETS: [usize; 6] = [0, 1, 7, 8, 9, 1000];
+
+/// Runs `arm` against serial `next()`: for every seed, offset and length,
+/// the window filled from the state `offset` draws in equals the next
+/// draws of a generator advanced by `offset` serial calls, and filling
+/// it leaves that generator untouched.
+fn assert_draw_window_arm(label: &str, arm: impl Fn(u64, &mut [u64])) {
+    for seed in WINDOW_SEEDS {
+        for offset in WINDOW_OFFSETS {
+            let mut serial = SplitMix64::new(seed);
+            for _ in 0..offset {
+                serial.next();
+            }
+            // The state after `offset` draws, wrapping like the counter.
+            let state = seed.wrapping_add((offset as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            for len in window_lengths() {
+                let mut ahead = serial.clone();
+                let want: Vec<u64> = (0..len).map(|_| ahead.next()).collect();
+                let mut got = vec![0u64; len];
+                arm(state, &mut got);
+                assert_eq!(
+                    got, want,
+                    "{label}: seed {seed:#x}, offset {offset}, len {len}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn draw_window_scalar_reference_equals_serial_next() {
+    assert_draw_window_arm("scalar", kernels::draw_window_scalar);
+}
+
+#[test]
+fn draw_window_dispatch_equals_serial_next() {
+    assert_draw_window_arm(kernels::widest_arm(), kernels::draw_window);
+}
+
+#[test]
+fn draw_window_avx2_arm_equals_serial_next() {
+    if !kernels::draw_window_avx2(0, &mut []) {
+        eprintln!("skipped: no avx2 on this host");
+        return;
+    }
+    assert_draw_window_arm("avx2", |state, out| {
+        assert!(kernels::draw_window_avx2(state, out));
+    });
+}
+
+#[test]
+fn draw_window_avx512_arm_equals_serial_next() {
+    if !kernels::draw_window_avx512(0, &mut []) {
+        eprintln!("skipped: no avx512f/avx512dq on this host");
+        return;
+    }
+    assert_draw_window_arm("avx512", |state, out| {
+        assert!(kernels::draw_window_avx512(state, out));
+    });
+}
+
+#[test]
+fn draw_window_fills_do_not_advance_the_generator() {
+    let mut rng = SplitMix64::new(42);
+    let before = rng.clone();
+    let mut out = vec![0u64; 100];
+    kernels::draw_window(42, &mut out);
+    assert_eq!(rng, before);
+    assert_eq!(out[0], rng.next());
 }
 
 // ---------------------------------------------------------------------------
