@@ -1,12 +1,15 @@
 //! Vectorized absorb/aggregate kernels with runtime dispatch.
 //!
 //! Every hot absorption loop in the workspace funnels through this module:
-//! the SW band-edge dot products ([`dot4`]), the SW report-bucketing pass
-//! ([`first_out_of_range`] + [`bucket_histogram`]), the OUE bit-count
-//! accumulation ([`bitcount_rows`]) and the OLH support walk
-//! ([`olh_support`]) that OLH, CFO-binning and every HH level absorb
-//! through. So does the client side's block randomization: the
-//! [`draw_window`] of `SplitMix64` draws ahead of the cursor that
+//! the SW report-bucketing pass ([`first_out_of_range`] +
+//! [`bucket_histogram`]), the OUE bit-count accumulation
+//! ([`bitcount_rows`]) and the OLH support walk ([`olh_support`]) that
+//! OLH, CFO-binning and every HH level absorb through. So do the two
+//! applications of every SW EM/EMS iteration: the band lines of the banded
+//! transition operator ([`band_lines`], one `(head, tail)` class at a time,
+//! and [`dot4`] for long edge runs). So does the client side's block
+//! randomization: the [`draw_window`] of `SplitMix64` draws ahead of the
+//! cursor that
 //! [`SplitMix64::walk_reports`](crate::rng::SplitMix64::walk_reports)
 //! walks, with [`Divisor`] for its exact remainders. Each kernel has
 //!
@@ -14,7 +17,9 @@
 //!   always available;
 //! - an optional 4–8-lane unrolled / `core::arch` AVX2 variant selected at
 //!   runtime behind [`simd_enabled`]; [`olh_support`] and [`draw_window`]
-//!   also have an 8-lane AVX-512 variant.
+//!   also have an 8-lane AVX-512 variant, and [`band_lines`] has only an
+//!   AVX-512 variant (8 lines per step: gathers, contiguous loads from its
+//!   lane-interleaved edge layout, a scatter).
 //!
 //! The contract, pinned by the workspace `kernel_equivalence` differential
 //! suite, is that every variant is **bit-identical** to its scalar
@@ -27,11 +32,12 @@
 //!
 //! [`simd_enabled`] is computed once per process: it requires `x86_64`,
 //! a runtime `is_x86_feature_detected!("avx2")` hit, and the `LDP_NO_SIMD`
-//! environment variable to be unset (or `0`/empty). [`olh_support`] and
-//! [`draw_window`] take their AVX-512 arm when [`simd_enabled`] holds and
-//! `avx512f` and `avx512dq` are detected (also checked once and cached),
-//! else their AVX2 arm when [`simd_enabled`] holds, else the scalar
-//! reference. The block randomizers run only when [`simd_enabled`] holds,
+//! environment variable to be unset (or `0`/empty). [`olh_support`],
+//! [`draw_window`] and [`band_lines`] take their AVX-512 arm when
+//! [`simd_enabled`] holds and `avx512f` and `avx512dq` are detected (also
+//! checked once and cached); otherwise [`olh_support`] and
+//! [`draw_window`] take their AVX2 arm when [`simd_enabled`] holds, and
+//! every kernel falls back to its scalar reference. The block randomizers run only when [`simd_enabled`] holds,
 //! so under `LDP_NO_SIMD=1` they are the serial per-report loop, their
 //! reference semantics.
 //! `LDP_NO_SIMD=1` is the only switch: it forces every kernel, both
@@ -74,9 +80,9 @@ pub fn simd_enabled() -> bool {
     })
 }
 
-/// Whether [`olh_support`] takes its AVX-512 arm: [`simd_enabled`] and
-/// both `avx512f` and `avx512dq` detected at runtime. Computed once and
-/// cached.
+/// Whether [`olh_support`], [`draw_window`] and [`band_lines`] take their
+/// AVX-512 arms: [`simd_enabled`] and both `avx512f` and `avx512dq`
+/// detected at runtime. Computed once and cached.
 #[cfg(target_arch = "x86_64")]
 fn avx512_enabled() -> bool {
     static ENABLED: OnceLock<bool> = OnceLock::new();
@@ -594,6 +600,228 @@ pub fn draw_window_avx512(state: u64, out: &mut [u64]) -> bool {
 }
 
 // ---------------------------------------------------------------------------
+// Band lines (SW transition operator)
+// ---------------------------------------------------------------------------
+
+/// Lines per block of the lane-interleaved edge layout [`BandLines::edges`]
+/// is stored in: one AVX-512 vector of `f64`.
+pub const BAND_LANES: usize = 8;
+
+/// Longest edge run (on either side of the plateau) whose [`BandLines`]
+/// class runs code monomorphized on its length.
+pub const BAND_FIXED_EDGE_LEN: usize = 3;
+
+/// One `(head, tail)` class of band lines of a banded operator sweep
+/// (`ldp_sw`'s `BandedBaselineOperator`). Line `k` covers band indices
+/// `[start[k], start[k] + head + run[k] + tail)`: `head` explicit entries,
+/// a plateau run of `run[k]` entries, then `tail` explicit entries, and
+/// writes output `out[k]`.
+#[derive(Debug, Clone, Copy)]
+pub struct BandLines<'a> {
+    /// Explicit entries before each line's plateau run.
+    pub head: usize,
+    /// Explicit entries after each line's plateau run.
+    pub tail: usize,
+    /// Output index of each line.
+    pub out: &'a [u32],
+    /// First band index of each line.
+    pub start: &'a [u32],
+    /// Plateau run length of each line.
+    pub run: &'a [u32],
+    /// The lines' `head + tail` explicit entries, head first, in the
+    /// lane-interleaved layout: blocks of [`BAND_LANES`] lines, entry-major
+    /// within a block, the last block padded to a whole block (entry `e`
+    /// of line `k` at [`BandLines::edge_index`]). A vector arm loads one
+    /// entry of 8 lines with one contiguous load.
+    pub edges: &'a [f64],
+}
+
+impl BandLines<'_> {
+    /// Length of [`BandLines::edges`] for `lines` lines of `width`
+    /// explicit entries each: whole blocks of [`BAND_LANES`] lines.
+    #[must_use]
+    pub fn edge_len(lines: usize, width: usize) -> usize {
+        lines.div_ceil(BAND_LANES) * BAND_LANES * width
+    }
+
+    /// Position in [`BandLines::edges`] of entry `e` of line `k`, for
+    /// lines of `width` explicit entries.
+    #[must_use]
+    pub fn edge_index(k: usize, e: usize, width: usize) -> usize {
+        (k / BAND_LANES) * BAND_LANES * width + e * BAND_LANES + k % BAND_LANES
+    }
+}
+
+/// What every line of one band sweep reads besides its own entries.
+#[derive(Debug, Clone, Copy)]
+pub struct BandSweep<'a> {
+    /// The vector the sweep applies to.
+    pub x: &'a [f64],
+    /// `x`'s running sums, `x.len() + 1` entries: `prefix[0] = 0` and
+    /// `prefix[k + 1] = prefix[k] + x[k]`.
+    pub prefix: &'a [f64],
+    /// The band's plateau value.
+    pub plateau: f64,
+    /// Added to every line's sum (the baseline's share, `baseline · Σx`).
+    pub base: f64,
+}
+
+/// Panics unless the arrays of `lines` and `sweep` have the lengths the
+/// band-line routines index by; each line's own indices are checked as it
+/// runs.
+fn check_band(lines: &BandLines, sweep: &BandSweep) {
+    let n = lines.out.len();
+    assert!(
+        lines.start.len() == n && lines.run.len() == n,
+        "band lines: {n} outputs, {} starts, {} runs",
+        lines.start.len(),
+        lines.run.len()
+    );
+    // Checked, so that no length a caller passes wraps into a match.
+    let edges = lines
+        .head
+        .checked_add(lines.tail)
+        .and_then(|width| width.checked_mul(BAND_LANES))
+        .and_then(|block| n.div_ceil(BAND_LANES).checked_mul(block));
+    assert!(
+        edges == Some(lines.edges.len()),
+        "band lines: {} edge entries for {n} lines of {} + {}",
+        lines.edges.len(),
+        lines.head,
+        lines.tail
+    );
+    assert!(
+        sweep.prefix.len() == sweep.x.len() + 1,
+        "band sweep: {} running sums for {} entries",
+        sweep.prefix.len(),
+        sweep.x.len()
+    );
+}
+
+/// The scalar reference for [`band_lines`]: each line, in order, computes
+///
+/// ```text
+/// acc = 0
+/// acc += e[h] · x[start + h]                for h in 0..head
+/// acc += plateau · (prefix[run_end] − prefix[head_end])
+/// acc += e[head + t] · x[run_end + t]       for t in 0..tail
+/// y[out] = base + acc
+/// ```
+///
+/// with `head_end = start + head` and `run_end = head_end + run`. Classes
+/// with `head, tail ≤ 3` run code monomorphized on both lengths, so the
+/// edge loops have fixed trip counts.
+///
+/// # Panics
+///
+/// Panics if the arrays' lengths disagree (see [`BandLines`] and
+/// [`BandSweep`]) or a line reaches past `x` or `y`.
+pub fn band_lines_scalar(lines: &BandLines, sweep: &BandSweep, y: &mut [f64]) {
+    check_band(lines, sweep);
+    match lines.head {
+        0 => band_lines_head::<0>(lines, sweep, y),
+        1 => band_lines_head::<1>(lines, sweep, y),
+        2 => band_lines_head::<2>(lines, sweep, y),
+        3 => band_lines_head::<3>(lines, sweep, y),
+        head => band_lines_with(head, lines.tail, lines, sweep, y),
+    }
+}
+
+/// [`band_lines_scalar`] for head length `H`, with each tail length up to
+/// [`BAND_FIXED_EDGE_LEN`] a compile-time constant too.
+fn band_lines_head<const H: usize>(lines: &BandLines, sweep: &BandSweep, y: &mut [f64]) {
+    match lines.tail {
+        0 => band_lines_with(H, 0, lines, sweep, y),
+        1 => band_lines_with(H, 1, lines, sweep, y),
+        2 => band_lines_with(H, 2, lines, sweep, y),
+        3 => band_lines_with(H, 3, lines, sweep, y),
+        tail => band_lines_with(H, tail, lines, sweep, y),
+    }
+}
+
+/// The line loop of [`band_lines_scalar`]; inlined into each call site so
+/// a constant `head`/`tail` fixes the edge loops' trip counts.
+#[inline(always)]
+fn band_lines_with(head: usize, tail: usize, lines: &BandLines, sweep: &BandSweep, y: &mut [f64]) {
+    let block_len = BAND_LANES * (head + tail);
+    let (x, prefix) = (sweep.x, sweep.prefix);
+    let blocks = lines
+        .out
+        .chunks(BAND_LANES)
+        .zip(lines.start.chunks(BAND_LANES))
+        .zip(lines.run.chunks(BAND_LANES));
+    for (b, ((outs, starts), runs)) in blocks.enumerate() {
+        let block = &lines.edges[b * block_len..][..block_len];
+        for (l, ((&out, &start), &run)) in outs.iter().zip(starts).zip(runs).enumerate() {
+            let start = start as usize;
+            let head_end = start + head;
+            let run_end = head_end + run as usize;
+            let (head_x, tail_x) = (&x[start..head_end], &x[run_end..run_end + tail]);
+            let mut acc = 0.0;
+            for (h, &v) in head_x.iter().enumerate() {
+                acc += block[BAND_LANES * h + l] * v;
+            }
+            acc += sweep.plateau * (prefix[run_end] - prefix[head_end]);
+            for (t, &v) in tail_x.iter().enumerate() {
+                acc += block[BAND_LANES * (head + t) + l] * v;
+            }
+            y[out as usize] = sweep.base + acc;
+        }
+    }
+}
+
+/// Writes `y[out[k]]` for every line `k` of one band-line class: the
+/// per-line kernel of the SW banded transition operator, whose every
+/// `M·x` and `Mᵀ·x` in EM/EMS runs through it class by class.
+///
+/// The AVX-512 arm runs 8 lines per step: their `x` and running-sum
+/// entries are gathered (`vgatherqpd`), each edge entry of the 8 lines is
+/// one contiguous load from the lane-interleaved layout, and the results
+/// are scattered to `y` (`vscatterqpd`), the last block under a lane
+/// mask. Each lane replays [`band_lines_scalar`]'s operation sequence for
+/// its line, so the two are bit-identical on every input; a store to an
+/// output shared by two lines keeps the later line's value in both. There
+/// is no AVX2 arm: AVX2 hosts run the scalar reference.
+///
+/// # Panics
+///
+/// As [`band_lines_scalar`].
+#[allow(unsafe_code)] // runtime-dispatched AVX-512 call site
+pub fn band_lines(lines: &BandLines, sweep: &BandSweep, y: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    if avx512_enabled() {
+        check_band(lines, sweep);
+        // SAFETY: avx512_enabled() verified AVX-512F support at runtime;
+        // check_band verified the array lengths the arm relies on.
+        unsafe { avx512::band_lines_avx512(lines, sweep, y) };
+        return;
+    }
+    band_lines_scalar(lines, sweep, y);
+}
+
+/// Runs the AVX-512 arm of [`band_lines`], or returns `false` without
+/// touching `y` when this host lacks AVX-512F. For the differential
+/// suite, like [`draw_window_avx512`].
+///
+/// # Panics
+///
+/// As [`band_lines_scalar`].
+#[must_use]
+#[allow(unsafe_code)] // runtime-detected AVX-512 call site
+pub fn band_lines_avx512(lines: &BandLines, sweep: &BandSweep, y: &mut [f64]) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f") {
+        check_band(lines, sweep);
+        // SAFETY: AVX-512F detected just above; check_band verified the
+        // array lengths the arm relies on.
+        unsafe { avx512::band_lines_avx512(lines, sweep, y) };
+        return true;
+    }
+    let _ = (lines, sweep, y);
+    false
+}
+
+// ---------------------------------------------------------------------------
 // AVX2 variants (runtime-dispatched; with the AVX-512 variant below, the
 // module's only unsafe code)
 // ---------------------------------------------------------------------------
@@ -861,7 +1089,7 @@ mod avx2 {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx512 {
-    use super::ResidueTest;
+    use super::{BandLines, BandSweep, ResidueTest, BAND_LANES};
     use crate::rng::{FINALIZE_MULS, FINALIZE_SHIFTS, GAMMA};
     use core::arch::x86_64::*;
 
@@ -952,6 +1180,81 @@ mod avx512 {
             unsafe { _mm512_mask_storeu_epi64(o.add(i).cast(), lanes, z) };
             counter = _mm512_add_epi64(counter, stride);
             i += 8;
+        }
+    }
+
+    /// The AVX-512 arm of [`super::band_lines`]: 8 lines per step, lane
+    /// `j` replaying [`super::band_lines_scalar`] for line `i + j`. Gathers
+    /// dominate its cost, so unlike the scalar reference it reads the edge
+    /// lengths at run time: code monomorphized on them measured no faster.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX-512F support and passed `lines` and
+    /// `sweep` through `check_band`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn band_lines_avx512(lines: &BandLines, sweep: &BandSweep, y: &mut [f64]) {
+        let (head, tail) = (lines.head, lines.tail);
+        let width = head + tail;
+        let n = lines.out.len();
+        // check_band bounds `width` by the edge array's length, so no lane
+        // sum below wraps or turns negative as a gather offset.
+        let splat = |v: usize| _mm512_set1_epi64(v as i64);
+        let (x_len, y_len) = (splat(sweep.x.len()), splat(y.len()));
+        let (head_v, tail_v) = (splat(head), splat(tail));
+        let plateau = _mm512_set1_pd(sweep.plateau);
+        let base = _mm512_set1_pd(sweep.base);
+        let zero = _mm512_setzero_pd();
+        let (x, prefix) = (sweep.x.as_ptr(), sweep.prefix.as_ptr());
+        let y_ptr = y.as_mut_ptr();
+        let mut i = 0;
+        while i < n {
+            let lanes: __mmask8 = if n - i >= BAND_LANES {
+                0xFF
+            } else {
+                (1u8 << (n - i)) - 1
+            };
+            // SAFETY: lanes selects only lines i..min(i + 8, n), in bounds
+            // of the three index arrays (check_band: equal lengths n).
+            let load = |a: &[u32]| unsafe {
+                let v = _mm512_maskz_loadu_epi32(__mmask16::from(lanes), a.as_ptr().add(i).cast());
+                _mm512_cvtepu32_epi64(_mm512_castsi512_si256(v))
+            };
+            let (out, start, run) = (load(lines.out), load(lines.start), load(lines.run));
+            let head_end = _mm512_add_epi64(start, head_v);
+            let run_end = _mm512_add_epi64(head_end, run);
+            // Every index a lane reads or writes lies below these bounds:
+            // x below run_end + tail, prefix at most run_end ≤ x.len()
+            // (prefix has x.len() + 1 entries), y at out.
+            let past_x =
+                _mm512_mask_cmpgt_epu64_mask(lanes, _mm512_add_epi64(run_end, tail_v), x_len);
+            let past_y = _mm512_mask_cmpge_epu64_mask(lanes, out, y_len);
+            assert!(past_x | past_y == 0, "band line out of bounds");
+            // SAFETY (gathers and scatter below): the lanes are in bounds
+            // by the check above; masked-off lanes are not accessed.
+            let gather = |src: *const f64, at: __m512i| unsafe {
+                _mm512_mask_i64gather_pd::<8>(zero, lanes, at, src)
+            };
+            // The block's entry e of its 8 lines sits at e·8 (i is a
+            // multiple of 8, so the block starts at i·width). The padded
+            // last block makes every such load in bounds.
+            let edges = lines.edges[i * width..][..BAND_LANES * width].as_ptr();
+            // SAFETY: e < width, so the 8 entries lie in the block slice.
+            let edge = |e: usize| unsafe { _mm512_loadu_pd(edges.add(BAND_LANES * e)) };
+            let mut acc = _mm512_setzero_pd();
+            for h in 0..head {
+                let v = gather(x, _mm512_add_epi64(start, splat(h)));
+                acc = _mm512_add_pd(acc, _mm512_mul_pd(edge(h), v));
+            }
+            let window = _mm512_sub_pd(gather(prefix, run_end), gather(prefix, head_end));
+            acc = _mm512_add_pd(acc, _mm512_mul_pd(plateau, window));
+            for t in 0..tail {
+                let v = gather(x, _mm512_add_epi64(run_end, splat(t)));
+                acc = _mm512_add_pd(acc, _mm512_mul_pd(edge(head + t), v));
+            }
+            // SAFETY: as for the gathers; lanes scatter in lane order, so
+            // a repeated output keeps the later line's value.
+            unsafe { _mm512_mask_i64scatter_pd::<8>(y_ptr, lanes, out, _mm512_add_pd(base, acc)) };
+            i += BAND_LANES;
         }
     }
 }

@@ -23,15 +23,18 @@
 //! - [`exact`]: [`exact::ExactSum`], exact order-independent float
 //!   accumulation so sharded aggregation merges bit-identically.
 //! - [`kernels`]: runtime-dispatched SIMD/unrolled absorb kernels, among
-//!   them the OLH support walk, and the draw window behind the block
-//!   randomizers' [`rng::SplitMix64::walk_reports`] (bit-identical to
-//!   their scalar references; `LDP_NO_SIMD=1` forces the scalar path).
+//!   them the OLH support walk, the band lines of the SW banded transition
+//!   operator, and the draw window behind the block randomizers'
+//!   [`rng::SplitMix64::walk_reports`] (bit-identical to their scalar
+//!   references; `LDP_NO_SIMD=1` forces the scalar path).
 
 // The only unsafe code in this crate is the runtime-dispatched AVX2 and
 // AVX-512 intrinsic routines in `kernels` (the absorb kernels, the OLH
-// support walk and the block randomizers' draw window), which carry their
-// own item-level allowances; everything else stays denied. The block
-// randomizers themselves (SW, CFO, HH) stay `forbid(unsafe_code)`.
+// support walk, the band-line gathers and scatters and the block
+// randomizers' draw window), which carry their own item-level allowances;
+// everything else stays denied. Their callers — the block randomizers
+// (SW, CFO, HH) and the SW operator and EM loop — stay
+// `forbid(unsafe_code)`.
 #![deny(unsafe_code)]
 // `!(x > 0.0)` is used deliberately throughout: unlike `x <= 0.0` it is
 // also true for NaN, which is exactly what the validators need to reject.

@@ -8,6 +8,13 @@
 //! matvec with an O(d + d̃) one without changing any solver code. The
 //! dense [`Matrix`] implements the trait by delegating to
 //! its existing kernels, so every call site accepts either representation.
+//!
+//! The banded operator sums every plateau run through a window of the
+//! input's running sums. A caller that already holds them — the EM loop
+//! forms them in the pass that writes the vector — hands them over through
+//! [`LinearOperator::matvec_prefix_into`] and
+//! [`LinearOperator::matvec_transpose_prefix_into`]; operators that read no
+//! running sums, the dense [`Matrix`] among them, ignore them.
 
 use crate::error::NumericError;
 use crate::matrix::Matrix;
@@ -33,6 +40,35 @@ pub trait LinearOperator {
     ///
     /// `x` must have length [`Self::rows`] and `y` length [`Self::cols`].
     fn matvec_transpose_into(&self, x: &[f64], y: &mut [f64]) -> Result<(), NumericError>;
+
+    /// `y = A·x`, where `prefix` holds `x`'s running sums as
+    /// [`running_sums_into`] forms them (`x.len() + 1` entries).
+    ///
+    /// Operators that sum windows of `x` read them instead of forming
+    /// their own; the provided method ignores them and calls
+    /// [`Self::matvec_into`]. The result is that of [`Self::matvec_into`]
+    /// whenever `prefix` holds the running sums of `x`.
+    fn matvec_prefix_into(
+        &self,
+        x: &[f64],
+        prefix: &[f64],
+        y: &mut [f64],
+    ) -> Result<(), NumericError> {
+        let _ = prefix;
+        self.matvec_into(x, y)
+    }
+
+    /// `y = Aᵀ·x`, where `prefix` holds `x`'s running sums; see
+    /// [`Self::matvec_prefix_into`].
+    fn matvec_transpose_prefix_into(
+        &self,
+        x: &[f64],
+        prefix: &[f64],
+        y: &mut [f64],
+    ) -> Result<(), NumericError> {
+        let _ = prefix;
+        self.matvec_transpose_into(x, y)
+    }
 
     /// `A·x` into a fresh vector.
     fn matvec(&self, x: &[f64]) -> Result<Vec<f64>, NumericError> {
@@ -64,6 +100,29 @@ impl LinearOperator for Matrix {
 
     fn matvec_transpose_into(&self, x: &[f64], y: &mut [f64]) -> Result<(), NumericError> {
         Matrix::matvec_transpose_into(self, x, y)
+    }
+}
+
+/// Writes `x`'s running sums, left to right, into `prefix`:
+/// `prefix[0] = 0` and `prefix[k + 1] = prefix[k] + x[k]`, so `prefix[k]`
+/// is the sum of `x[..k]` and `prefix[x.len()]` the sum of `x`. This is
+/// the order [`LinearOperator::matvec_prefix_into`] expects.
+///
+/// # Panics
+///
+/// Panics unless `prefix.len() == x.len() + 1`.
+pub fn running_sums_into(x: &[f64], prefix: &mut [f64]) {
+    assert_eq!(
+        prefix.len(),
+        x.len() + 1,
+        "running sums of {} entries",
+        x.len()
+    );
+    let mut acc = 0.0;
+    prefix[0] = acc;
+    for (p, &v) in prefix[1..].iter_mut().zip(x) {
+        acc += v;
+        *p = acc;
     }
 }
 
@@ -113,6 +172,23 @@ mod tests {
         let a = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 2.0]).unwrap();
         let y = apply_dyn(&a, &[3.0, 4.0]);
         assert_eq!(y, vec![3.0, 8.0]);
+    }
+
+    #[test]
+    fn matrix_ignores_running_sums() {
+        let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
+        let x = [1.0, 0.5, -1.0];
+        let mut prefix = [0.0; 4];
+        running_sums_into(&x, &mut prefix);
+        assert_eq!(prefix, [0.0, 1.0, 1.5, 0.5]);
+        let mut y = [0.0; 2];
+        a.matvec_prefix_into(&x, &[f64::NAN; 4], &mut y).unwrap();
+        assert_eq!(y.to_vec(), a.matvec(&x).unwrap());
+        let t = [2.0, -1.0];
+        let mut z = [0.0; 3];
+        a.matvec_transpose_prefix_into(&t, &[f64::NAN; 3], &mut z)
+            .unwrap();
+        assert_eq!(z.to_vec(), a.matvec_transpose(&t).unwrap());
     }
 
     #[test]

@@ -130,36 +130,6 @@ impl SplitMix64 {
         }
         self.state = base.wrapping_add((out.len() as u64).wrapping_mul(GAMMA));
     }
-
-    /// Fills `out` with uniform `f64` draws in `[0, 1)`, draw-order-
-    /// compatible with `rng.gen::<f64>()` on this generator: each output
-    /// is `(u >> 11) · 2⁻⁵³` of the corresponding raw draw.
-    pub fn fill_f64(&mut self, out: &mut [f64]) {
-        const SCALE: f64 = 1.0 / (1u64 << 53) as f64;
-        let base = self.state;
-        for (i, o) in out.iter_mut().enumerate() {
-            let u = finalize(base.wrapping_add((i as u64 + 1).wrapping_mul(GAMMA)));
-            *o = (u >> 11) as f64 * SCALE;
-        }
-        self.state = base.wrapping_add((out.len() as u64).wrapping_mul(GAMMA));
-    }
-
-    /// Fills `out` with bounded draws in `[0, bound)`, draw-order-
-    /// compatible with `rng.gen_range(0..bound)` on this generator: each
-    /// output is `u % bound` of the corresponding raw draw (the vendored
-    /// `rand` integer-range reduction).
-    ///
-    /// # Panics
-    /// Panics if `bound` is zero.
-    pub fn fill_bounded(&mut self, bound: u64, out: &mut [u64]) {
-        assert!(bound > 0, "fill_bounded requires a positive bound");
-        let base = self.state;
-        for (i, o) in out.iter_mut().enumerate() {
-            let u = finalize(base.wrapping_add((i as u64 + 1).wrapping_mul(GAMMA)));
-            *o = u % bound;
-        }
-        self.state = base.wrapping_add((out.len() as u64).wrapping_mul(GAMMA));
-    }
 }
 
 /// Block randomization over the counter-based stream.
@@ -356,22 +326,6 @@ mod tests {
             assert_eq!(got, expect, "n = {n}");
             assert_eq!(batched, serial, "state after fill, n = {n}");
         }
-        // f64 fills replay gen::<f64>() exactly (same raw draws, same
-        // mantissa scaling), bounded fills replay gen_range(0..bound).
-        let mut serial = SplitMix64::new(77);
-        let expect: Vec<f64> = (0..100).map(|_| serial.gen::<f64>()).collect();
-        let mut batched = SplitMix64::new(77);
-        let mut got = vec![0.0f64; 100];
-        batched.fill_f64(&mut got);
-        for (g, e) in got.iter().zip(&expect) {
-            assert_eq!(g.to_bits(), e.to_bits());
-        }
-        let mut serial = SplitMix64::new(78);
-        let expect: Vec<u64> = (0..100).map(|_| serial.gen_range(0..37u64)).collect();
-        let mut batched = SplitMix64::new(78);
-        let mut got = vec![0u64; 100];
-        batched.fill_bounded(37, &mut got);
-        assert_eq!(got, expect);
     }
 
     #[test]
@@ -399,11 +353,9 @@ mod tests {
         const CELLS: u64 = 16;
         const N: usize = 1 << 16;
         let mut rng = SplitMix64::new(20_260_808);
-        let mut out = vec![0u64; N];
-        rng.fill_bounded(CELLS, &mut out);
         let mut counts = [0u64; CELLS as usize];
-        for &v in &out {
-            counts[v as usize] += 1;
+        for _ in 0..N {
+            counts[rng.gen_range(0..CELLS) as usize] += 1;
         }
         let expected = N as f64 / CELLS as f64;
         let chi2: f64 = counts

@@ -26,12 +26,30 @@
 //! iteration performs one forward and one transposed application instead of
 //! two forward plus one transposed.
 //!
-//! Per iteration the loop is therefore: one `M·x̂`, one `Mᵀ·ratio`, one
-//! pass of `d̃` divisions for the ratios, the M-step normalization and
-//! (EMS) one smoothing pass. With the banded operator both applications are
-//! `O(d + d̃)` walks over its edge-length classes (see
-//! [`crate::operator`]), and [`SmoothingKernel::smooth_into`] handles
-//! interior entries without boundary tests.
+//! Per iteration the loop is therefore one `M·x̂`, one `Mᵀ·ratio` and
+//! these passes, fused so that each vector is written once and its running
+//! sums are formed as it is written:
+//!
+//! 1. **M-step:** `θᵢ ← θᵢ·tmpᵢ` and `Σθ`.
+//! 2. **EMS only:** `θ/Σθ`, the smoothing and the smoothed vector's sum in
+//!    one pass: each block of `θ` is divided, then every smoothed entry
+//!    whose window the block completes is computed and added to the sum.
+//!    The smoothed buffer is then swapped with `θ`, not copied.
+//! 3. **Normalization:** `θ` divided by its sum (the smoothed sum for EMS),
+//!    with `θ`'s running sums formed in the same pass.
+//! 4. **Ratios:** `ρⱼ = nⱼ/cⱼ` of the new conditional with their running
+//!    sums and the stopping certificate's bounds.
+//!
+//! The banded operator sums each plateau run through a window of its
+//! input's running sums ([`crate::operator`]); passes 3 and 4 hand them to
+//! it through [`LinearOperator::matvec_prefix_into`] and
+//! [`LinearOperator::matvec_transpose_prefix_into`], so an application
+//! neither forms nor allocates them, and the loop allocates nothing after
+//! its buffers. The dense [`Matrix`](ldp_numeric::Matrix) ignores them.
+//! Each fused pass divides a block of entries together (vector divides),
+//! then adds them to the running sum one at a time, left to right: every
+//! sum keeps the order of the unfused passes, so the fusion changes no
+//! bit.
 //!
 //! The `d̃` logarithms of the log-likelihood are computed only when the
 //! stopping test could fire. The ratio pass also accumulates two dot
@@ -51,6 +69,7 @@
 
 use crate::error::SwError;
 use crate::smoothing::SmoothingKernel;
+use ldp_numeric::operator::running_sums_into;
 use ldp_numeric::{Histogram, LinearOperator};
 
 /// Configuration of the EM/EMS loop.
@@ -157,6 +176,10 @@ pub fn reconstruct<M: LinearOperator + ?Sized>(
     let mut prev_ratio = vec![0.0; d_tilde];
     let mut tmp = vec![0.0; d];
     let mut smoothed = vec![0.0; d];
+    // The running sums of `θ` and of the ratios that the operator's
+    // applications read, formed by the passes that write those vectors.
+    let mut theta_prefix = vec![0.0; d + 1];
+    let mut ratio_prefix = vec![0.0; d_tilde + 1];
 
     let mut iterations = 0;
     let mut converged = false;
@@ -168,41 +191,44 @@ pub fn reconstruct<M: LinearOperator + ?Sized>(
     // application of iteration k doubles as the E-step conditional of
     // iteration k + 1, halving the forward applications. The zeroed
     // previous buffers make the priming pass's dot products zero.
-    m.matvec_into(&theta, &mut cond)
+    running_sums_into(&theta, &mut theta_prefix);
+    m.matvec_prefix_into(&theta, &theta_prefix, &mut cond)
         .map_err(|e| SwError::Reconstruction(e.to_string()))?;
-    let mut pass = ratio_pass(counts, &cond, &prev_cond, &prev_ratio, &mut ratio);
+    let mut pass = ratio_pass(
+        counts,
+        &cond,
+        &prev_cond,
+        &prev_ratio,
+        &mut ratio,
+        &mut ratio_prefix,
+    );
 
     for iter in 0..config.max_iterations {
         iterations = iter + 1;
 
         // E-step: tmp = Mᵀ·ratio, ratio_j = n_j / (M·θ)_j.
-        m.matvec_transpose_into(&ratio, &mut tmp)
+        m.matvec_transpose_prefix_into(&ratio, &ratio_prefix, &mut tmp)
             .map_err(|e| SwError::Reconstruction(e.to_string()))?;
 
         // M-step: θᵢ ∝ θᵢ·tmpᵢ.
-        let mut sum = 0.0;
-        for i in 0..d {
-            theta[i] *= tmp[i];
-            sum += theta[i];
-        }
+        let sum = scale_and_sum(&mut theta, &tmp);
         if sum <= 0.0 {
             return Err(SwError::Reconstruction(
                 "EM iterate collapsed to zero mass".into(),
             ));
         }
-        for t in &mut theta {
-            *t /= sum;
-        }
 
-        // S-step.
-        if let Some(kernel) = &config.smoothing {
-            kernel.smooth_into(&theta, &mut smoothed);
-            theta.copy_from_slice(&smoothed);
-            let s: f64 = theta.iter().sum();
-            for t in &mut theta {
-                *t /= s;
+        // θ/sum, then (EMS) the S-step and its renormalization; the pass
+        // that writes the final θ forms its running sums.
+        let mass = match &config.smoothing {
+            Some(kernel) => {
+                let s = normalize_and_smooth(&mut theta, sum, kernel, &mut smoothed);
+                std::mem::swap(&mut theta, &mut smoothed);
+                s
             }
-        }
+            None => sum,
+        };
+        normalize_with_sums(&mut theta, mass, &mut theta_prefix);
 
         // The updated iterate's conditional `c`, which is also the next
         // E-step's; the previous one `p` moves to `prev_cond`.
@@ -210,9 +236,16 @@ pub fn reconstruct<M: LinearOperator + ?Sized>(
         std::mem::swap(&mut ratio, &mut prev_ratio);
         let prev_ll = ll.take();
         let prev_log_bound = pass.log_bound;
-        m.matvec_into(&theta, &mut cond)
+        m.matvec_prefix_into(&theta, &theta_prefix, &mut cond)
             .map_err(|e| SwError::Reconstruction(e.to_string()))?;
-        pass = ratio_pass(counts, &cond, &prev_cond, &prev_ratio, &mut ratio);
+        pass = ratio_pass(
+            counts,
+            &cond,
+            &prev_cond,
+            &prev_ratio,
+            &mut ratio,
+            &mut ratio_prefix,
+        );
 
         // The first iteration compares against `L = −∞` and cannot stop,
         // and iterations below `min_iterations` do not test at all.
@@ -240,6 +273,71 @@ pub fn reconstruct<M: LinearOperator + ?Sized>(
         log_likelihood,
         converged,
     })
+}
+
+/// Entries per block of the fused passes: a block is divided together
+/// (vector divides), then added to the running sum one entry at a time.
+const BLOCK: usize = 64;
+
+/// The M-step's `θᵢ ← θᵢ·tmpᵢ`, returning `Σθ` added left to right.
+fn scale_and_sum(theta: &mut [f64], tmp: &[f64]) -> f64 {
+    let mut sum = 0.0;
+    for (t, &v) in theta.iter_mut().zip(tmp) {
+        *t *= v;
+        sum += *t;
+    }
+    sum
+}
+
+/// `θ ← θ/total` with θ's running sums formed in the same pass: each
+/// block of [`BLOCK`] entries is divided, then added to the running sum
+/// one entry at a time, left to right, so `prefix` is exactly
+/// [`running_sums_into`] of the divided `θ`.
+fn normalize_with_sums(theta: &mut [f64], total: f64, prefix: &mut [f64]) {
+    let mut acc = 0.0;
+    prefix[0] = acc;
+    for (block, sums) in theta.chunks_mut(BLOCK).zip(prefix[1..].chunks_mut(BLOCK)) {
+        for t in block.iter_mut() {
+            *t /= total;
+        }
+        for (&t, p) in block.iter().zip(sums) {
+            acc += t;
+            *p = acc;
+        }
+    }
+}
+
+/// The EMS step after the M-step in one pass: `θ ← θ/sum`,
+/// `out ← smooth(θ)`, returning `Σ out` added left to right. Each block of
+/// [`BLOCK`] entries of `θ` is divided, then every entry of `out` whose
+/// smoothing window the block completes is smoothed and added to the sum,
+/// so `out` and the sum are exactly those of dividing, smoothing and
+/// summing in three passes.
+fn normalize_and_smooth(
+    theta: &mut [f64],
+    sum: f64,
+    kernel: &SmoothingKernel,
+    out: &mut [f64],
+) -> f64 {
+    let n = theta.len();
+    let r = kernel.radius();
+    let (mut total, mut done) = (0.0, 0);
+    for lo in (0..n).step_by(BLOCK) {
+        let hi = (lo + BLOCK).min(n);
+        for t in &mut theta[lo..hi] {
+            *t /= sum;
+        }
+        // Entry i reads θ up to i + r: final once i + r < hi.
+        let ready = if hi == n { n } else { hi.saturating_sub(r) };
+        if ready > done {
+            kernel.smooth_range(theta, out, done..ready);
+            for &v in &out[done..ready] {
+                total += v;
+            }
+            done = ready;
+        }
+    }
+    total
 }
 
 /// `L = Σⱼ nⱼ ln cⱼ` over the buckets with reports, left to right; `−∞`
@@ -275,30 +373,30 @@ struct PassBounds {
 /// dot products do not serialize on the add latency.
 const LANES: usize = 4;
 
-/// Fills `ratio` with `nⱼ/cⱼ` (0 where `cⱼ ≤ 0`) and accumulates
-/// [`PassBounds`] in the same blocked pass. The ratios are the E-step's
-/// exact values; the bounds feed only [`moves_past_threshold`], so their
-/// summation order is free.
+/// Fills `ratio` with `nⱼ/cⱼ` (0 where `cⱼ ≤ 0`) and `prefix` with the
+/// ratios' running sums, and accumulates [`PassBounds`] in the same
+/// blocked pass.
+/// The ratios are the E-step's exact values; each block's are divided
+/// together, then added to the running sum one at a time, left to right,
+/// so `prefix` is exactly [`running_sums_into`] of `ratio`. The bounds
+/// feed only [`moves_past_threshold`], so their summation order is free.
 fn ratio_pass(
     counts: &[f64],
     cond: &[f64],
     prev_cond: &[f64],
     prev_ratio: &[f64],
     ratio: &mut [f64],
+    prefix: &mut [f64],
 ) -> PassBounds {
     let mut lo = [0.0; LANES];
     let mut hi = [0.0; LANES];
     let mut c_min = [f64::INFINITY; LANES];
     let mut c_max = [0.0f64; LANES];
-    let mut step = |lane: usize, n: f64, c: f64, p: f64, rho_prev: f64, out: &mut f64| {
-        let rho = if c > 0.0 { n / c } else { 0.0 };
-        *out = rho;
-        lo[lane] += rho * p;
-        hi[lane] += rho_prev * c;
-        c_min[lane] = c_min[lane].min(c);
-        c_max[lane] = c_max[lane].max(c);
-    };
+    let mut acc = 0.0;
+    prefix[0] = acc;
+    let rho = |n: f64, c: f64| if c > 0.0 { n / c } else { 0.0 };
     let mut out = ratio.chunks_exact_mut(LANES);
+    let mut sums = prefix[1..].chunks_exact_mut(LANES);
     let mut ins = counts
         .chunks_exact(LANES)
         .zip(cond.chunks_exact(LANES))
@@ -307,15 +405,32 @@ fn ratio_pass(
                 .chunks_exact(LANES)
                 .zip(prev_ratio.chunks_exact(LANES)),
         );
-    for (r, ((n, c), (p, q))) in out.by_ref().zip(ins.by_ref()) {
+    for ((r, sum), ((n, c), (p, q))) in out.by_ref().zip(sums.by_ref()).zip(ins.by_ref()) {
         for l in 0..LANES {
-            step(l, n[l], c[l], p[l], q[l], &mut r[l]);
+            r[l] = rho(n[l], c[l]);
+        }
+        for l in 0..LANES {
+            lo[l] += r[l] * p[l];
+            hi[l] += q[l] * c[l];
+            c_min[l] = c_min[l].min(c[l]);
+            c_max[l] = c_max[l].max(c[l]);
+        }
+        for (&v, s) in r.iter().zip(sum) {
+            acc += v;
+            *s = acc;
         }
     }
     let tail = cond.len() - cond.len() % LANES;
-    for (k, r) in out.into_remainder().iter_mut().enumerate() {
-        let j = tail + k;
-        step(0, counts[j], cond[j], prev_cond[j], prev_ratio[j], r);
+    let rest = out.into_remainder().iter_mut().zip(sums.into_remainder());
+    for (j, (r, s)) in (tail..).zip(rest) {
+        let c = cond[j];
+        *r = rho(counts[j], c);
+        lo[0] += *r * prev_cond[j];
+        hi[0] += prev_ratio[j] * c;
+        c_min[0] = c_min[0].min(c);
+        c_max[0] = c_max[0].max(c);
+        acc += *r;
+        *s = acc;
     }
     let c_min = c_min.iter().fold(f64::INFINITY, |a, &b| a.min(b));
     let c_max = c_max.iter().fold(0.0f64, |a, &b| a.max(b));
@@ -524,6 +639,75 @@ mod tests {
             let b = reconstruct(&op, &counts, &config).unwrap();
             assert_eq!(a.iterations, b.iterations);
             for (x, y) in a.histogram.probs().iter().zip(b.histogram.probs()) {
+                assert!((x - y).abs() < 1e-9, "{x} vs {y}");
+            }
+        }
+    }
+
+    /// The banded operator with its prefixed applications hidden: the
+    /// loop's running sums reach only the provided methods, which drop
+    /// them, and each application forms its own.
+    struct Unprefixed<'a>(&'a BandedBaselineOperator);
+
+    impl LinearOperator for Unprefixed<'_> {
+        fn rows(&self) -> usize {
+            self.0.rows()
+        }
+
+        fn cols(&self) -> usize {
+            self.0.cols()
+        }
+
+        fn matvec_into(&self, x: &[f64], y: &mut [f64]) -> Result<(), ldp_numeric::NumericError> {
+            self.0.matvec_into(x, y)
+        }
+
+        fn matvec_transpose_into(
+            &self,
+            x: &[f64],
+            y: &mut [f64],
+        ) -> Result<(), ldp_numeric::NumericError> {
+            self.0.matvec_transpose_into(x, y)
+        }
+    }
+
+    #[test]
+    fn dense_and_banded_operators_run_through_one_loop() {
+        let wave = Wave::square(0.25, 1.0).unwrap();
+        let d = 48;
+        let dense = transition_matrix(&wave, d, d).unwrap();
+        let op = BandedBaselineOperator::from_wave(&wave, d, d).unwrap();
+        let truth: Vec<f64> = (0..d).map(|i| 1.0 + ((i * 7) % 11) as f64).collect();
+        let s: f64 = truth.iter().sum();
+        let truth: Vec<f64> = truth.iter().map(|t| t / s).collect();
+        let counts = expected_counts(&dense, &truth, 2e5);
+        let bits = |r: &EmResult| -> Vec<u64> {
+            let probs = r.histogram.probs().iter().map(|p| p.to_bits());
+            [
+                r.iterations as u64,
+                u64::from(r.converged),
+                r.log_likelihood.to_bits(),
+            ]
+            .into_iter()
+            .chain(probs)
+            .collect()
+        };
+        for config in [EmConfig::em(1.0), EmConfig::ems()] {
+            let operators: [&dyn LinearOperator; 3] = [&dense, &op, &Unprefixed(&op)];
+            let [dense_run, banded, unprefixed] =
+                operators.map(|m| reconstruct(m, &counts, &config).unwrap());
+            // The running sums the loop forms are the ones the operator
+            // would form itself, bit for bit.
+            assert_eq!(bits(&banded), bits(&unprefixed));
+            // The dense matrix ignores them and reconstructs the same.
+            assert_eq!(dense_run.iterations, banded.iterations);
+            assert!(banded.converged && dense_run.converged);
+            let probs = dense_run
+                .histogram
+                .probs()
+                .iter()
+                .zip(banded.histogram.probs());
+            for (x, y) in probs {
                 assert!((x - y).abs() < 1e-9, "{x} vs {y}");
             }
         }

@@ -28,31 +28,48 @@
 //! explicit entries. Lines are grouped by their `(head, tail)` length
 //! *class* and stored class by class in four flat arrays per sweep — the
 //! output index, the first band index and the plateau run length of every
-//! line as `u32`, and the edge entries back to back as `f64` — so each
-//! class is one contiguous slice of each array, a matvec walks a handful
-//! of contiguous arrays, and building an operator costs a few exact-size
-//! allocations rather than two per line.
+//! line as `u32`, and the edge entries as `f64` — so each class is one
+//! contiguous slice of each array and building an operator costs a few
+//! exact-size allocations rather than two per line.
 //!
-//! A class with `head, tail ≤ 3` (every square-wave line at `d̃ = d`) is
-//! applied by a kernel monomorphized on both lengths: its loops have fixed
-//! trip counts and the per-line code carries no length branches. Applying
-//! class by class keeps the branch predictor out of the picture; walking
-//! the lines in index order instead interleaves the classes in
-//! quasi-periodic sequences that defeat it.
+//! A class's edge entries are stored *lane-interleaved*: in blocks of
+//! [`BAND_LANES`] = 8 lines, entry-major within a block (entry `e` of the
+//! block's 8 lines is 8 consecutive `f64`s), the last block padded to 8
+//! lines; [`ldp_numeric::kernels::band_lines`] reads it. Its AVX-512 arm applies
+//! 8 lines of a class per step, loading each edge entry of the 8 lines
+//! with one contiguous load, gathering their `x` and running-sum entries
+//! and scattering their results; its scalar reference, which AVX2 and
+//! forced-scalar (`LDP_NO_SIMD=1`) hosts run, walks the same layout line
+//! by line, monomorphized on both lengths for classes with
+//! `head, tail ≤ 3` (every square-wave line at `d̃ = d`). Applying class
+//! by class keeps the branch predictor out of the picture; walking the
+//! lines in index order instead interleaves the classes in quasi-periodic
+//! sequences that defeat it.
 //!
 //! Every line keeps one fixed summation order — head edges left to right,
 //! then `plateau · (prefix[b] − prefix[a])`, then the tail edges, then
-//! `base + acc` — and the prefix sums run left to right, so grouping
-//! changes only which line runs when, never the arithmetic inside a line.
+//! `base + acc` — and the running sums `prefix` run left to right, so
+//! grouping, interleaving and the kernel arm change only which line runs
+//! when, never the arithmetic inside a line.
 //!
-//! **Fallback.** Longer edge runs take a loop with runtime trip counts in
-//! the same order. An operator with an edge run of 8 or more entries
+//! **Running sums.** An application reads the input's running sums but
+//! does not form them: [`LinearOperator::matvec_prefix_into`] and
+//! [`LinearOperator::matvec_transpose_prefix_into`] take them from the
+//! caller — [`crate::em::reconstruct`] forms them in the passes that write
+//! `θ` and the ratios — and allocate nothing. The plain
+//! [`LinearOperator::matvec_into`] and
+//! [`LinearOperator::matvec_transpose_into`], for callers outside the EM
+//! loop, form them in one fresh buffer per call
+//! ([`ldp_numeric::operator::running_sums_into`]).
+//!
+//! **Long edges.** An operator with an edge run of 8 or more entries
 //! anywhere (trapezoid and triangle shapes, coarse output grids) applies
 //! *every* line through the blocked 4-accumulator
 //! [`ldp_numeric::kernels::dot4`] instead, adding each edge run's subtotal
-//! to the line's sum. The kernel is chosen per operator, at construction,
-//! so the arithmetic of a line depends only on the wave and the grid —
-//! never on the class it was grouped into.
+//! to the line's sum; its classes store their edges line after line,
+//! which is the layout `dot4` reads. The kernel is chosen per operator, at
+//! construction, so the arithmetic of a line depends only on the wave and
+//! the grid — never on the class it was grouped into.
 //!
 //! The constructors are *exact*: entries are produced by the same analytic
 //! integrals [`crate::transition::transition_matrix`] uses, so the operator
@@ -62,14 +79,13 @@
 use crate::error::SwError;
 use crate::wave::{Wave, WaveShape};
 use ldp_core::Epsilon;
-use ldp_numeric::kernels::dot4;
-use ldp_numeric::operator::{check_matvec_dims, LinearOperator};
+use ldp_numeric::kernels::{band_lines, dot4, BandLines, BandSweep, BAND_FIXED_EDGE_LEN};
+use ldp_numeric::operator::{check_matvec_dims, running_sums_into, LinearOperator};
 use ldp_numeric::quad::{integral_of_interval_overlap, integrate_with_breakpoints};
 use ldp_numeric::{Matrix, NumericError};
 
-/// Longest edge run (on either side of the plateau) whose class gets a
-/// kernel with fixed trip counts.
-const FIXED_EDGE_LEN: usize = 3;
+#[cfg(doc)]
+use ldp_numeric::kernels::BAND_LANES;
 
 /// An operator with an edge run this long anywhere applies every line
 /// through [`dot4`]: below it the blocked kernel's setup costs more than
@@ -79,11 +95,13 @@ const BLOCKED_EDGE_LEN: usize = 8;
 /// How a [`LineClass`] accumulates its explicit edge entries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EdgeKernel {
-    /// One running sum: head edges, plateau, tail edges, in index order.
+    /// One running sum: head edges, plateau, tail edges, in index order,
+    /// through [`band_lines`]; edges lane-interleaved.
     Serial,
     /// Each edge run summed by [`dot4`] (AVX2 when available, with each
     /// vector lane standing in for one scalar accumulator — bit-identical
-    /// either way), its subtotal then added to the line's sum.
+    /// either way), its subtotal then added to the line's sum; edges line
+    /// after line.
     Blocked,
 }
 
@@ -105,8 +123,8 @@ struct Band {
     head_start: Vec<u32>,
     /// Plateau run length of each line.
     run_len: Vec<u32>,
-    /// Each line's `head + tail` explicit entries, head first, line after
-    /// line.
+    /// Each class's explicit entries, class after class, in the layout of
+    /// its kernel ([`LineClass::edge_at`]).
     edges: Vec<f64>,
 }
 
@@ -124,98 +142,36 @@ struct LineClass {
     first_edge: usize,
 }
 
-/// The per-call inputs every line of one matvec reads.
-struct Sweep<'a> {
-    x: &'a [f64],
-    /// `prefix[k] = x[0] + … + x[k−1]`.
-    prefix: &'a [f64],
-    plateau: f64,
-    /// The baseline's contribution, `baseline · Σx`, shared by every line.
-    base: f64,
-}
-
-/// `acc + e[0]·x[0] + e[1]·x[1] + …`, left to right.
-#[inline(always)]
-fn accumulate(mut acc: f64, entries: &[f64], window: &[f64]) -> f64 {
-    for (e, v) in entries.iter().zip(window) {
-        acc += e * v;
-    }
-    acc
-}
-
 impl LineClass {
-    /// Whether this class runs through a kernel with fixed trip counts.
+    /// Explicit entries per line.
+    fn width(&self) -> usize {
+        self.head + self.tail
+    }
+
+    /// Edge array entries this class occupies, padding included.
+    fn edge_len(&self) -> usize {
+        match self.kernel {
+            EdgeKernel::Serial => BandLines::edge_len(self.lines, self.width()),
+            EdgeKernel::Blocked => self.lines * self.width(),
+        }
+    }
+
+    /// Position in [`Band::edges`] of entry `e` (head first) of the
+    /// class's line `k`: lane-interleaved for [`band_lines`], line after
+    /// line for [`dot4`].
+    fn edge_at(&self, k: usize, e: usize) -> usize {
+        self.first_edge
+            + match self.kernel {
+                EdgeKernel::Serial => BandLines::edge_index(k, e, self.width()),
+                EdgeKernel::Blocked => k * self.width() + e,
+            }
+    }
+
+    /// Whether this class runs code with fixed edge trip counts.
     fn is_fixed(&self) -> bool {
         self.kernel == EdgeKernel::Serial
-            && self.head <= FIXED_EDGE_LEN
-            && self.tail <= FIXED_EDGE_LEN
-    }
-
-    /// Writes `y[out[k]]` for every line `k` of this class of `band`.
-    fn apply(&self, band: &Band, sweep: &Sweep, y: &mut [f64]) {
-        match self.kernel {
-            EdgeKernel::Blocked => self.lines(band, self.head, self.tail, true, sweep, y),
-            EdgeKernel::Serial => match self.head {
-                0 => self.fixed_head::<0>(band, sweep, y),
-                1 => self.fixed_head::<1>(band, sweep, y),
-                2 => self.fixed_head::<2>(band, sweep, y),
-                3 => self.fixed_head::<3>(band, sweep, y),
-                head => self.lines(band, head, self.tail, false, sweep, y),
-            },
-        }
-    }
-
-    /// [`Self::apply`] for a serial class of head length `H`, with each
-    /// tail length up to [`FIXED_EDGE_LEN`] a compile-time constant too.
-    fn fixed_head<const H: usize>(&self, band: &Band, sweep: &Sweep, y: &mut [f64]) {
-        match self.tail {
-            0 => self.lines(band, H, 0, false, sweep, y),
-            1 => self.lines(band, H, 1, false, sweep, y),
-            2 => self.lines(band, H, 2, false, sweep, y),
-            3 => self.lines(band, H, 3, false, sweep, y),
-            tail => self.lines(band, H, tail, false, sweep, y),
-        }
-    }
-
-    /// The line loop every kernel shares; inlined into each call site so a
-    /// constant `head`/`tail` fixes the edge loops' trip counts.
-    #[inline(always)]
-    fn lines(
-        &self,
-        band: &Band,
-        head: usize,
-        tail: usize,
-        blocked: bool,
-        sweep: &Sweep,
-        y: &mut [f64],
-    ) {
-        let width = head + tail;
-        let (x, prefix) = (sweep.x, sweep.prefix);
-        let range = self.first..self.first + self.lines;
-        let edges = &band.edges[self.first_edge..][..self.lines * width];
-        let lines = band.out[range.clone()]
-            .iter()
-            .zip(&band.head_start[range.clone()])
-            .zip(&band.run_len[range]);
-        for (k, ((&out, &start), &run)) in lines.enumerate() {
-            let (head_edges, tail_edges) = edges[k * width..][..width].split_at(head);
-            let start = start as usize;
-            let head_end = start + head;
-            let run_end = head_end + run as usize;
-            let head_x = &x[start..head_end];
-            let tail_x = &x[run_end..run_end + tail];
-            let plateau = sweep.plateau * (prefix[run_end] - prefix[head_end]);
-            let acc = if blocked {
-                dot4(head_edges, head_x) + plateau + dot4(tail_edges, tail_x)
-            } else {
-                accumulate(
-                    accumulate(0.0, head_edges, head_x) + plateau,
-                    tail_edges,
-                    tail_x,
-                )
-            };
-            y[out as usize] = sweep.base + acc;
-        }
+            && self.head <= BAND_FIXED_EDGE_LEN
+            && self.tail <= BAND_FIXED_EDGE_LEN
     }
 }
 
@@ -254,16 +210,27 @@ impl Span {
     }
 }
 
+/// The edge kernel of an operator whose two sweeps have `classes` (see the
+/// module docs).
+fn edge_kernel<'a>(classes: impl IntoIterator<Item = &'a LineClass>) -> EdgeKernel {
+    let longest = classes
+        .into_iter()
+        .map(|class| class.head.max(class.tail))
+        .max()
+        .unwrap_or(0);
+    if longest >= BLOCKED_EDGE_LEN {
+        EdgeKernel::Blocked
+    } else {
+        EdgeKernel::Serial
+    }
+}
+
 impl Band {
-    /// Compresses the lines `0..lines` of one sweep, where `span(k)` is
-    /// line `k`'s geometry and `entry(k, idx)` its explicit entry at band
-    /// index `idx`. The first pass sizes each class, so every array is
-    /// allocated once at its exact length.
-    fn build(
-        lines: usize,
-        span: impl Fn(usize) -> Span,
-        mut entry: impl FnMut(usize, usize) -> f64,
-    ) -> Self {
+    /// The `(head, tail)` classes of the lines `0..lines` of one sweep,
+    /// where `span(k)` is line `k`'s geometry, sorted, each with its line
+    /// count. Both sweeps are counted before either is built, so the
+    /// operator's edge kernel, and with it the edge layout, is known.
+    fn classes(lines: usize, span: impl Fn(usize) -> Span) -> Vec<LineClass> {
         let mut classes: Vec<LineClass> = Vec::new();
         for k in 0..lines {
             let (head, tail) = span(k).class();
@@ -283,12 +250,27 @@ impl Band {
             }
         }
         classes.sort_by_key(|c| (c.head, c.tail));
+        classes
+    }
+
+    /// Compresses the lines `0..lines` of one sweep into `classes`
+    /// ([`Band::classes`] of the same `span`), every class on edge
+    /// `kernel`, where `entry(k, idx)` is line `k`'s explicit entry at band
+    /// index `idx`. Every array is allocated once at its exact length.
+    fn build(
+        lines: usize,
+        span: impl Fn(usize) -> Span,
+        mut entry: impl FnMut(usize, usize) -> f64,
+        mut classes: Vec<LineClass>,
+        kernel: EdgeKernel,
+    ) -> Self {
         let (mut first, mut first_edge) = (0, 0);
         for class in &mut classes {
+            class.kernel = kernel;
             class.first = first;
             class.first_edge = first_edge;
             first += class.lines;
-            first_edge += class.lines * (class.head + class.tail);
+            first_edge += class.edge_len();
         }
 
         let mut band = Band {
@@ -313,46 +295,63 @@ impl Band {
             band.out[slot] = k as u32;
             band.head_start[slot] = s.lo as u32;
             band.run_len[slot] = (s.run_hi - s.run_lo) as u32;
-            let width = class.head + class.tail;
-            let edges = &mut band.edges[class.first_edge + (slot - class.first) * width..];
             let explicit = (s.lo..s.run_lo).chain(s.run_hi..s.hi);
-            for (e, idx) in edges.iter_mut().zip(explicit) {
-                *e = entry(k, idx);
+            for (e, idx) in explicit.enumerate() {
+                band.edges[class.edge_at(slot - class.first, e)] = entry(k, idx);
             }
         }
         band
     }
 
-    /// Applies this sweep to `x` class by class; every line writes its own
-    /// output entry.
-    fn apply(&self, plateau: f64, baseline: f64, x: &[f64], y: &mut [f64]) {
-        let prefix = prefix_sums(x);
-        let sweep = Sweep {
+    /// The lines of `class` as [`band_lines`] reads them.
+    fn lines_of(&self, class: &LineClass) -> BandLines<'_> {
+        let range = class.first..class.first + class.lines;
+        BandLines {
+            head: class.head,
+            tail: class.tail,
+            out: &self.out[range.clone()],
+            start: &self.head_start[range.clone()],
+            run: &self.run_len[range],
+            edges: &self.edges[class.first_edge..][..class.edge_len()],
+        }
+    }
+
+    /// Applies this sweep to `x`, whose running sums are `prefix`, class
+    /// by class; every line writes its own output entry.
+    fn apply(&self, plateau: f64, baseline: f64, x: &[f64], prefix: &[f64], y: &mut [f64]) {
+        let sweep = BandSweep {
             x,
-            prefix: &prefix,
+            prefix,
             plateau,
             base: baseline * prefix[x.len()],
         };
         for class in &self.classes {
-            class.apply(self, &sweep, y);
+            let lines = self.lines_of(class);
+            match class.kernel {
+                EdgeKernel::Serial => band_lines(&lines, &sweep, y),
+                EdgeKernel::Blocked => blocked_lines(&lines, &sweep, y),
+            }
         }
     }
 }
 
-/// Sets the operator's edge kernel on every class of both sweeps (see the
-/// module docs).
-fn choose_kernel(rows: &mut Band, cols: &mut Band) {
-    let longest = rows
-        .classes
-        .iter()
-        .chain(&cols.classes)
-        .map(|class| class.head.max(class.tail))
-        .max()
-        .unwrap_or(0);
-    if longest >= BLOCKED_EDGE_LEN {
-        for class in rows.classes.iter_mut().chain(&mut cols.classes) {
-            class.kernel = EdgeKernel::Blocked;
-        }
+/// [`band_lines`] with each edge run summed by [`dot4`] and edges stored
+/// line after line.
+fn blocked_lines(lines: &BandLines, sweep: &BandSweep, y: &mut [f64]) {
+    let (head, tail) = (lines.head, lines.tail);
+    let width = head + tail;
+    let (x, prefix) = (sweep.x, sweep.prefix);
+    let each = lines.out.iter().zip(lines.start).zip(lines.run);
+    for (k, ((&out, &start), &run)) in each.enumerate() {
+        let (head_edges, tail_edges) = lines.edges[k * width..][..width].split_at(head);
+        let start = start as usize;
+        let head_end = start + head;
+        let run_end = head_end + run as usize;
+        let plateau = sweep.plateau * (prefix[run_end] - prefix[head_end]);
+        let acc = dot4(head_edges, &x[start..head_end])
+            + plateau
+            + dot4(tail_edges, &x[run_end..run_end + tail]);
+        y[out as usize] = sweep.base + acc;
     }
 }
 
@@ -471,47 +470,48 @@ impl BandedBaselineOperator {
         // buckets meeting (bj_lo − b, bj_hi + b); the plateau run holds the
         // columns with Bi × B̃j entirely under the flat top, i.e.
         // bi_lo ≥ bj_hi − ft and bi_hi ≤ bj_lo + ft.
-        let mut rows = Band::build(
-            d_tilde,
-            |j| {
-                let bj_lo = out_lo + j as f64 * w_out;
-                let bj_hi = bj_lo + w_out;
-                Span::new(
-                    (
-                        clamp_index(((bj_lo - b) / w_in).floor(), d),
-                        clamp_index(((bj_hi + b) / w_in).ceil(), d),
-                    ),
-                    (
-                        clamp_index(((bj_hi - ft) / w_in).ceil(), d),
-                        clamp_index(((bj_lo + ft) / w_in).floor(), d),
-                    ),
-                )
-            },
-            |j, i| grid.bump(j, i),
-        );
-
+        let row_span = |j: usize| {
+            let bj_lo = out_lo + j as f64 * w_out;
+            let bj_hi = bj_lo + w_out;
+            Span::new(
+                (
+                    clamp_index(((bj_lo - b) / w_in).floor(), d),
+                    clamp_index(((bj_hi + b) / w_in).ceil(), d),
+                ),
+                (
+                    clamp_index(((bj_hi - ft) / w_in).ceil(), d),
+                    clamp_index(((bj_lo + ft) / w_in).floor(), d),
+                ),
+            )
+        };
         // Column sweep: the same conditions with the roles of the bucket
         // grids swapped (the plateau condition is symmetric).
-        let mut cols = Band::build(
-            d,
-            |i| {
-                let bi_lo = i as f64 * w_in;
-                let bi_hi = bi_lo + w_in;
-                Span::new(
-                    (
-                        clamp_index(((bi_lo - b - out_lo) / w_out).floor(), d_tilde),
-                        clamp_index(((bi_hi + b - out_lo) / w_out).ceil(), d_tilde),
-                    ),
-                    (
-                        clamp_index(((bi_hi - ft - out_lo) / w_out).ceil(), d_tilde),
-                        clamp_index(((bi_lo + ft - out_lo) / w_out).floor(), d_tilde),
-                    ),
-                )
-            },
-            |i, j| grid.bump(j, i),
+        let col_span = |i: usize| {
+            let bi_lo = i as f64 * w_in;
+            let bi_hi = bi_lo + w_in;
+            Span::new(
+                (
+                    clamp_index(((bi_lo - b - out_lo) / w_out).floor(), d_tilde),
+                    clamp_index(((bi_hi + b - out_lo) / w_out).ceil(), d_tilde),
+                ),
+                (
+                    clamp_index(((bi_hi - ft - out_lo) / w_out).ceil(), d_tilde),
+                    clamp_index(((bi_lo + ft - out_lo) / w_out).floor(), d_tilde),
+                ),
+            )
+        };
+        let row_classes = Band::classes(d_tilde, row_span);
+        let col_classes = Band::classes(d, col_span);
+        let kernel = edge_kernel(row_classes.iter().chain(&col_classes));
+        let rows = Band::build(
+            d_tilde,
+            row_span,
+            |j, i| grid.bump(j, i),
+            row_classes,
+            kernel,
         );
+        let cols = Band::build(d, col_span, |i, j| grid.bump(j, i), col_classes, kernel);
 
-        choose_kernel(&mut rows, &mut cols);
         Ok(BandedBaselineOperator {
             d,
             d_tilde,
@@ -545,22 +545,19 @@ impl BandedBaselineOperator {
         // on rows j ∈ [i, i + 2b]. The band is one pure plateau, so every
         // line lands in the `(0, 0)` class.
         let unreachable = |_, _| unreachable!("run covers the band");
-        let rows = Band::build(
-            d_tilde,
-            |j| {
-                let band = (j.saturating_sub(2 * b), (j + 1).min(d));
-                Span::new(band, band)
-            },
-            unreachable,
-        );
-        let cols = Band::build(
-            d,
-            |i| {
-                let band = (i, i + 2 * b + 1);
-                Span::new(band, band)
-            },
-            unreachable,
-        );
+        let row_span = |j: usize| {
+            let band = (j.saturating_sub(2 * b), (j + 1).min(d));
+            Span::new(band, band)
+        };
+        let col_span = |i: usize| {
+            let band = (i, i + 2 * b + 1);
+            Span::new(band, band)
+        };
+        let row_classes = Band::classes(d_tilde, row_span);
+        let col_classes = Band::classes(d, col_span);
+        let serial = EdgeKernel::Serial;
+        let rows = Band::build(d_tilde, row_span, unreachable, row_classes, serial);
+        let cols = Band::build(d, col_span, unreachable, col_classes, serial);
         Ok(BandedBaselineOperator {
             d,
             d_tilde,
@@ -578,7 +575,11 @@ impl BandedBaselineOperator {
     /// dense matrix stores `d·d̃`.
     #[must_use]
     pub fn explicit_entries(&self) -> usize {
-        self.rows.edges.len()
+        self.rows
+            .classes
+            .iter()
+            .map(|class| class.lines * class.width())
+            .sum()
     }
 
     /// Number of band lines, rows and columns together, whose edge runs
@@ -603,31 +604,52 @@ impl BandedBaselineOperator {
         let mut m = Matrix::from_fn(self.d_tilde, self.d, |_, _| self.baseline);
         let rows = &self.rows;
         for class in &rows.classes {
-            let width = class.head + class.tail;
-            for slot in class.first..class.first + class.lines {
-                let at = class.first_edge + (slot - class.first) * width;
-                let (head, tail) = rows.edges[at..at + width].split_at(class.head);
+            for k in 0..class.lines {
+                let slot = class.first + k;
+                let edge = |e: usize| &rows.edges[class.edge_at(k, e)];
                 let start = rows.head_start[slot] as usize;
                 let run = rows.run_len[slot] as usize;
+                let head = (0..class.head).map(edge);
                 let plateau = std::iter::repeat_n(&self.plateau, run);
+                let tail = (class.head..class.width()).map(edge);
                 let row = rows.out[slot] as usize;
-                for (idx, &e) in (start..).zip(head.iter().chain(plateau).chain(tail)) {
+                for (idx, &e) in (start..).zip(head.chain(plateau).chain(tail)) {
                     m.set(row, idx, self.baseline + e);
                 }
             }
         }
         m
     }
+
+    /// The band-line classes of the `M·x` sweep (`transposed = false`) or
+    /// the `Mᵀ·x` sweep that [`band_lines`] applies, as it reads them; an
+    /// operator on the [`dot4`] path has none. For the kernel differential
+    /// suite, which runs every arm of the kernel on real operators'
+    /// classes.
+    pub fn band_line_classes(&self, transposed: bool) -> impl Iterator<Item = BandLines<'_>> {
+        let band = if transposed { &self.cols } else { &self.rows };
+        band.classes
+            .iter()
+            .filter(|class| class.kernel == EdgeKernel::Serial)
+            .map(|class| band.lines_of(class))
+    }
 }
 
-/// `prefix[k] = x[0] + … + x[k−1]`, with `prefix[len] = Σx`.
-fn prefix_sums(x: &[f64]) -> Vec<f64> {
-    let mut prefix = vec![0.0; x.len() + 1];
-    let mut acc = 0.0;
-    for (p, &v) in prefix[1..].iter_mut().zip(x) {
-        acc += v;
-        *p = acc;
+/// Checks the running sums a prefixed application of `x` expects.
+fn check_prefix(x: &[f64], prefix: &[f64]) -> Result<(), NumericError> {
+    if prefix.len() != x.len() + 1 {
+        return Err(NumericError::DimensionMismatch {
+            expected: format!("{} running sums", x.len() + 1),
+            actual: format!("{} running sums", prefix.len()),
+        });
     }
+    Ok(())
+}
+
+/// `x`'s running sums in a fresh buffer, for the unprefixed applications.
+fn running_sums(x: &[f64]) -> Vec<f64> {
+    let mut prefix = vec![0.0; x.len() + 1];
+    running_sums_into(x, &mut prefix);
     prefix
 }
 
@@ -641,14 +663,34 @@ impl LinearOperator for BandedBaselineOperator {
     }
 
     fn matvec_into(&self, x: &[f64], y: &mut [f64]) -> Result<(), NumericError> {
-        check_matvec_dims(self.d_tilde, self.d, x, y)?;
-        self.rows.apply(self.plateau, self.baseline, x, y);
-        Ok(())
+        self.matvec_prefix_into(x, &running_sums(x), y)
     }
 
     fn matvec_transpose_into(&self, x: &[f64], y: &mut [f64]) -> Result<(), NumericError> {
+        self.matvec_transpose_prefix_into(x, &running_sums(x), y)
+    }
+
+    fn matvec_prefix_into(
+        &self,
+        x: &[f64],
+        prefix: &[f64],
+        y: &mut [f64],
+    ) -> Result<(), NumericError> {
+        check_matvec_dims(self.d_tilde, self.d, x, y)?;
+        check_prefix(x, prefix)?;
+        self.rows.apply(self.plateau, self.baseline, x, prefix, y);
+        Ok(())
+    }
+
+    fn matvec_transpose_prefix_into(
+        &self,
+        x: &[f64],
+        prefix: &[f64],
+        y: &mut [f64],
+    ) -> Result<(), NumericError> {
         check_matvec_dims(self.d, self.d_tilde, x, y)?;
-        self.cols.apply(self.plateau, self.baseline, x, y);
+        check_prefix(x, prefix)?;
+        self.cols.apply(self.plateau, self.baseline, x, prefix, y);
         Ok(())
     }
 }

@@ -7,6 +7,7 @@
 //! smoothing-strength ablation.
 
 use crate::error::SwError;
+use std::ops::Range;
 
 /// A symmetric, normalized smoothing kernel of odd width.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,26 +80,37 @@ impl SmoothingKernel {
     /// `x`); avoids per-iteration allocation in the EMS loop.
     ///
     /// Interior entries, whose window lies wholly inside `x`, skip the
-    /// per-tap bounds tests and divide by the full weight sum; only the
+    /// per-tap bounds tests and scale by the full weight sum; only the
     /// `radius()` entries at each end take the renormalizing loop. Both
     /// paths add the taps left to right from `0.0` and the full sum is
     /// formed in the same order, so every entry is bit-identical to the
     /// renormalizing loop run everywhere.
     pub fn smooth_into(&self, x: &[f64], out: &mut [f64]) {
+        self.smooth_range(x, out, 0..x.len());
+    }
+
+    /// [`Self::smooth_into`] for the entries `range` of `out` only. Entry
+    /// `i` reads `x[i − radius..=i + radius]` (clipped to `x`), so the EMS
+    /// loop can smooth a prefix of `x` as soon as its windows are final.
+    pub(crate) fn smooth_range(&self, x: &[f64], out: &mut [f64], range: Range<usize>) {
         debug_assert_eq!(x.len(), out.len());
         let n = x.len();
         let r = self.radius();
-        // `[lo, hi)` are the interior entries; empty when `n < 2r + 1`.
-        let lo = r.min(n);
-        let hi = n.saturating_sub(r).max(lo);
-        let interior = &mut out[lo..hi];
-        match self.weights.len() {
-            // The paper's kernel: a fixed-width body the compiler unrolls
-            // and vectorizes across entries.
-            3 => smooth_interior(&self.weights[..3], x, interior),
-            _ => smooth_interior(&self.weights, x, interior),
+        // `[lo, hi)` are the interior entries of `range`; empty when no
+        // window of `range` lies wholly inside `x`.
+        let lo = range.start.max(r).min(range.end);
+        let hi = range.end.min(n.saturating_sub(r)).max(lo);
+        if lo < hi {
+            // Here `r ≤ lo` and `hi + r ≤ n`.
+            let (x, out) = (&x[lo - r..hi + r], &mut out[lo..hi]);
+            match self.weights.len() {
+                // The paper's kernel: a fixed-width body the compiler
+                // unrolls and vectorizes across entries.
+                3 => smooth_interior(&self.weights[..3], x, out),
+                _ => smooth_interior(&self.weights, x, out),
+            }
         }
-        for i in (0..lo).chain(hi..n) {
+        for i in (range.start..lo).chain(hi..range.end) {
             out[i] = self.smooth_at(x, i);
         }
     }
@@ -124,16 +136,33 @@ impl SmoothingKernel {
 /// wholly inside `x` (`out[k]` is centred on `x[k + radius]`), dividing by
 /// the full weight sum formed left to right. Inlined so a constant-length
 /// `weights` fixes the tap loop's trip count.
+///
+/// When the full sum is a power of two (4 for `binomial3`, 16 for
+/// `binomial5`) its reciprocal is exact, and `acc · (1/full)` and
+/// `acc / full` are both the correctly rounded value of the same real
+/// number, so the loop multiplies instead of dividing.
 #[inline(always)]
 fn smooth_interior(weights: &[f64], x: &[f64], out: &mut [f64]) {
     let full = weights.iter().fold(0.0, |sum, &w| sum + w);
-    for (o, window) in out.iter_mut().zip(x.windows(weights.len())) {
+    let taps = |window: &[f64]| {
         let mut acc = 0.0;
         for (&w, &v) in weights.iter().zip(window) {
             acc += w * v;
         }
-        *o = acc / full;
+        acc
+    };
+    let windows = out.iter_mut().zip(x.windows(weights.len()));
+    match exact_reciprocal(full) {
+        Some(scale) => windows.for_each(|(o, window)| *o = taps(window) * scale),
+        None => windows.for_each(|(o, window)| *o = taps(window) / full),
     }
+}
+
+/// `1/v` when it is exact: `v` and `1/v` are normal powers of two.
+fn exact_reciprocal(v: f64) -> Option<f64> {
+    const MANTISSA: u64 = (1 << 52) - 1;
+    let r = 1.0 / v;
+    (v.is_normal() && r.is_normal() && v.to_bits() & MANTISSA == 0).then_some(r)
 }
 
 #[cfg(test)]
@@ -167,19 +196,64 @@ mod tests {
             SmoothingKernel::binomial3(),
             SmoothingKernel::binomial5(),
             SmoothingKernel::custom(vec![0.3, 1.7, 2.9, 3.1, 2.9, 1.7, 0.3]).unwrap(),
+            // A power-of-two sum (8) from weights that are not: the
+            // multiply by the exact reciprocal.
+            SmoothingKernel::custom(vec![0.75, 6.5, 0.75]).unwrap(),
+            // A sum (3) whose reciprocal is inexact: the divide.
+            SmoothingKernel::custom(vec![1.0, 1.0, 1.0]).unwrap(),
         ];
+        // Magnitudes from subnormal to near overflow, where a rounding
+        // difference between the multiply and the divide would show.
+        let scales = [1.0, 1e-310, 3e-300, 1e300];
         for kernel in &kernels {
-            for n in 1..=16usize {
+            for (n, scale) in (1..=16usize).flat_map(|n| scales.map(|s| (n, s))) {
                 let x: Vec<f64> = (0..n)
-                    .map(|i| ((i * 37 + 11) % 101) as f64 / 101.0 + 1e-3)
+                    .map(|i| (((i * 37 + 11) % 101) as f64 / 101.0 + 1e-3) * scale)
                     .collect();
                 let want: Vec<u64> = reference_smooth(kernel, &x)
                     .iter()
                     .map(|v| v.to_bits())
                     .collect();
                 let got: Vec<u64> = kernel.smooth(&x).iter().map(|v| v.to_bits()).collect();
-                assert_eq!(got, want, "width {} n={n}", kernel.weights().len());
+                assert_eq!(
+                    got,
+                    want,
+                    "weights {:?} n={n} scale {scale:e}",
+                    kernel.weights()
+                );
             }
+        }
+    }
+
+    #[test]
+    fn smoothing_a_range_matches_the_whole_vector() {
+        let x: Vec<f64> = (0..23).map(|i| ((i * 29 + 5) % 31) as f64 + 0.5).collect();
+        for kernel in [SmoothingKernel::binomial3(), SmoothingKernel::binomial5()] {
+            let whole = kernel.smooth(&x);
+            for cut in [0, 1, 2, 3, 11, 20, 21, 22, 23] {
+                let mut out = vec![f64::NAN; x.len()];
+                kernel.smooth_range(&x, &mut out, 0..cut);
+                kernel.smooth_range(&x, &mut out, cut..x.len());
+                assert_eq!(out, whole, "cut at {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn reciprocal_is_taken_only_when_exact() {
+        assert_eq!(exact_reciprocal(4.0), Some(0.25));
+        assert_eq!(exact_reciprocal(16.0), Some(0.0625));
+        assert_eq!(exact_reciprocal(0.5), Some(2.0));
+        for v in [
+            3.0,
+            12.9,
+            0.0,
+            f64::INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE / 4.0,
+            2f64.powi(-1023),
+        ] {
+            assert_eq!(exact_reciprocal(v), None, "{v:e}");
         }
     }
 

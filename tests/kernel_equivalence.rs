@@ -3,8 +3,11 @@
 //! `ExactSum::add_slice` are pinned **bit-for-bit** against their scalar
 //! serial references, the OLH support walk (multiply-only residue test
 //! over cached value mixes) is pinned against a reference loop over
-//! `olh_hash`, and each arm of the block randomizers' draw window
-//! (AVX-512, AVX2, scalar) is pinned against serial `SplitMix64::next`.
+//! `olh_hash`, each arm of the block randomizers' draw window (AVX-512,
+//! AVX2, scalar) is pinned against serial `SplitMix64::next`, and each arm
+//! of the SW banded operator's band-line kernel (dispatch, AVX-512) is
+//! pinned against its scalar reference on synthetic classes of every
+//! edge-length shape and on the classes of real operators.
 //!
 //! The suite sweeps domain sizes `d ∈ {1, 2, 7, 64, 257, 1024}`, every
 //! lane-remainder length (0..=17 and beyond the 4-lane / 7-row block
@@ -22,8 +25,10 @@ use sw_ldp::cfo::olh::{olh_hash, OlhReport};
 use sw_ldp::cfo::{AdaptiveOracle, BinningEstimator, Olh, OracleKind};
 use sw_ldp::core_api::{Aggregator, Client, Mechanism};
 use sw_ldp::hierarchy::HierarchicalHistogram;
-use sw_ldp::numeric::kernels::{self, ResidueTest};
-use sw_ldp::numeric::{ExactSum, SplitMix64};
+use sw_ldp::numeric::kernels::{self, BandLines, BandSweep, ResidueTest};
+use sw_ldp::numeric::operator::running_sums_into;
+use sw_ldp::numeric::{ExactSum, LinearOperator, SplitMix64};
+use sw_ldp::sw::{optimal_b, BandedBaselineOperator, Wave};
 
 /// Domain sizes crossing every dispatch boundary: single bucket, tiny,
 /// sub-word, exactly one word, word + remainder, and multi-word large.
@@ -289,18 +294,6 @@ fn batched_rng_fills_are_draw_order_compatible_with_serial() {
         assert_eq!(want, got, "fill_u64, n = {n}");
         // Post-fill state identical: the streams stay interchangeable.
         assert_eq!(serial.next(), batched.next(), "state after fill, n = {n}");
-
-        let want: Vec<f64> = (0..n).map(|_| serial.gen::<f64>()).collect();
-        let mut gotf = vec![0f64; n];
-        batched.fill_f64(&mut gotf);
-        for (i, (w, g)) in want.iter().zip(&gotf).enumerate() {
-            assert_eq!(w.to_bits(), g.to_bits(), "fill_f64 entry {i}, n = {n}");
-        }
-
-        let want: Vec<u64> = (0..n).map(|_| serial.gen_range(0..37u64)).collect();
-        let mut gotb = vec![0u64; n];
-        batched.fill_bounded(37, &mut gotb);
-        assert_eq!(want, gotb, "fill_bounded, n = {n}");
     }
 }
 
@@ -409,6 +402,298 @@ fn draw_window_fills_do_not_advance_the_generator() {
     kernels::draw_window(42, &mut out);
     assert_eq!(rng, before);
     assert_eq!(out[0], rng.next());
+}
+
+// ---------------------------------------------------------------------------
+// Band lines: the SW banded operator's per-class kernel
+// ---------------------------------------------------------------------------
+
+/// A value for band-line inputs: a signed zero one time in five, else a
+/// random sign and mantissa with a decimal exponent in −300..=300 or, half
+/// the time, in −2..=2, where sums of a line's terms round and a change in
+/// their order shows.
+fn band_value(rng: &mut SplitMix64) -> f64 {
+    let kind = rng.gen_range(0..5u32);
+    if kind == 0 {
+        return if rng.gen::<bool>() { 0.0 } else { -0.0 };
+    }
+    let sign = if rng.gen::<bool>() { 1.0 } else { -1.0 };
+    let exponent = if kind <= 2 {
+        rng.gen_range(0..=4i32) - 2
+    } else {
+        rng.gen_range(0..=600i32) - 300
+    };
+    sign * (1.0 + rng.gen::<f64>()) * 10f64.powi(exponent)
+}
+
+/// `x`, its running sums, `plateau` and `base` for one band sweep.
+struct SweepInput {
+    x: Vec<f64>,
+    prefix: Vec<f64>,
+    plateau: f64,
+    base: f64,
+}
+
+impl SweepInput {
+    fn new(rng: &mut SplitMix64, len: usize) -> Self {
+        let x: Vec<f64> = (0..len).map(|_| band_value(rng)).collect();
+        let mut prefix = vec![0.0; len + 1];
+        running_sums_into(&x, &mut prefix);
+        SweepInput {
+            x,
+            prefix,
+            plateau: band_value(rng),
+            base: band_value(rng),
+        }
+    }
+
+    fn sweep(&self) -> BandSweep<'_> {
+        BandSweep {
+            x: &self.x,
+            prefix: &self.prefix,
+            plateau: self.plateau,
+            base: self.base,
+        }
+    }
+}
+
+/// Runs `arm` and the scalar reference on `lines` into copies of one
+/// output vector and asserts every entry equal bit for bit, the entries no
+/// line writes included.
+fn assert_band_lines_equal(
+    label: &str,
+    arm: &impl Fn(&BandLines, &BandSweep, &mut [f64]),
+    lines: &BandLines,
+    input: &SweepInput,
+    y_len: usize,
+) {
+    let sentinel: Vec<f64> = (0..y_len).map(|j| -(j as f64) - 0.25).collect();
+    let (mut want, mut got) = (sentinel.clone(), sentinel);
+    kernels::band_lines_scalar(lines, &input.sweep(), &mut want);
+    arm(lines, &input.sweep(), &mut got);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    assert_eq!(bits(&got), bits(&want), "{label}");
+}
+
+/// Edge-length classes of the synthetic sweep: every `head, tail ≤ 3`
+/// class (fixed trip counts) and a few longer ones (run-time lengths).
+fn band_classes() -> Vec<(usize, usize)> {
+    let mut classes: Vec<(usize, usize)> = (0..=3)
+        .flat_map(|head| (0..=3).map(move |tail| (head, tail)))
+        .collect();
+    classes.extend([(4, 1), (0, 5), (7, 7)]);
+    classes
+}
+
+/// Synthetic classes: each class of [`band_classes`] with 0–17 lines
+/// (every 8-lane remainder), lines placed at random in a 48-entry `x` (up
+/// to its last entry), distinct outputs in random order, and in a second
+/// pass outputs with repeats, where the later line's value must win.
+fn assert_band_arm_on_synthetic_classes(
+    label: &str,
+    arm: impl Fn(&BandLines, &BandSweep, &mut [f64]),
+) {
+    let mut rng = SplitMix64::new(0xBA4D);
+    let x_len = 48;
+    for (head, tail) in band_classes() {
+        let width = head + tail;
+        for n in 0..=17usize {
+            for repeats in [false, true] {
+                let input = SweepInput::new(&mut rng, x_len);
+                let y_len = n + 5;
+                let mut outs: Vec<u32> = (0..y_len as u32).collect();
+                for k in (1..outs.len()).rev() {
+                    outs.swap(k, rng.gen_range(0..=k));
+                }
+                let mut out: Vec<u32> = outs[..n].to_vec();
+                if repeats {
+                    for o in &mut out {
+                        *o %= 3;
+                    }
+                }
+                let (mut start, mut run) = (Vec::new(), Vec::new());
+                for k in 0..n {
+                    let room = x_len - width;
+                    // The first line of each case reaches the last entry.
+                    let r = if k == 0 {
+                        room / 2
+                    } else {
+                        rng.gen_range(0..=room)
+                    };
+                    let s = if k == 0 {
+                        room - r
+                    } else {
+                        rng.gen_range(0..=room - r)
+                    };
+                    start.push(s as u32);
+                    run.push(r as u32);
+                }
+                let edges: Vec<f64> = (0..BandLines::edge_len(n, width))
+                    .map(|_| band_value(&mut rng))
+                    .collect();
+                let lines = BandLines {
+                    head,
+                    tail,
+                    out: &out,
+                    start: &start,
+                    run: &run,
+                    edges: &edges,
+                };
+                let case = format!("{label}: class ({head}, {tail}), {n} lines, repeats {repeats}");
+                assert_band_lines_equal(&case, &arm, &lines, &input, y_len);
+            }
+        }
+    }
+}
+
+/// The operators whose real classes the arms run: square waves at the
+/// paper's granularities, an odd one and a non-power-of-two one, two
+/// non-square grids, and the discrete operator.
+fn band_operators() -> Vec<(String, BandedBaselineOperator)> {
+    let mut ops = Vec::new();
+    for d in [16usize, 64, 256, 1000, 1024] {
+        for eps in [0.5, 1.0, 4.0] {
+            let wave = Wave::square(optimal_b(eps).unwrap(), eps).unwrap();
+            let op = BandedBaselineOperator::from_wave(&wave, d, d).unwrap();
+            ops.push((format!("square d={d} eps={eps}"), op));
+        }
+    }
+    for (d, dt, b, eps) in [(24usize, 16usize, 0.25, 1.0), (33, 47, 0.18, 2.0)] {
+        let wave = Wave::square(b, eps).unwrap();
+        let op = BandedBaselineOperator::from_wave(&wave, d, dt).unwrap();
+        ops.push((format!("square {d}x{dt}"), op));
+    }
+    let discrete = BandedBaselineOperator::from_discrete(64, 3, 1.0).unwrap();
+    ops.push(("discrete d=64 b=3".to_string(), discrete));
+    ops
+}
+
+/// Every band-line class of every [`band_operators`] operator, both
+/// sweeps, on inputs with zeros and magnitudes 1e-300…1e300.
+fn assert_band_arm_on_operator_classes(
+    label: &str,
+    arm: impl Fn(&BandLines, &BandSweep, &mut [f64]),
+) {
+    let mut rng = SplitMix64::new(0x0BE7);
+    for (name, op) in band_operators() {
+        for transposed in [false, true] {
+            let (x_len, y_len) = if transposed {
+                (op.rows(), op.cols())
+            } else {
+                (op.cols(), op.rows())
+            };
+            let mut classes = 0;
+            for lines in op.band_line_classes(transposed) {
+                let input = SweepInput::new(&mut rng, x_len);
+                let case = format!(
+                    "{label}: {name}, transposed {transposed}, class ({}, {}) of {} lines",
+                    lines.head,
+                    lines.tail,
+                    lines.out.len()
+                );
+                assert_band_lines_equal(&case, &arm, &lines, &input, y_len);
+                classes += 1;
+            }
+            assert!(classes > 0, "{name}: no band-line classes");
+        }
+    }
+}
+
+#[test]
+fn band_lines_dispatch_equals_scalar_on_every_class_shape() {
+    assert_band_arm_on_synthetic_classes(kernels::widest_arm(), kernels::band_lines);
+}
+
+#[test]
+fn band_lines_dispatch_equals_scalar_on_operator_classes() {
+    assert_band_arm_on_operator_classes(kernels::widest_arm(), kernels::band_lines);
+}
+
+/// The AVX-512 entry point as an arm, or `None` (after saying so) when the
+/// host lacks AVX-512F.
+fn band_avx512_arm() -> Option<impl Fn(&BandLines, &BandSweep, &mut [f64])> {
+    let empty = BandLines {
+        head: 0,
+        tail: 0,
+        out: &[],
+        start: &[],
+        run: &[],
+        edges: &[],
+    };
+    let sweep = BandSweep {
+        x: &[],
+        prefix: &[0.0],
+        plateau: 0.0,
+        base: 0.0,
+    };
+    if !kernels::band_lines_avx512(&empty, &sweep, &mut []) {
+        eprintln!("skipped: no avx512f on this host");
+        return None;
+    }
+    Some(|lines: &BandLines, sweep: &BandSweep, y: &mut [f64]| {
+        assert!(kernels::band_lines_avx512(lines, sweep, y));
+    })
+}
+
+#[test]
+fn band_lines_avx512_arm_equals_scalar_on_every_class_shape() {
+    if let Some(arm) = band_avx512_arm() {
+        assert_band_arm_on_synthetic_classes("avx512", arm);
+    }
+}
+
+#[test]
+fn band_lines_avx512_arm_equals_scalar_on_operator_classes() {
+    if let Some(arm) = band_avx512_arm() {
+        assert_band_arm_on_operator_classes("avx512", arm);
+    }
+}
+
+#[test]
+fn band_lines_reject_lines_past_their_inputs() {
+    let input = SweepInput::new(&mut SplitMix64::new(3), 8);
+    let edges = vec![1.0; BandLines::edge_len(1, 2)];
+    // One line of head 1, run 6, tail 1 from index 1 reaches x[8].
+    let lines = BandLines {
+        head: 1,
+        tail: 1,
+        out: &[0],
+        start: &[1],
+        run: &[6],
+        edges: &edges,
+    };
+    let mut y = [0.0; 4];
+    let past_x =
+        std::panic::catch_unwind(|| kernels::band_lines(&lines, &input.sweep(), &mut y.clone()));
+    assert!(past_x.is_err(), "a line past x must panic");
+    let lines = BandLines {
+        start: &[0],
+        out: &[4],
+        ..lines
+    };
+    let past_y =
+        std::panic::catch_unwind(|| kernels::band_lines(&lines, &input.sweep(), &mut y.clone()));
+    assert!(past_y.is_err(), "a line past y must panic");
+    let lines = BandLines { out: &[3], ..lines };
+    kernels::band_lines(&lines, &input.sweep(), &mut y);
+    let short = BandLines {
+        edges: &edges[..8],
+        ..lines
+    };
+    let bad_edges =
+        std::panic::catch_unwind(|| kernels::band_lines(&short, &input.sweep(), &mut y.clone()));
+    assert!(bad_edges.is_err(), "an unpadded edge block must panic");
+    // A head so long that 8 lines of it overflow `usize`: the edge count
+    // must not wrap into a match with an empty edge array.
+    let huge = BandLines {
+        head: 1 << (usize::BITS - 3),
+        tail: 0,
+        edges: &[],
+        ..lines
+    };
+    let wrapped =
+        std::panic::catch_unwind(|| kernels::band_lines(&huge, &input.sweep(), &mut y.clone()));
+    assert!(wrapped.is_err(), "an edge count that wraps must panic");
 }
 
 // ---------------------------------------------------------------------------
