@@ -13,43 +13,97 @@
 //!
 //! The loop stops when the log-likelihood `L = Σⱼ nⱼ ln (M·x̂)ⱼ` improves by
 //! less than a threshold (paper §6.1 uses `τ = 10⁻³·eᵉ` for EM and
-//! `τ = 10⁻³` for EMS), with an L1-change safeguard and an iteration cap —
-//! the theorem 5.6 concavity guarantees convergence to the MLE for plain
-//! EM.
+//! `τ = 10⁻³` for EMS), or at an iteration cap — the theorem 5.6
+//! concavity guarantees convergence to the MLE for plain EM.
+//!
+//! # EMS: SQUAREM cycles
+//!
+//! The paper's `τ` is absolute while `L` grows with the report count, so
+//! the plain EMS loop runs longer the larger the window (about a thousand
+//! iterations at 10⁵ reports, the 10,000 cap at 10⁹). EMS's error is set
+//! by its smoothing bias, not by how tightly its fixed point is reached,
+//! so EMS reaches the same fixed point in fewer evaluations of its map `F`
+//! (E-step, M-step, S-step) through SQUAREM-3 cycles (Varadhan & Roland
+//! 2008). From the accepted point `θ₀` a cycle computes
+//!
+//! ```text
+//! θ₁ = F(θ₀),  θ₂ = F(θ₁),  r = θ₁ − θ₀,  v = (θ₂ − θ₁) − r,
+//! s  = ‖r‖₂/‖v‖₂ clamped to [1, s_max],
+//! θ′ = θ₀ + 2s·r + s²·v,
+//! ```
+//!
+//! and accepts the stabilized point `F(θ′)`. (Varadhan & Roland write the
+//! step as `α = −s`.) At `s = 1`, `θ′` is `θ₂` itself and the cycle is
+//! three plain iterations. The safeguards:
+//!
+//! - **Positivity.** While `θ′` has an entry that is not positive and
+//!   finite, `s` is halved toward 1 (`s ← (s + 1)/2`); after
+//!   [`MAX_BACKTRACKS`] halvings the cycle takes `s = 1`.
+//! - **Residual.** If `‖F(θ′) − θ′‖₁` exceeds `‖F(θ₀) − θ₀‖₁ = ‖r‖₁`, the
+//!   cycle drops `F(θ′)` and accepts `θ₂`.
+//! - **Step growth.** `s_max` starts at 1 and is multiplied by
+//!   [`STEP_MAX_GROWTH`] after each accepted full step: `s = s_max` with no
+//!   halving and `F(θ′)` accepted.
+//!
+//! `M` is linear, so `M·θ′` is the same extrapolation of `M·θ₀`, `M·θ₁`
+//! and `M·θ₂`: the stabilizing evaluation's E-step reads it, and `θ′`
+//! itself is never applied. A cycle therefore costs three transposed
+//! applications and at most three forward ones, as three plain iterations
+//! do: `θ₁`'s, `θ₂`'s, and `F(θ′)`'s when the cycle accepts it; a cycle
+//! that falls back to `θ₂` already holds its conditional.
+//!
+//! `max_iterations`, `min_iterations` and [`EmResult::iterations`] count
+//! evaluations of `F`, so a cap may cut a cycle short; the loop then
+//! returns the last iterate it computed (`θ₁` or `θ₂`). The paper's test `|L(θₖ) − L(θₖ₋₁)| < τ` is applied between
+//! successive accepted cycle points, from the second cycle on.
+//!
+//! Plain EM is not accelerated: without smoothing, early stopping is its
+//! only regularizer, and a loop that reaches the MLE sooner fits more of
+//! the noise (an accelerated prototype raised W1 to truth by up to 26% at
+//! ε = 1, d = 1024, 10⁷ reports). EM runs the plain loop.
+//!
+//! # The fused passes
 //!
 //! The transition matrix is only ever *applied*, so [`reconstruct`] is
 //! generic over [`LinearOperator`]: pass the dense
 //! [`Matrix`](ldp_numeric::Matrix) or the `O(d)`
-//! [`crate::operator::BandedBaselineOperator`] interchangeably. The loop is
-//! also *fused*: the `M·x̂` computed for the log-likelihood of iteration `k`
-//! is exactly the E-step conditional of iteration `k + 1`, so each
-//! iteration performs one forward and one transposed application instead of
-//! two forward plus one transposed.
+//! [`crate::operator::BandedBaselineOperator`] interchangeably. The loops
+//! are also *fused*: the `M·x̂` computed for the log-likelihood of an
+//! iterate is exactly the E-step conditional of the next map evaluation,
+//! so each evaluation performs one forward and one transposed application
+//! instead of two forward plus one transposed.
 //!
-//! Per iteration the loop is therefore one `M·x̂`, one `Mᵀ·ratio` and
-//! these passes, fused so that each vector is written once and its running
-//! sums are formed as it is written:
+//! An evaluation is therefore one `M·x̂`, one `Mᵀ·ratio` and these passes,
+//! fused so that each vector is written once and its running sums are
+//! formed as it is written:
 //!
-//! 1. **M-step:** `θᵢ ← θᵢ·tmpᵢ` and `Σθ`.
-//! 2. **EMS only:** `θ/Σθ`, the smoothing and the smoothed vector's sum in
-//!    one pass: each block of `θ` is divided, then every smoothed entry
-//!    whose window the block completes is computed and added to the sum.
-//!    The smoothed buffer is then swapped with `θ`, not copied.
+//! 1. **M-step:** `θᵢ·tmpᵢ` and its sum.
+//! 2. **EMS only:** the division by that sum, the smoothing and the
+//!    smoothed vector's sum in one pass: each block is divided, then every
+//!    smoothed entry whose window the block completes is computed and
+//!    added to the sum.
 //! 3. **Normalization:** `θ` divided by its sum (the smoothed sum for EMS),
-//!    with `θ`'s running sums formed in the same pass.
+//!    with `θ`'s running sums formed in the same pass; for EMS also the
+//!    cycle's norms (`‖r‖₂²` and `‖r‖₁`, `‖v‖₂²`, or the residual of `θ′`),
+//!    each block added to four interleaved lane sums once it is divided.
 //! 4. **Ratios:** `ρⱼ = nⱼ/cⱼ` of the new conditional with their running
 //!    sums and the stopping certificate's bounds.
+//!
+//! EMS adds two vector passes per cycle, the extrapolations of `θ` and of
+//! the conditional, which carry no running sums.
 //!
 //! The banded operator sums each plateau run through a window of its
 //! input's running sums ([`crate::operator`]); passes 3 and 4 hand them to
 //! it through [`LinearOperator::matvec_prefix_into`] and
 //! [`LinearOperator::matvec_transpose_prefix_into`], so an application
-//! neither forms nor allocates them, and the loop allocates nothing after
-//! its buffers. The dense [`Matrix`](ldp_numeric::Matrix) ignores them.
+//! neither forms nor allocates them, and the loops allocate nothing after
+//! their buffers. The dense [`Matrix`](ldp_numeric::Matrix) ignores them.
 //! Each fused pass divides a block of entries together (vector divides),
 //! then adds them to the running sum one at a time, left to right: every
 //! sum keeps the order of the unfused passes, so the fusion changes no
-//! bit.
+//! bit. A norm's lane `l` adds entries `i ≡ l (mod 4)` left to right and
+//! the lanes are then added in order, the order the unfused reference in
+//! `tests/em_stopping.rs` uses.
 //!
 //! The `d̃` logarithms of the log-likelihood are computed only when the
 //! stopping test could fire. The ratio pass also accumulates two dot
@@ -57,12 +111,12 @@
 //! (`1 − 1/x ≤ ln x ≤ x − 1`); while the bound, less a rounding margin,
 //! keeps `|ΔL|` above the threshold, the test cannot fire and the
 //! logarithms are skipped (`moves_past_threshold` derives the bound and
-//! the margin). The first iteration (compared against `L = −∞`) and
-//! iterations below `min_iterations` take no logarithms at all, and the
-//! returned `L` is computed at exit if it is still pending. Whenever `L` is
-//! computed it is computed by the same loop in the same order, so the
-//! stopping decision, the iteration count and the returned log-likelihood
-//! are bit-identical to evaluating it on every iteration.
+//! the margin). The first test (compared against `L = −∞`) and tests below
+//! `min_iterations` take no logarithms at all, and the returned `L` is
+//! computed at exit if it is still pending. Whenever `L` is computed it is
+//! computed by the same loop in the same order, so the stopping decision,
+//! the iteration count and the returned log-likelihood are bit-identical
+//! to evaluating it at every test.
 //! Every step keeps a fixed floating-point operation order, so the
 //! iterates, the iteration count and the estimate do not depend on the
 //! SIMD mode or the pool size.
@@ -70,16 +124,17 @@
 use crate::error::SwError;
 use crate::smoothing::SmoothingKernel;
 use ldp_numeric::operator::running_sums_into;
-use ldp_numeric::{Histogram, LinearOperator};
+use ldp_numeric::{Histogram, LinearOperator, NumericError};
 
 /// Configuration of the EM/EMS loop.
 #[derive(Debug, Clone)]
 pub struct EmConfig {
     /// Stop once the absolute log-likelihood improvement drops below this.
     pub ll_threshold: f64,
-    /// Hard cap on iterations.
+    /// Hard cap on iterations (evaluations of the EM/EMS map).
     pub max_iterations: usize,
-    /// Run at least this many iterations before testing convergence.
+    /// Run at least this many iterations (map evaluations) before testing
+    /// convergence.
     pub min_iterations: usize,
     /// Optional S-step kernel; `Some` makes this EMS.
     pub smoothing: Option<SmoothingKernel>,
@@ -114,7 +169,8 @@ impl EmConfig {
 pub struct EmResult {
     /// The reconstructed input distribution (valid histogram).
     pub histogram: Histogram,
-    /// Number of iterations executed.
+    /// Evaluations of the EM/EMS map: one per iteration of plain EM, three
+    /// per EMS cycle (fewer in a cycle the cap cuts short).
     pub iterations: usize,
     /// Final log-likelihood `Σⱼ nⱼ ln (M·x̂)ⱼ`.
     pub log_likelihood: f64,
@@ -137,7 +193,6 @@ pub fn reconstruct<M: LinearOperator + ?Sized>(
     counts: &[f64],
     config: &EmConfig,
 ) -> Result<EmResult, SwError> {
-    let d = m.cols();
     let d_tilde = m.rows();
     if counts.len() != d_tilde {
         return Err(SwError::Reconstruction(format!(
@@ -166,20 +221,84 @@ pub fn reconstruct<M: LinearOperator + ?Sized>(
             "ll_threshold must be non-negative".into(),
         ));
     }
+    match &config.smoothing {
+        None => em_loop(m, counts, total, config),
+        Some(kernel) => ems_cycles(m, counts, total, config, kernel),
+    }
+}
 
+/// An iterate's conditional `c = M·θ`, its E-step ratios `ρ = n/c` and the
+/// ratios' running sums, which the transposed application reads.
+struct Conditional {
+    cond: Vec<f64>,
+    ratio: Vec<f64>,
+    prefix: Vec<f64>,
+}
+
+impl Conditional {
+    fn new(rows: usize) -> Self {
+        Conditional {
+            cond: vec![0.0; rows],
+            ratio: vec![0.0; rows],
+            prefix: vec![0.0; rows + 1],
+        }
+    }
+
+    /// Sets `c = M·θ` from `θ`'s running sums, then its ratios, returning
+    /// the stopping certificate's bounds against `prev`.
+    fn update<M: LinearOperator + ?Sized>(
+        &mut self,
+        m: &M,
+        counts: &[f64],
+        theta: &[f64],
+        theta_prefix: &[f64],
+        prev: &Conditional,
+    ) -> Result<PassBounds, SwError> {
+        m.matvec_prefix_into(theta, theta_prefix, &mut self.cond)
+            .map_err(operator_error)?;
+        Ok(self.ratios(counts, prev))
+    }
+
+    /// The ratios of the conditional `c` already in place, returning the
+    /// stopping certificate's bounds against `prev`.
+    fn ratios(&mut self, counts: &[f64], prev: &Conditional) -> PassBounds {
+        ratio_pass(
+            counts,
+            &self.cond,
+            &prev.cond,
+            &prev.ratio,
+            &mut self.ratio,
+            &mut self.prefix,
+        )
+    }
+}
+
+fn operator_error(e: NumericError) -> SwError {
+    SwError::Reconstruction(e.to_string())
+}
+
+fn collapsed() -> SwError {
+    SwError::Reconstruction("EM iterate collapsed to zero mass".into())
+}
+
+/// Plain EM: the paper's loop, one test per iteration.
+fn em_loop<M: LinearOperator + ?Sized>(
+    m: &M,
+    counts: &[f64],
+    total: f64,
+    config: &EmConfig,
+) -> Result<EmResult, SwError> {
+    let d = m.cols();
+    let d_tilde = m.rows();
     let mut theta = vec![1.0 / d as f64; d];
-    let mut cond = vec![0.0; d_tilde];
-    let mut ratio = vec![0.0; d_tilde];
-    // The previous conditional and its ratios, kept by swapping buffers:
-    // the stopping certificate compares the two iterates through them.
-    let mut prev_cond = vec![0.0; d_tilde];
-    let mut prev_ratio = vec![0.0; d_tilde];
     let mut tmp = vec![0.0; d];
-    let mut smoothed = vec![0.0; d];
-    // The running sums of `θ` and of the ratios that the operator's
-    // applications read, formed by the passes that write those vectors.
+    // The running sums of `θ` that the forward application reads, formed
+    // by the pass that writes `θ`.
     let mut theta_prefix = vec![0.0; d + 1];
-    let mut ratio_prefix = vec![0.0; d_tilde + 1];
+    // The current conditional and the previous one, kept by swapping: the
+    // stopping certificate compares the two iterates through them.
+    let mut cond = Conditional::new(d_tilde);
+    let mut prev = Conditional::new(d_tilde);
 
     let mut iterations = 0;
     let mut converged = false;
@@ -192,60 +311,28 @@ pub fn reconstruct<M: LinearOperator + ?Sized>(
     // iteration k + 1, halving the forward applications. The zeroed
     // previous buffers make the priming pass's dot products zero.
     running_sums_into(&theta, &mut theta_prefix);
-    m.matvec_prefix_into(&theta, &theta_prefix, &mut cond)
-        .map_err(|e| SwError::Reconstruction(e.to_string()))?;
-    let mut pass = ratio_pass(
-        counts,
-        &cond,
-        &prev_cond,
-        &prev_ratio,
-        &mut ratio,
-        &mut ratio_prefix,
-    );
+    let mut pass = cond.update(m, counts, &theta, &theta_prefix, &prev)?;
 
     for iter in 0..config.max_iterations {
         iterations = iter + 1;
 
         // E-step: tmp = Mᵀ·ratio, ratio_j = n_j / (M·θ)_j.
-        m.matvec_transpose_prefix_into(&ratio, &ratio_prefix, &mut tmp)
-            .map_err(|e| SwError::Reconstruction(e.to_string()))?;
+        m.matvec_transpose_prefix_into(&cond.ratio, &cond.prefix, &mut tmp)
+            .map_err(operator_error)?;
 
         // M-step: θᵢ ∝ θᵢ·tmpᵢ.
         let sum = scale_and_sum(&mut theta, &tmp);
         if sum <= 0.0 {
-            return Err(SwError::Reconstruction(
-                "EM iterate collapsed to zero mass".into(),
-            ));
+            return Err(collapsed());
         }
+        normalize_with_sums(&mut theta, sum, &mut theta_prefix, |_, _| {});
 
-        // θ/sum, then (EMS) the S-step and its renormalization; the pass
-        // that writes the final θ forms its running sums.
-        let mass = match &config.smoothing {
-            Some(kernel) => {
-                let s = normalize_and_smooth(&mut theta, sum, kernel, &mut smoothed);
-                std::mem::swap(&mut theta, &mut smoothed);
-                s
-            }
-            None => sum,
-        };
-        normalize_with_sums(&mut theta, mass, &mut theta_prefix);
-
-        // The updated iterate's conditional `c`, which is also the next
-        // E-step's; the previous one `p` moves to `prev_cond`.
-        std::mem::swap(&mut cond, &mut prev_cond);
-        std::mem::swap(&mut ratio, &mut prev_ratio);
+        // The updated iterate's conditional, which is also the next
+        // E-step's; the previous one moves to `prev`.
+        std::mem::swap(&mut cond, &mut prev);
         let prev_ll = ll.take();
         let prev_log_bound = pass.log_bound;
-        m.matvec_prefix_into(&theta, &theta_prefix, &mut cond)
-            .map_err(|e| SwError::Reconstruction(e.to_string()))?;
-        pass = ratio_pass(
-            counts,
-            &cond,
-            &prev_cond,
-            &prev_ratio,
-            &mut ratio,
-            &mut ratio_prefix,
-        );
+        pass = cond.update(m, counts, &theta, &theta_prefix, &prev)?;
 
         // The first iteration compares against `L = −∞` and cannot stop,
         // and iterations below `min_iterations` do not test at all.
@@ -255,8 +342,8 @@ pub fn reconstruct<M: LinearOperator + ?Sized>(
         if moves_past_threshold(config.ll_threshold, total, d_tilde, &pass, prev_log_bound) {
             continue;
         }
-        let new_ll = log_likelihood_of(counts, &cond);
-        let old_ll = prev_ll.unwrap_or_else(|| log_likelihood_of(counts, &prev_cond));
+        let new_ll = log_likelihood_of(counts, &cond.cond);
+        let old_ll = prev_ll.unwrap_or_else(|| log_likelihood_of(counts, &prev.cond));
         ll = Some(new_ll);
         if (new_ll - old_ll).abs() < config.ll_threshold {
             converged = true;
@@ -264,7 +351,7 @@ pub fn reconstruct<M: LinearOperator + ?Sized>(
         }
     }
 
-    let log_likelihood = ll.unwrap_or_else(|| log_likelihood_of(counts, &cond));
+    let log_likelihood = ll.unwrap_or_else(|| log_likelihood_of(counts, &cond.cond));
     let histogram =
         Histogram::from_probs(theta).map_err(|e| SwError::Reconstruction(e.to_string()))?;
     Ok(EmResult {
@@ -273,6 +360,238 @@ pub fn reconstruct<M: LinearOperator + ?Sized>(
         log_likelihood,
         converged,
     })
+}
+
+/// Halvings of `s − 1` a cycle tries before it takes the plain step `s = 1`.
+pub const MAX_BACKTRACKS: usize = 8;
+
+/// Factor the largest step `s_max` grows by after each accepted full step.
+pub const STEP_MAX_GROWTH: f64 = 4.0;
+
+/// Where a run of EMS cycles stopped, and so which iterate it returns.
+enum Exit {
+    /// At a cycle's accepted point (converged, or the cap at a cycle's end).
+    Accepted,
+    /// At the cap after `θ₁ = F(θ₀)`.
+    First,
+    /// At the cap after `θ₂ = F(θ₁)`.
+    Second,
+}
+
+/// EMS in SQUAREM-3 cycles; see the module doc.
+fn ems_cycles<M: LinearOperator + ?Sized>(
+    m: &M,
+    counts: &[f64],
+    total: f64,
+    config: &EmConfig,
+    kernel: &SmoothingKernel,
+) -> Result<EmResult, SwError> {
+    let d = m.cols();
+    let d_tilde = m.rows();
+    // θ₀, the accepted point, and the cycle's iterates θ₁, θ₂, θ′, F(θ′).
+    let mut theta = vec![1.0 / d as f64; d];
+    let mut theta1 = vec![0.0; d];
+    let mut theta2 = vec![0.0; d];
+    let mut extrapolated = vec![0.0; d];
+    let mut stabilized = vec![0.0; d];
+    // The E-step's `Mᵀ·ρ`, then the M-step's product, in place.
+    let mut tmp = vec![0.0; d];
+    // The running sums of the iterate applied next.
+    let mut prefix = vec![0.0; d + 1];
+    // θ₀'s conditional, kept through the cycle for the extrapolation and
+    // the stopping certificate; one for the cycle's other points; and
+    // θ₂'s. A cycle's accepted point ends in `scratch`, which is then
+    // swapped with `cond`.
+    let mut cond = Conditional::new(d_tilde);
+    let mut scratch = Conditional::new(d_tilde);
+    let mut cond2 = vec![0.0; d_tilde];
+
+    let mut evaluations = 0;
+    let mut cycles = 0;
+    let mut converged = false;
+    let mut step_max = 1.0;
+    // `L` of `cond`, once computed; `None` while the certificate has made
+    // it unnecessary.
+    let mut ll: Option<f64> = None;
+
+    running_sums_into(&theta, &mut prefix);
+    let mut pass = cond.update(m, counts, &theta, &prefix, &scratch)?;
+
+    let exit = loop {
+        // θ₁ = F(θ₀), with ‖r‖₂² and ‖r‖₁.
+        let mut r_norms = Norms::default();
+        ems_map(
+            m,
+            kernel,
+            &theta,
+            &cond,
+            &mut tmp,
+            &mut theta1,
+            &mut prefix,
+            |lo, block| {
+                r_norms.add_block(lo, block, &theta, &theta, |t, t0, _| {
+                    let r = t - t0;
+                    [r * r, r.abs()]
+                });
+            },
+        )?;
+        evaluations += 1;
+        scratch.update(m, counts, &theta1, &prefix, &cond)?;
+        if evaluations == config.max_iterations {
+            break Exit::First;
+        }
+
+        // θ₂ = F(θ₁), with ‖v‖₂², and M·θ₂.
+        let mut v_norms = Norms::default();
+        ems_map(
+            m,
+            kernel,
+            &theta1,
+            &scratch,
+            &mut tmp,
+            &mut theta2,
+            &mut prefix,
+            |lo, block| {
+                v_norms.add_block(lo, block, &theta1, &theta, |t, t1, t0| {
+                    let v = (t - t1) - (t1 - t0);
+                    [v * v, 0.0]
+                });
+            },
+        )?;
+        evaluations += 1;
+        m.matvec_prefix_into(&theta2, &prefix, &mut cond2)
+            .map_err(operator_error)?;
+        if evaluations == config.max_iterations {
+            std::mem::swap(&mut scratch.cond, &mut cond2);
+            scratch.ratios(counts, &cond);
+            break Exit::Second;
+        }
+
+        // θ′, halving the step toward the plain θ₂ while it leaves the
+        // positive orthant; a NaN ratio takes the plain step. M is linear,
+        // so the same extrapolation of M·θ₀, M·θ₁ and M·θ₂ is M·θ′.
+        let ([r_sq, r_abs], [v_sq, _]) = (r_norms.totals(), v_norms.totals());
+        let ratio = (r_sq / v_sq).sqrt();
+        let mut step = if ratio > 1.0 {
+            ratio.min(step_max)
+        } else {
+            1.0
+        };
+        let full = step == step_max;
+        let mut backtracks = 0;
+        while step > 1.0 && !extrapolate(&theta, &theta1, &theta2, step, &mut extrapolated) {
+            backtracks += 1;
+            step = if backtracks == MAX_BACKTRACKS {
+                1.0
+            } else {
+                (step + 1.0) / 2.0
+            };
+        }
+        if step > 1.0 {
+            extrapolate_in_place(&cond.cond, &mut scratch.cond, &cond2, step);
+        } else {
+            extrapolated.copy_from_slice(&theta2);
+            scratch.cond.copy_from_slice(&cond2);
+        }
+        scratch.ratios(counts, &cond);
+
+        // The stabilizing F(θ′), with its residual ‖F(θ′) − θ′‖₁.
+        let mut residual = Norms::default();
+        ems_map(
+            m,
+            kernel,
+            &extrapolated,
+            &scratch,
+            &mut tmp,
+            &mut stabilized,
+            &mut prefix,
+            |lo, block| {
+                residual.add_block(lo, block, &extrapolated, &extrapolated, |t, x, _| {
+                    [(t - x).abs(), 0.0]
+                });
+            },
+        )?;
+        evaluations += 1;
+        cycles += 1;
+
+        // The accepted point's conditional, which is also the next cycle's
+        // E-step's; θ₀'s moves to `scratch`.
+        let prev_ll = ll.take();
+        let prev_log_bound = pass.log_bound;
+        if residual.totals()[0] <= r_abs {
+            if full && backtracks == 0 {
+                step_max *= STEP_MAX_GROWTH;
+            }
+            std::mem::swap(&mut theta, &mut stabilized);
+            pass = scratch.update(m, counts, &theta, &prefix, &cond)?;
+        } else {
+            std::mem::swap(&mut theta, &mut theta2);
+            std::mem::swap(&mut scratch.cond, &mut cond2);
+            pass = scratch.ratios(counts, &cond);
+        }
+        std::mem::swap(&mut cond, &mut scratch);
+
+        // The first cycle compares against `L = −∞` and cannot stop, and
+        // cycles that end below `min_iterations` do not test at all.
+        if cycles > 1
+            && evaluations >= config.min_iterations
+            && !moves_past_threshold(config.ll_threshold, total, d_tilde, &pass, prev_log_bound)
+        {
+            let new_ll = log_likelihood_of(counts, &cond.cond);
+            let old_ll = prev_ll.unwrap_or_else(|| log_likelihood_of(counts, &scratch.cond));
+            ll = Some(new_ll);
+            if (new_ll - old_ll).abs() < config.ll_threshold {
+                converged = true;
+                break Exit::Accepted;
+            }
+        }
+        if evaluations == config.max_iterations {
+            break Exit::Accepted;
+        }
+    };
+
+    let (theta, log_likelihood) = match exit {
+        Exit::Accepted => (
+            theta,
+            ll.unwrap_or_else(|| log_likelihood_of(counts, &cond.cond)),
+        ),
+        Exit::First => (theta1, log_likelihood_of(counts, &scratch.cond)),
+        Exit::Second => (theta2, log_likelihood_of(counts, &scratch.cond)),
+    };
+    let histogram =
+        Histogram::from_probs(theta).map_err(|e| SwError::Reconstruction(e.to_string()))?;
+    Ok(EmResult {
+        histogram,
+        iterations: evaluations,
+        log_likelihood,
+        converged,
+    })
+}
+
+/// The EMS map `out = F(θ)`: the E-step from `θ`'s conditional `at`, the
+/// M-step, the S-step and the renormalization, with `out`'s running sums in
+/// `prefix`. The last pass calls `visit(lo, block)` on each block of final
+/// entries `out[lo..lo + block.len()]`, in order.
+#[allow(clippy::too_many_arguments)]
+fn ems_map<M: LinearOperator + ?Sized>(
+    m: &M,
+    kernel: &SmoothingKernel,
+    theta: &[f64],
+    at: &Conditional,
+    tmp: &mut [f64],
+    out: &mut [f64],
+    prefix: &mut [f64],
+    visit: impl FnMut(usize, &[f64]),
+) -> Result<(), SwError> {
+    m.matvec_transpose_prefix_into(&at.ratio, &at.prefix, tmp)
+        .map_err(operator_error)?;
+    let sum = scale_and_sum(tmp, theta);
+    if sum <= 0.0 {
+        return Err(collapsed());
+    }
+    let mass = normalize_and_smooth(tmp, sum, kernel, out);
+    normalize_with_sums(out, mass, prefix, visit);
+    Ok(())
 }
 
 /// Entries per block of the fused passes: a block is divided together
@@ -292,11 +611,18 @@ fn scale_and_sum(theta: &mut [f64], tmp: &[f64]) -> f64 {
 /// `θ ← θ/total` with θ's running sums formed in the same pass: each
 /// block of [`BLOCK`] entries is divided, then added to the running sum
 /// one entry at a time, left to right, so `prefix` is exactly
-/// [`running_sums_into`] of the divided `θ`.
-fn normalize_with_sums(theta: &mut [f64], total: f64, prefix: &mut [f64]) {
+/// [`running_sums_into`] of the divided `θ`. `visit(lo, block)` sees each
+/// divided block `θ[lo..lo + block.len()]` once it is added.
+fn normalize_with_sums(
+    theta: &mut [f64],
+    total: f64,
+    prefix: &mut [f64],
+    mut visit: impl FnMut(usize, &[f64]),
+) {
     let mut acc = 0.0;
     prefix[0] = acc;
-    for (block, sums) in theta.chunks_mut(BLOCK).zip(prefix[1..].chunks_mut(BLOCK)) {
+    let blocks = theta.chunks_mut(BLOCK).zip(prefix[1..].chunks_mut(BLOCK));
+    for (lo, (block, sums)) in (0..).step_by(BLOCK).zip(blocks) {
         for t in block.iter_mut() {
             *t /= total;
         }
@@ -304,6 +630,83 @@ fn normalize_with_sums(theta: &mut [f64], total: f64, prefix: &mut [f64]) {
             acc += t;
             *p = acc;
         }
+        visit(lo, block);
+    }
+}
+
+/// Two sums over a vector, each in [`LANES`] interleaved lanes: entry `i`
+/// goes to lane `i mod LANES`, and a total adds the lanes left to right.
+/// The lanes are independent add chains, which vectorize.
+#[derive(Default)]
+struct Norms([[f64; LANES]; 2]);
+
+impl Norms {
+    /// Adds `f(tᵢ, xᵢ, yᵢ)` for the entries `i ∈ lo..lo + t.len()`, where
+    /// `t` is that block of the new vector and `lo` a multiple of
+    /// [`LANES`].
+    fn add_block(
+        &mut self,
+        lo: usize,
+        t: &[f64],
+        x: &[f64],
+        y: &[f64],
+        f: impl Fn(f64, f64, f64) -> [f64; 2],
+    ) {
+        let n = t.len();
+        let (x, y) = (&x[lo..lo + n], &y[lo..lo + n]);
+        let [a, b] = &mut self.0;
+        let mut add = |l: usize, i: usize| {
+            let [p, q] = f(t[i], x[i], y[i]);
+            a[l] += p;
+            b[l] += q;
+        };
+        let whole = n - n % LANES;
+        for k in (0..whole).step_by(LANES) {
+            for l in 0..LANES {
+                add(l, k + l);
+            }
+        }
+        for l in 0..n % LANES {
+            add(l, whole + l);
+        }
+    }
+
+    fn totals(&self) -> [f64; 2] {
+        self.0
+            .map(|lanes| lanes.iter().fold(0.0, |acc, &v| acc + v))
+    }
+}
+
+/// One entry of the SQUAREM extrapolation `x′ = x₀ + 2s·r + s²·v`, with
+/// `r = x₁ − x₀` and `v = (x₂ − x₁) − r`, for `a = 2s` and `b = s²`.
+#[inline]
+fn extrapolated(x0: f64, x1: f64, x2: f64, a: f64, b: f64) -> f64 {
+    let r = x1 - x0;
+    let v = (x2 - x1) - r;
+    x0 + a * r + b * v
+}
+
+/// `θ′ = θ₀ + 2s·r + s²·v` into `out`. Returns whether every entry is
+/// positive and finite. The test reads `t ≤ f64::MAX` rather than
+/// `t < ∞`: under SSE2 the latter compiles to 64-bit integer compares and
+/// measured 2.5× slower.
+fn extrapolate(theta0: &[f64], theta1: &[f64], theta2: &[f64], step: f64, out: &mut [f64]) -> bool {
+    let (a, b) = (2.0 * step, step * step);
+    let mut positive = true;
+    let ins = theta0.iter().zip(theta1).zip(theta2);
+    for (t, ((&t0, &t1), &t2)) in out.iter_mut().zip(ins) {
+        *t = extrapolated(t0, t1, t2, a, b);
+        positive &= (*t > 0.0) & (*t <= f64::MAX);
+    }
+    positive
+}
+
+/// The same extrapolation of the conditionals, `c₁ ← c′`: since `M` is
+/// linear, it is `M·θ′` for `θ′` from [`extrapolate`].
+fn extrapolate_in_place(c0: &[f64], c1: &mut [f64], c2: &[f64], step: f64) {
+    let (a, b) = (2.0 * step, step * step);
+    for (c, (&x0, &x2)) in c1.iter_mut().zip(c0.iter().zip(c2)) {
+        *c = extrapolated(x0, *c, x2, a, b);
     }
 }
 
@@ -369,8 +772,8 @@ struct PassBounds {
     log_bound: f64,
 }
 
-/// Accumulator lanes of [`ratio_pass`]: independent add chains, so the
-/// dot products do not serialize on the add latency.
+/// Accumulator lanes of [`ratio_pass`] and [`Norms`]: independent add
+/// chains, so the sums do not serialize on the add latency.
 const LANES: usize = 4;
 
 /// Fills `ratio` with `nⱼ/cⱼ` (0 where `cⱼ ≤ 0`) and `prefix` with the

@@ -142,10 +142,10 @@ fi
 RAW_EM=""
 for i in $(seq 1 "$EM_SAMPLES"); do
   echo "bench_record: em_reconstruction sample $i/$EM_SAMPLES" >&2
-  LINES="$(cargo bench --bench em_reconstruction 2>&1 | tee /dev/stderr | grep -E '^(bench|simd_kernels): ' || true)"
+  LINES="$(cargo bench --bench em_reconstruction 2>&1 | tee -a /dev/stderr | grep -E '^(bench|simd_kernels): ' || true)"
   RAW_EM="${RAW_EM}sample: $i"$'\n'"${LINES}"$'\n'
 done
-RAW_SERVE="$(cargo bench --bench sustained_ingest 2>&1 | tee /dev/stderr | grep '^bench: ' || true)"
+RAW_SERVE="$(cargo bench --bench sustained_ingest 2>&1 | tee -a /dev/stderr | grep '^bench: ' || true)"
 if ! grep -q '^bench: ' <<<"${RAW_EM}${RAW_SERVE}"; then
   echo "bench_record: no 'bench:' lines captured" >&2
   exit 1

@@ -1,105 +1,32 @@
-//! Differential test of EM's certified stopping test.
+//! Differential test of EM's certified stopping test and of the EMS
+//! cycles.
 //!
 //! `em::reconstruct` evaluates the log-likelihood `L = Σⱼ nⱼ ln (M·x̂)ⱼ`
-//! only on iterations where its stopping test could fire. [`reference`]
-//! is the plain loop that computes `L` on every iteration; every run here
-//! goes through both and must agree bit for bit on the iteration count,
-//! the converged flag, the final log-likelihood and the estimate.
-//! Thresholds set to an observed `|ΔL|` and its neighbouring floats probe
-//! the stopping decision exactly at its boundary.
+//! only where its stopping test could fire, and fuses each map
+//! evaluation's passes. [`reference`] is the unfused loop that computes
+//! `L` at every test: the paper's loop for plain EM, the same SQUAREM
+//! cycles, safeguards and operation order for EMS. Every run here goes
+//! through both and must agree bit for bit on the iteration count, the
+//! converged flag, the final log-likelihood and the estimate. Thresholds
+//! set to an observed `|ΔL|` and its neighbouring floats probe the
+//! stopping decision exactly at its boundary.
 
-use rand::Rng;
-use sw_ldp::numeric::{LinearOperator, Matrix, SplitMix64};
+mod common;
+
+use common::{noisy_counts, reference, Test};
+use sw_ldp::numeric::{LinearOperator, Matrix};
 use sw_ldp::sw::{reconstruct, transition_matrix, EmConfig, EmResult, SwMechanism};
 
-/// The loop `reconstruct` must reproduce: `L` on every iteration. Returns
-/// the result and the `|L − L_prev|` each iteration's test compared with
-/// the threshold.
-fn reference<M: LinearOperator + ?Sized>(
-    m: &M,
-    counts: &[f64],
-    config: &EmConfig,
-) -> (EmResult, Vec<f64>) {
-    let d = m.cols();
-    let d_tilde = m.rows();
-    let mut theta = vec![1.0 / d as f64; d];
-    let mut cond = vec![0.0; d_tilde];
-    let mut ratio = vec![0.0; d_tilde];
-    let mut tmp = vec![0.0; d];
-    let mut smoothed = vec![0.0; d];
-    let mut old_ll = f64::NEG_INFINITY;
-    let mut iterations = 0;
-    let mut converged = false;
-    let mut log_likelihood = f64::NEG_INFINITY;
-    let mut deltas = Vec::new();
-
-    m.matvec_into(&theta, &mut cond).unwrap();
-    for iter in 0..config.max_iterations {
-        iterations = iter + 1;
-        for j in 0..d_tilde {
-            ratio[j] = if cond[j] > 0.0 {
-                counts[j] / cond[j]
-            } else {
-                0.0
-            };
-        }
-        m.matvec_transpose_into(&ratio, &mut tmp).unwrap();
-        let mut sum = 0.0;
-        for i in 0..d {
-            theta[i] *= tmp[i];
-            sum += theta[i];
-        }
-        for t in &mut theta {
-            *t /= sum;
-        }
-        if let Some(kernel) = &config.smoothing {
-            kernel.smooth_into(&theta, &mut smoothed);
-            theta.copy_from_slice(&smoothed);
-            let s: f64 = theta.iter().sum();
-            for t in &mut theta {
-                *t /= s;
-            }
-        }
-        m.matvec_into(&theta, &mut cond).unwrap();
-        log_likelihood = 0.0;
-        for j in 0..d_tilde {
-            if counts[j] > 0.0 {
-                if cond[j] <= 0.0 {
-                    log_likelihood = f64::NEG_INFINITY;
-                    break;
-                }
-                log_likelihood += counts[j] * cond[j].ln();
-            }
-        }
-        deltas.push((log_likelihood - old_ll).abs());
-        if iterations >= config.min_iterations.max(1)
-            && (log_likelihood - old_ll).abs() < config.ll_threshold
-        {
-            converged = true;
-            break;
-        }
-        old_ll = log_likelihood;
-    }
-    let histogram = sw_ldp::numeric::Histogram::from_probs(theta).unwrap();
-    let result = EmResult {
-        histogram,
-        iterations,
-        log_likelihood,
-        converged,
-    };
-    (result, deltas)
-}
-
 /// Runs `reconstruct` and [`reference`] on the same input, asserts they
-/// agree bit for bit, and returns the reference's `|ΔL|` trajectory.
+/// agree bit for bit, and returns the reference's stopping tests.
 fn assert_matches<M: LinearOperator + ?Sized>(
     m: &M,
     counts: &[f64],
     config: &EmConfig,
     label: &str,
-) -> Vec<f64> {
+) -> Vec<Test> {
     let got = reconstruct(m, counts, config).unwrap();
-    let (want, deltas) = reference(m, counts, config);
+    let (want, tests) = reference(m, counts, config);
     assert_eq!(got.iterations, want.iterations, "{label}: iterations");
     assert_eq!(got.converged, want.converged, "{label}: converged");
     assert_eq!(
@@ -112,35 +39,7 @@ fn assert_matches<M: LinearOperator + ?Sized>(
     let bits =
         |r: &EmResult| -> Vec<u64> { r.histogram.probs().iter().map(|p| p.to_bits()).collect() };
     assert_eq!(bits(&got), bits(&want), "{label}: estimate");
-    deltas
-}
-
-/// Report counts of `n` users drawn from a Beta(5,2)-like truth at
-/// granularity `d`: the expected counts `n·M·x` plus Gaussian noise of
-/// their Poisson scale, rounded and clamped at zero. Cheap at any `n`.
-fn noisy_counts<M: LinearOperator + ?Sized>(m: &M, n: f64, seed: u64) -> Vec<f64> {
-    let d = m.cols();
-    let mut truth: Vec<f64> = (0..d)
-        .map(|i| {
-            let x = (i as f64 + 0.5) / d as f64;
-            x.powi(4) * (1.0 - x)
-        })
-        .collect();
-    let s: f64 = truth.iter().sum();
-    for t in &mut truth {
-        *t /= s;
-    }
-    let mut rng = SplitMix64::new(seed);
-    m.matvec(&truth)
-        .unwrap()
-        .iter()
-        .map(|&q| {
-            // Irwin–Hall: twelve uniforms less six is close to N(0, 1).
-            let z: f64 = (0..12).map(|_| rng.gen_range(0.0..1.0)).sum::<f64>() - 6.0;
-            let mean = n * q;
-            (mean + mean.sqrt() * z).round().max(0.0)
-        })
-        .collect()
+    tests
 }
 
 /// Report totals from a thousand to seventy million.
@@ -243,14 +142,16 @@ fn iteration_caps_match_reference() {
         };
         assert_matches(op, &counts, &one, "max_iterations = 1");
         // The test never runs: every iteration skips `L`, which is
-        // computed once at the cap.
+        // computed once at the cap. EMS tests once per three-evaluation
+        // cycle, and the cap cuts the fourteenth cycle short.
         let never = EmConfig {
             max_iterations: 40,
             min_iterations: 41,
             ..base.clone()
         };
-        let deltas = assert_matches(op, &counts, &never, "min_iterations > max_iterations");
-        assert_eq!(deltas.len(), 40);
+        let tests = assert_matches(op, &counts, &never, "min_iterations > max_iterations");
+        let cycle = if base.smoothing.is_some() { 3 } else { 1 };
+        assert_eq!(tests.len(), 40 / cycle);
         // The test starts late, past iterations whose `L` was skipped.
         let late = EmConfig {
             min_iterations: 25,
@@ -273,12 +174,12 @@ fn adversarial_thresholds_stop_at_the_same_iteration() {
                 "sw-em" => EmConfig::em(eps),
                 _ => EmConfig::ems(),
             };
-            let deltas = assert_matches(op, &counts, &base, name);
-            // Thresholds at the `|ΔL|` of early, middle and final
-            // iterations (index 0 compares against −∞).
-            let last = deltas.len() - 1;
+            let tests = assert_matches(op, &counts, &base, name);
+            // Thresholds at the `|ΔL|` of early, middle and final tests
+            // (index 0 compares against −∞).
+            let last = tests.len() - 1;
             for k in [1, 2, 5, last / 2, last.saturating_sub(1), last] {
-                let Some(&delta) = deltas.get(k).filter(|v| v.is_finite()) else {
+                let Some(&(evaluations, delta)) = tests.get(k).filter(|t| t.1.is_finite()) else {
                     continue;
                 };
                 for tau in [delta.next_down(), delta, delta.next_up()] {
@@ -289,7 +190,7 @@ fn adversarial_thresholds_stop_at_the_same_iteration() {
                     let label = format!("{name} eps={eps} d={d} n={n} k={k} tau={tau:e}");
                     let (want, _) = reference(op, &counts, &config);
                     if tau > delta {
-                        assert!(want.iterations <= k + 1, "{label}: stops by k");
+                        assert!(want.iterations <= evaluations, "{label}: stops by k");
                     }
                     assert_matches(op, &counts, &config, &label);
                 }
@@ -320,4 +221,28 @@ fn zero_conditionals_take_the_exact_test() {
     assert_matches(&dense, &counts, &capped, "zero row with reports");
     let got = reconstruct(&dense, &counts, &capped).unwrap();
     assert!(!got.converged && got.log_likelihood == f64::NEG_INFINITY);
+}
+
+#[test]
+fn pinned_counts_run_exactly_that_many_evaluations() {
+    // `ll_threshold = 0` never stops, so `min = max = K` runs exactly K
+    // map evaluations; for EMS the cap may cut a cycle after θ₁ or θ₂.
+    let mech = SwMechanism::ems(1.0, 256).unwrap();
+    let op = mech.pipeline().operator();
+    let counts = noisy_counts(op, 1e5, 17);
+    for base in [EmConfig::em(1.0), EmConfig::ems()] {
+        for k in [1, 2, 3, 4, 5, 500] {
+            let config = EmConfig {
+                ll_threshold: 0.0,
+                min_iterations: k,
+                max_iterations: k,
+                ..base.clone()
+            };
+            let label = format!("pinned K={k} smoothing={}", base.smoothing.is_some());
+            assert_matches(op, &counts, &config, &label);
+            let got = reconstruct(op, &counts, &config).unwrap();
+            assert_eq!(got.iterations, k, "{label}");
+            assert!(!got.converged, "{label}");
+        }
+    }
 }

@@ -60,10 +60,10 @@ const REGISTRY_PINS: &[Pin] = &[
         "sw-ems",
         0xfc093bbc02b02b61,
         [
-            [0x914ee45a75845580, 0x2f7d9f97a2f78a09],
-            [0x1ac2f100653d1fb9, 0x3f7df4f63334dcc8],
-            [0xa32cd03c1a2acba9, 0x9139edd18325765e],
-            [0x38553bfe9c4e5ebc, 0xb486103f131489e1],
+            [0x914ee45a75845580, 0x721e99b08d179043],
+            [0x1ac2f100653d1fb9, 0x4fce179e8f844ed5],
+            [0xa32cd03c1a2acba9, 0x464f5d8e7578a4a0],
+            [0x38553bfe9c4e5ebc, 0x7cc7739e66ce7578],
         ],
     ),
     (
@@ -205,19 +205,19 @@ type CustomPin = (u64, [[u64; 2]; 4]);
 const TRAPEZOID_PIN: CustomPin = (
     0x17adc46bce79f65e,
     [
-        [0x134097af72081d78, 0x33bc741e4f7bb777],
-        [0xf1d78488fbe264ce, 0x4e6f6e86e5d5f743],
-        [0xea84a019b66ae41e, 0xaf6676508f23eb06],
-        [0xc9fdedf6b682aaad, 0x87b3db1b489931cb],
+        [0x134097af72081d78, 0x350572a9f5774dee],
+        [0xf1d78488fbe264ce, 0xe46425cc2e973c82],
+        [0xea84a019b66ae41e, 0x3704778b5fe3ecd2],
+        [0xc9fdedf6b682aaad, 0xb663925e9890cfe4],
     ],
 );
 const WIDE_OUTPUT_PIN: CustomPin = (
     0x4ea21e7b230b69a5,
     [
-        [0x203edffd6cf571d6, 0x5ce4690af37924d3],
-        [0x63f864371898c6f3, 0x1aef1aa8d44c1e1a],
-        [0xf12e4990f9427ba9, 0xa6912f7f7f15afdf],
-        [0xf825fa269c3ce7c7, 0x03807ad8cc3e153f],
+        [0x203edffd6cf571d6, 0xaa030dac7f1d9484],
+        [0x63f864371898c6f3, 0x0bc87e1a7caa89fa],
+        [0xf12e4990f9427ba9, 0xa29c10fadc0c789f],
+        [0xf825fa269c3ce7c7, 0xdd1814fcb9961e07],
     ],
 );
 
@@ -227,10 +227,10 @@ const WIDE_OUTPUT_PIN: CustomPin = (
 /// and EMS over the banded operator, so the pin proves the move kept both
 /// the draw order and every estimate bit.
 const DISCRETE_SW_PIN: [[u64; 2]; 4] = [
-    [0x66c60028323be12e, 0x9a024e8018bba3aa],
-    [0xf10132b55b22ca3c, 0x26c9c59b273785ed],
-    [0x066f980b5a9546b1, 0x4fc22a444f2f8019],
-    [0x7c29f3367177a8d0, 0xd46a9fc365746adb],
+    [0x66c60028323be12e, 0xf2c4fa9d5d3c1592],
+    [0xf10132b55b22ca3c, 0xfd484974db79f14a],
+    [0x066f980b5a9546b1, 0x78eb924dd2341da1],
+    [0x7c29f3367177a8d0, 0x4fdbcab5579909ad],
 ];
 
 /// Specs whose OLH hash range `g = round(eᵉ) + 1` is odd (the registry pins
@@ -281,60 +281,60 @@ const SERVED_SHAPE_PINS: &[Pin] = &[
         "sw-ems:eps=0.5,d=256",
         0x8e8f4ab8d8dff8ea,
         [
-            [0x5e58a99ff384d35c, 0x7870a5182a50a39d],
-            [0x397f99a3769a0a36, 0x903051ab62bd7b37],
-            [0x63aae96b4e5c90d1, 0xe6efd8b2aaab5df9],
-            [0x157ab6caa3bac92f, 0x50d00174bc97c261],
+            [0x5e58a99ff384d35c, 0x585d3cca0f4b3b33],
+            [0x397f99a3769a0a36, 0x95cb1797d2bde8c0],
+            [0x63aae96b4e5c90d1, 0xd3b68e90cbfe81eb],
+            [0x157ab6caa3bac92f, 0x096642a0acbb7b96],
         ],
     ),
     (
         "sw-ems:eps=1,d=256",
         0xc1327e7308fd3be4,
         [
-            [0x914ee45a75845580, 0x4321de8d1cb0b6af],
-            [0x1ac2f100653d1fb9, 0x70c8d1a44ae73d10],
-            [0xa32cd03c1a2acba9, 0x1646ed2403888e41],
-            [0x38553bfe9c4e5ebc, 0xbbc38244df005d9b],
+            [0x914ee45a75845580, 0x4436fead31d49e00],
+            [0x1ac2f100653d1fb9, 0x44b6e8cd3f67e70f],
+            [0xa32cd03c1a2acba9, 0x6d0d9aef57437c81],
+            [0x38553bfe9c4e5ebc, 0x54f66aae5d52f1a1],
         ],
     ),
     (
         "sw-ems:eps=4,d=256",
         0x538dcf5df770e6ab,
         [
-            [0x707f1726f126f06f, 0xcb7835bbb5981103],
-            [0x45db938c84fc9b75, 0x288ecda54ecd01ea],
-            [0x54684ada2521187e, 0x21a40fac148c1d89],
-            [0xb29bf969182ea334, 0x739d031aba4c7884],
+            [0x707f1726f126f06f, 0x3c9629b020dbf2ff],
+            [0x45db938c84fc9b75, 0xaa50a32cdba6465b],
+            [0x54684ada2521187e, 0x4444041902204203],
+            [0xb29bf969182ea334, 0xa4fb031276d73589],
         ],
     ),
     (
         "sw-ems:eps=0.5,d=1024",
         0xbd671b3a316b13ed,
         [
-            [0x5e58a99ff384d35c, 0x82ff5c8dcec006f4],
-            [0x397f99a3769a0a36, 0x8bd0199114c41e04],
-            [0x63aae96b4e5c90d1, 0x3ab55d792cdbe8ef],
-            [0x157ab6caa3bac92f, 0x2e1a6dd84d1215dd],
+            [0x5e58a99ff384d35c, 0x870df9424a947ad0],
+            [0x397f99a3769a0a36, 0xd973d363c827c785],
+            [0x63aae96b4e5c90d1, 0x059c27aff1c26a6c],
+            [0x157ab6caa3bac92f, 0x01376ae88918bd07],
         ],
     ),
     (
         "sw-ems:eps=1,d=1024",
         0xab05a36ef4671101,
         [
-            [0x914ee45a75845580, 0x04f386e867ec7265],
-            [0x1ac2f100653d1fb9, 0xcef895f7afcb26e9],
-            [0xa32cd03c1a2acba9, 0xd457e1f484b4ccec],
-            [0x38553bfe9c4e5ebc, 0x056cb33ab02822ef],
+            [0x914ee45a75845580, 0xb84bc0abbab0e873],
+            [0x1ac2f100653d1fb9, 0x84ff74d12710ce7b],
+            [0xa32cd03c1a2acba9, 0xb108446878f1999e],
+            [0x38553bfe9c4e5ebc, 0xe976c924db34987e],
         ],
     ),
     (
         "sw-ems:eps=4,d=1024",
         0x95ef51cef73fedcc,
         [
-            [0x707f1726f126f06f, 0x8b329baeb4bc91cd],
-            [0x45db938c84fc9b75, 0x0e0ec691aaeebf71],
-            [0x54684ada2521187e, 0xebcc809efbe0d61b],
-            [0xb29bf969182ea334, 0x4428603c9aae8d8e],
+            [0x707f1726f126f06f, 0x84b03b0a56d5230c],
+            [0x45db938c84fc9b75, 0x5759ce52c11bd0fb],
+            [0x54684ada2521187e, 0xe924e5cfe68f7e89],
+            [0xb29bf969182ea334, 0x16ec3b85d2c47892],
         ],
     ),
     (
@@ -411,55 +411,55 @@ const SERVED_SHAPE_TRAJECTORY_PINS: &[(&str, [Trajectory; 4])] = &[
     (
         "sw-ems:eps=0.5,d=256",
         [
-            (346, true, 0xc0b5a2eefd71b00e),
-            (391, true, 0xc0fb0d4c1fa78eb2),
-            (462, true, 0xc0b5a48ec16b14f7),
-            (343, true, 0xc0fb0b37b749942c),
+            (180, true, 0xc0b5a2bc6635d42c),
+            (150, true, 0xc0fb0d477f2eec79),
+            (243, true, 0xc0b5a45e27ad6656),
+            (180, true, 0xc0fb0b33e7741bc6),
         ],
     ),
     (
         "sw-ems:eps=1,d=256",
         [
-            (311, true, 0xc0b5991441dedbaa),
-            (386, true, 0xc0fafe06eaa9f298),
-            (335, true, 0xc0b59e400a69498e),
-            (357, true, 0xc0fafbe4c3231a67),
+            (93, true, 0xc0b598f5f640e176),
+            (105, true, 0xc0fafe047ec60550),
+            (99, true, 0xc0b59e1ef21e9f96),
+            (108, true, 0xc0fafbe221d0df6a),
         ],
     ),
     (
         "sw-ems:eps=4,d=256",
         [
-            (86, true, 0xc0b58e2204250e93),
-            (77, true, 0xc0fb02cf6a93b5de),
-            (91, true, 0xc0b5907d976abe73),
-            (91, true, 0xc0fb03b7809c088a),
+            (30, true, 0xc0b58e1f42be3cd1),
+            (33, true, 0xc0fb02cf25d7f9b6),
+            (30, true, 0xc0b5907af21fe0d5),
+            (42, true, 0xc0fb03b72a8787d4),
         ],
     ),
     (
         "sw-ems:eps=0.5,d=1024",
         [
-            (491, true, 0xc0bb0cbb238bfe83),
-            (1355, true, 0xc100e900fa862868),
-            (681, true, 0xc0bb0d92179462dd),
-            (1059, true, 0xc100e7fcebaa8c9d),
+            (180, true, 0xc0bb0c845f9f5db7),
+            (597, true, 0xc100e8f9103d3033),
+            (222, true, 0xc0bb0d69d83977af),
+            (450, true, 0xc100e7f551ccf40a),
         ],
     ),
     (
         "sw-ems:eps=1,d=1024",
         [
-            (516, true, 0xc0bb0165e4ef4c46),
-            (1215, true, 0xc100e1452171c27e),
-            (553, true, 0xc0bb06353dffa16c),
-            (907, true, 0xc100e04e1b3e6ba3),
+            (141, true, 0xc0bb014ed6fa104d),
+            (387, true, 0xc100e14106f46367),
+            (177, true, 0xc0bb061bc01bd26c),
+            (588, true, 0xc100e04c22c1ad59),
         ],
     ),
     (
         "sw-ems:eps=4,d=1024",
         [
-            (198, true, 0xc0bae9dd5678e66c),
-            (413, true, 0xc100e33b84ab289b),
-            (205, true, 0xc0baeebe63f94ffb),
-            (505, true, 0xc100e3b623db73e1),
+            (69, true, 0xc0bae9cf97446a84),
+            (201, true, 0xc100e339f12dc673),
+            (57, true, 0xc0baeeb3aae48f85),
+            (213, true, 0xc100e3b4684d5c82),
         ],
     ),
     (
