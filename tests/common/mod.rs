@@ -6,7 +6,7 @@
 
 use rand::Rng;
 use sw_ldp::numeric::{Histogram, LinearOperator, SplitMix64};
-use sw_ldp::sw::em::{MAX_BACKTRACKS, STEP_MAX_GROWTH};
+use sw_ldp::sw::em::{MAX_BACKTRACKS, RESIDUAL_SLACK, STEP_MAX_GROWTH};
 use sw_ldp::sw::{EmConfig, EmResult, SmoothingKernel};
 
 /// One stopping test of a reference run: the map evaluations done when it
@@ -164,7 +164,8 @@ fn log_likelihood_of_theta<M: LinearOperator + ?Sized>(
 /// `θ₂ = F(θ₁)`, the step `s = ‖r‖₂/‖v‖₂` clamped to `[1, s_max]`, `θ′`
 /// (halving `s` toward 1 while an entry is not positive and finite), the
 /// stabilizing `F(θ′)`, whose E-step reads the same extrapolation of the
-/// three conditionals, unless its residual exceeds `‖r‖₁`, then `θ₂`.
+/// three conditionals, unless its residual exceeds `RESIDUAL_SLACK·‖r‖₁`,
+/// then `θ₂`.
 /// `|L − L_prev| < τ` is tested between successive accepted points;
 /// `L` is computed at every one.
 pub fn squarem_loop<M: LinearOperator + ?Sized>(
@@ -236,7 +237,7 @@ pub fn squarem_loop<M: LinearOperator + ?Sized>(
                 .zip(&extrapolated)
                 .map(|(&a, &b)| (a - b).abs()),
         );
-        theta = if residual <= r_abs {
+        theta = if residual <= RESIDUAL_SLACK * r_abs {
             if full && backtracks == 0 {
                 step_max *= STEP_MAX_GROWTH;
             }

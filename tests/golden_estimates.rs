@@ -60,10 +60,10 @@ const REGISTRY_PINS: &[Pin] = &[
         "sw-ems",
         0xfc093bbc02b02b61,
         [
-            [0x914ee45a75845580, 0x721e99b08d179043],
-            [0x1ac2f100653d1fb9, 0x4fce179e8f844ed5],
-            [0xa32cd03c1a2acba9, 0x464f5d8e7578a4a0],
-            [0x38553bfe9c4e5ebc, 0x7cc7739e66ce7578],
+            [0x914ee45a75845580, 0x4ae051f34c6967ff],
+            [0x1ac2f100653d1fb9, 0x71d684fc596d1367],
+            [0xa32cd03c1a2acba9, 0x12a8e40d481c40c6],
+            [0x38553bfe9c4e5ebc, 0x32086c712be70b70],
         ],
     ),
     (
@@ -205,9 +205,9 @@ type CustomPin = (u64, [[u64; 2]; 4]);
 const TRAPEZOID_PIN: CustomPin = (
     0x17adc46bce79f65e,
     [
-        [0x134097af72081d78, 0x350572a9f5774dee],
-        [0xf1d78488fbe264ce, 0xe46425cc2e973c82],
-        [0xea84a019b66ae41e, 0x3704778b5fe3ecd2],
+        [0x134097af72081d78, 0xb65fbfd2113cb20e],
+        [0xf1d78488fbe264ce, 0x7dc8cff1900f09bd],
+        [0xea84a019b66ae41e, 0x6ab920b323f15c6c],
         [0xc9fdedf6b682aaad, 0xb663925e9890cfe4],
     ],
 );
@@ -216,7 +216,7 @@ const WIDE_OUTPUT_PIN: CustomPin = (
     [
         [0x203edffd6cf571d6, 0xaa030dac7f1d9484],
         [0x63f864371898c6f3, 0x0bc87e1a7caa89fa],
-        [0xf12e4990f9427ba9, 0xa29c10fadc0c789f],
+        [0xf12e4990f9427ba9, 0x5439a17c4ac31fa7],
         [0xf825fa269c3ce7c7, 0xdd1814fcb9961e07],
     ],
 );
@@ -227,10 +227,10 @@ const WIDE_OUTPUT_PIN: CustomPin = (
 /// and EMS over the banded operator, so the pin proves the move kept both
 /// the draw order and every estimate bit.
 const DISCRETE_SW_PIN: [[u64; 2]; 4] = [
-    [0x66c60028323be12e, 0xf2c4fa9d5d3c1592],
-    [0xf10132b55b22ca3c, 0xfd484974db79f14a],
+    [0x66c60028323be12e, 0x09553e1e6adc0c3a],
+    [0xf10132b55b22ca3c, 0x8d6b420fe0d6283e],
     [0x066f980b5a9546b1, 0x78eb924dd2341da1],
-    [0x7c29f3367177a8d0, 0x4fdbcab5579909ad],
+    [0x7c29f3367177a8d0, 0xe5f637fce2679e46],
 ];
 
 /// Specs whose OLH hash range `g = round(eᵉ) + 1` is odd (the registry pins
@@ -281,60 +281,60 @@ const SERVED_SHAPE_PINS: &[Pin] = &[
         "sw-ems:eps=0.5,d=256",
         0x8e8f4ab8d8dff8ea,
         [
-            [0x5e58a99ff384d35c, 0x585d3cca0f4b3b33],
-            [0x397f99a3769a0a36, 0x95cb1797d2bde8c0],
-            [0x63aae96b4e5c90d1, 0xd3b68e90cbfe81eb],
-            [0x157ab6caa3bac92f, 0x096642a0acbb7b96],
+            [0x5e58a99ff384d35c, 0xcde1bd4df9373dbc],
+            [0x397f99a3769a0a36, 0x9511eae9c158006b],
+            [0x63aae96b4e5c90d1, 0xd723a5b6cf82e96d],
+            [0x157ab6caa3bac92f, 0xc5849c7065f29ca2],
         ],
     ),
     (
         "sw-ems:eps=1,d=256",
         0xc1327e7308fd3be4,
         [
-            [0x914ee45a75845580, 0x4436fead31d49e00],
-            [0x1ac2f100653d1fb9, 0x44b6e8cd3f67e70f],
-            [0xa32cd03c1a2acba9, 0x6d0d9aef57437c81],
-            [0x38553bfe9c4e5ebc, 0x54f66aae5d52f1a1],
+            [0x914ee45a75845580, 0xf5a2fe11d92b1b54],
+            [0x1ac2f100653d1fb9, 0xfefadf9852362201],
+            [0xa32cd03c1a2acba9, 0xa04b918e4e370d51],
+            [0x38553bfe9c4e5ebc, 0xffe77e544e0b3192],
         ],
     ),
     (
         "sw-ems:eps=4,d=256",
         0x538dcf5df770e6ab,
         [
-            [0x707f1726f126f06f, 0x3c9629b020dbf2ff],
-            [0x45db938c84fc9b75, 0xaa50a32cdba6465b],
-            [0x54684ada2521187e, 0x4444041902204203],
-            [0xb29bf969182ea334, 0xa4fb031276d73589],
+            [0x707f1726f126f06f, 0xee325f75263e99d5],
+            [0x45db938c84fc9b75, 0x6f9cacc8f1e6d628],
+            [0x54684ada2521187e, 0xe5612490566e2763],
+            [0xb29bf969182ea334, 0xbee2ad37ec732931],
         ],
     ),
     (
         "sw-ems:eps=0.5,d=1024",
         0xbd671b3a316b13ed,
         [
-            [0x5e58a99ff384d35c, 0x870df9424a947ad0],
-            [0x397f99a3769a0a36, 0xd973d363c827c785],
-            [0x63aae96b4e5c90d1, 0x059c27aff1c26a6c],
-            [0x157ab6caa3bac92f, 0x01376ae88918bd07],
+            [0x5e58a99ff384d35c, 0x4bd63ca96a3e62bf],
+            [0x397f99a3769a0a36, 0x84a8b887b6e1f6c8],
+            [0x63aae96b4e5c90d1, 0x04984a4f08a63c5f],
+            [0x157ab6caa3bac92f, 0x7e91dfa45588cc43],
         ],
     ),
     (
         "sw-ems:eps=1,d=1024",
         0xab05a36ef4671101,
         [
-            [0x914ee45a75845580, 0xb84bc0abbab0e873],
-            [0x1ac2f100653d1fb9, 0x84ff74d12710ce7b],
-            [0xa32cd03c1a2acba9, 0xb108446878f1999e],
-            [0x38553bfe9c4e5ebc, 0xe976c924db34987e],
+            [0x914ee45a75845580, 0x1d658d4e7441d864],
+            [0x1ac2f100653d1fb9, 0x3ce69d15c6ccd5c0],
+            [0xa32cd03c1a2acba9, 0x509ca21f705a4ca1],
+            [0x38553bfe9c4e5ebc, 0xce2c92c7f3bfff6e],
         ],
     ),
     (
         "sw-ems:eps=4,d=1024",
         0x95ef51cef73fedcc,
         [
-            [0x707f1726f126f06f, 0x84b03b0a56d5230c],
-            [0x45db938c84fc9b75, 0x5759ce52c11bd0fb],
-            [0x54684ada2521187e, 0xe924e5cfe68f7e89],
-            [0xb29bf969182ea334, 0x16ec3b85d2c47892],
+            [0x707f1726f126f06f, 0xd983c27eb90f8380],
+            [0x45db938c84fc9b75, 0xf93c3610036bb2ac],
+            [0x54684ada2521187e, 0xef94b15e9da939cd],
+            [0xb29bf969182ea334, 0x6cfd7ef7a97765a4],
         ],
     ),
     (
@@ -411,55 +411,55 @@ const SERVED_SHAPE_TRAJECTORY_PINS: &[(&str, [Trajectory; 4])] = &[
     (
         "sw-ems:eps=0.5,d=256",
         [
-            (180, true, 0xc0b5a2bc6635d42c),
-            (150, true, 0xc0fb0d477f2eec79),
-            (243, true, 0xc0b5a45e27ad6656),
-            (180, true, 0xc0fb0b33e7741bc6),
+            (132, true, 0xc0b5a2d7fa14b2b5),
+            (114, true, 0xc0fb0d4783548bc3),
+            (162, true, 0xc0b5a45de10d8d37),
+            (135, true, 0xc0fb0b33ea993188),
         ],
     ),
     (
         "sw-ems:eps=1,d=256",
         [
-            (93, true, 0xc0b598f5f640e176),
-            (105, true, 0xc0fafe047ec60550),
-            (99, true, 0xc0b59e1ef21e9f96),
-            (108, true, 0xc0fafbe221d0df6a),
+            (75, true, 0xc0b598f5be218b9f),
+            (96, true, 0xc0fafe0481933da3),
+            (78, true, 0xc0b59e1fba406947),
+            (102, true, 0xc0fafbe225c7aa3e),
         ],
     ),
     (
         "sw-ems:eps=4,d=256",
         [
-            (30, true, 0xc0b58e1f42be3cd1),
-            (33, true, 0xc0fb02cf25d7f9b6),
-            (30, true, 0xc0b5907af21fe0d5),
-            (42, true, 0xc0fb03b72a8787d4),
+            (27, true, 0xc0b58e1def6ead81),
+            (33, true, 0xc0fb02cf22b7b7b4),
+            (30, true, 0xc0b5907989f7be41),
+            (33, true, 0xc0fb03b74758b098),
         ],
     ),
     (
         "sw-ems:eps=0.5,d=1024",
         [
-            (180, true, 0xc0bb0c845f9f5db7),
-            (597, true, 0xc100e8f9103d3033),
-            (222, true, 0xc0bb0d69d83977af),
-            (450, true, 0xc100e7f551ccf40a),
+            (120, true, 0xc0bb0c7fe80d3d72),
+            (426, true, 0xc100e8f8fde7e6ac),
+            (180, true, 0xc0bb0d6e4c36a0f9),
+            (348, true, 0xc100e7f56e217f1a),
         ],
     ),
     (
         "sw-ems:eps=1,d=1024",
         [
-            (141, true, 0xc0bb014ed6fa104d),
-            (387, true, 0xc100e14106f46367),
-            (177, true, 0xc0bb061bc01bd26c),
-            (588, true, 0xc100e04c22c1ad59),
+            (171, true, 0xc0bb014748b9510f),
+            (321, true, 0xc100e1411620db79),
+            (183, true, 0xc0bb061cf9a117fe),
+            (396, true, 0xc100e049e37fd864),
         ],
     ),
     (
         "sw-ems:eps=4,d=1024",
         [
-            (69, true, 0xc0bae9cf97446a84),
-            (201, true, 0xc100e339f12dc673),
-            (57, true, 0xc0baeeb3aae48f85),
-            (213, true, 0xc100e3b4684d5c82),
+            (105, true, 0xc0bae9cfe06f87e9),
+            (186, true, 0xc100e339f38a0ad6),
+            (69, true, 0xc0baeeb20da7eb10),
+            (150, true, 0xc100e3b4685bec89),
         ],
     ),
     (
