@@ -12,7 +12,6 @@
 
 use crate::error::CfoError;
 use ldp_core::{Domain, Epsilon};
-use serde::{Deserialize, Serialize};
 
 /// Entry `φ[r, c] ∈ {-1, +1}` of the (Sylvester) Hadamard matrix of any
 /// power-of-two order: `(-1)^(popcount(r & c))`.
@@ -57,7 +56,7 @@ pub fn next_pow2(d: usize) -> usize {
 }
 
 /// One HRR report: the chosen Hadamard row and the perturbed ±1 entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HrrReport {
     /// Row index in the padded Hadamard matrix.
     pub row: u32,

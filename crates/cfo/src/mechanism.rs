@@ -24,7 +24,6 @@ use ldp_core::{randomize_serial, CoreError, Epsilon, Mechanism, WireReport};
 use ldp_numeric::histogram::bucket_of;
 use ldp_numeric::Histogram;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write;
 
 /// Fingerprint tags, one per mechanism family (kept distinct so two
@@ -38,7 +37,7 @@ mod tag {
 }
 
 /// Per-value report counts: the streaming state of GRR and OUE.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CountState {
     counts: Vec<u64>,
     n: u64,
@@ -81,7 +80,7 @@ impl CountState {
 }
 
 /// Per-value support counts: the streaming state of OLH.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SupportState {
     support: Vec<u64>,
     n: u64,
@@ -102,7 +101,7 @@ impl SupportState {
 }
 
 /// Integer Walsh–Hadamard spectrum sums: the streaming state of HRR.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpectrumState {
     spectrum: Vec<i64>,
     n: u64,
@@ -477,7 +476,7 @@ impl Mechanism for Hrr {
 
 /// The streaming state of the GRR/OLH adaptive oracle, tagged like its
 /// reports.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AdaptiveState {
     /// GRR was selected: per-value counts.
     Grr(CountState),

@@ -16,12 +16,11 @@ use crate::error::CfoError;
 use ldp_core::{Domain, Epsilon};
 use ldp_numeric::kernels::{olh_support, ResidueTest};
 use ldp_numeric::rng::mix64;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single OLH report: the user's hash seed and the GRR-perturbed hashed
 /// value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OlhReport {
     /// Seed identifying the user's hash function.
     pub seed: u64,

@@ -9,10 +9,9 @@
 
 use crate::error::CfoError;
 use ldp_core::{Domain, Epsilon};
-use serde::{Deserialize, Serialize};
 
 /// One OUE report: a packed bit vector over the domain.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OueReport {
     pub(crate) bits: Vec<u64>,
     pub(crate) len: usize,

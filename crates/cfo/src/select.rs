@@ -4,7 +4,6 @@
 use crate::error::CfoError;
 use crate::grr::Grr;
 use crate::olh::{Olh, OlhReport};
-use serde::{Deserialize, Serialize};
 
 /// Which base oracle the selector picked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,7 +27,7 @@ pub fn choose_oracle(d: usize, eps: f64) -> OracleKind {
 }
 
 /// A report from the adaptive oracle, tagged by the underlying protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdaptiveReport {
     /// A GRR report.
     Grr(usize),

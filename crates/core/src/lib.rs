@@ -16,8 +16,7 @@
 //!   `merge` combines shards collected on different workers or machines;
 //! - [`wire`] — a line-oriented, exact-round-trip text encoding for report
 //!   types ([`WireReport`]), so reports can cross process boundaries and be
-//!   replayed byte-identically. Report structs additionally carry `serde`
-//!   derives for integration with the ecosystem formats;
+//!   replayed byte-identically;
 //! - [`snapshot`] — durable aggregator state: the [`SnapshotState`]
 //!   persistence contract every mechanism state implements, plus the
 //!   versioned, fingerprint-checked snapshot container that collection

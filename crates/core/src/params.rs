@@ -8,7 +8,6 @@
 
 use crate::error::CoreError;
 use ldp_numeric::rng::mix64;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A validated privacy budget: positive and finite.
@@ -25,7 +24,7 @@ use std::fmt;
 /// assert!(Epsilon::new(0.0).is_err());
 /// assert!(Epsilon::new(f64::NAN).is_err());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Epsilon(f64);
 
 impl Epsilon {
@@ -83,7 +82,7 @@ impl fmt::Display for Epsilon {
 /// assert!(d.check(64).is_err()); // out of range
 /// assert!(Domain::new(1).is_err()); // a 1-value domain carries no signal
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Domain(usize);
 
 impl Domain {

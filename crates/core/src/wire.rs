@@ -7,9 +7,8 @@
 //! (floats are rendered with Rust's shortest-round-trip formatting), which
 //! is what lets a replayed stream finalize to the bit-identical estimate.
 //!
-//! This line format is the only encoding reports have. The report structs
-//! carry `serde` derives, but the vendored `serde` is a stub with no
-//! serializer behind it, so no other format (JSON, bincode, …) exists.
+//! This line format is the only encoding reports have; no other format
+//! (JSON, bincode, …) exists.
 //!
 //! Decoding a frame is one pass: [`WireReport::decode_frame`] splits,
 //! trims and decodes every line of a text block. `f64` reports (SW, PM,

@@ -26,7 +26,6 @@ use ldp_core::{randomize_serial, CoreError, Epsilon, Mechanism, WireReport};
 use ldp_numeric::kernels::Divisor;
 use ldp_numeric::SplitMix64;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write;
 
 const TAG_HH: u64 = 0x31;
@@ -34,7 +33,7 @@ const TAG_HAAR: u64 = 0x32;
 
 /// One Hierarchical Histogram report: the user's sampled tree level and
 /// its ancestor's perturbed index through that level's adaptive oracle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HhReport {
     /// Tree level (1..=height) this user was assigned to.
     pub level: u32,
@@ -44,7 +43,7 @@ pub struct HhReport {
 
 /// Streaming state of the Hierarchical Histogram: one adaptive-oracle
 /// state per tree level.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HhState {
     /// Index `level - 1` holds the state for tree level `level`.
     levels: Vec<AdaptiveState>,
@@ -220,7 +219,7 @@ impl Mechanism for HierarchicalHistogram {
 
 /// One HaarHRR report: the user's sampled coefficient height and its
 /// (coefficient, sign) item perturbed through HRR.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HaarReport {
     /// Coefficient height (1..=log2 d) this user was assigned to.
     pub level: u32,
@@ -230,7 +229,7 @@ pub struct HaarReport {
 
 /// Streaming state of HaarHRR: one HRR spectrum state per coefficient
 /// height.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HaarState {
     /// Index `m - 1` holds the state for coefficient height `m`.
     levels: Vec<SpectrumState>,

@@ -14,7 +14,6 @@ use crate::pm::Pm;
 use crate::sr::Sr;
 use ldp_core::Epsilon;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The ε threshold above which the PM arm is used at all
 /// (`ε* = ln((−5 + 2·(6353 − 405·√241)^{1/3} + 2·(6353 + 405·√241)^{1/3})/27)`
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 pub const HYBRID_EPS_STAR: f64 = 0.61;
 
 /// One Hybrid report: which arm produced it and the perturbed value.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum HybridReport {
     /// Produced by the Piecewise Mechanism.
     Pm(f64),

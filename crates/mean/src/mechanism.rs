@@ -18,7 +18,6 @@ use ldp_core::wire::parse_field;
 use ldp_core::{CoreError, Epsilon, Mechanism, WireReport};
 use ldp_numeric::ExactSum;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write;
 
 mod tag {
@@ -29,7 +28,7 @@ mod tag {
 
 /// Streaming state of the mean mechanisms: an exact running sum of
 /// (debiased) reports plus the report count.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MeanState {
     sum: ExactSum,
     n: u64,

@@ -45,8 +45,9 @@
 //! whole test suite in both configurations. Non-x86 targets always take
 //! the scalar path; there is no compile-time feature gate to misconfigure.
 //!
-//! This module contains the only `unsafe` code outside `ldp-pool`; every
-//! `unsafe` block is a `#[target_feature]` intrinsic routine (`avx2`, or
+//! This module is one of the workspace's three places that use `unsafe`
+//! (listed under "Unsafe code" in `docs/ARCHITECTURE.md`); every `unsafe`
+//! block is a `#[target_feature]` intrinsic routine (`avx2`, or
 //! `avx512f,avx512dq`) reached strictly behind the runtime detection
 //! check.
 

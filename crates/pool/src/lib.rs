@@ -1,13 +1,13 @@
 //! A shared, work-stealing worker pool for the whole workspace.
 //!
-//! Before this crate existed, every parallel entry point — SW's batched
-//! randomization, the experiment grid's `parallel_jobs`, and
-//! (sequentially) the bootstrap — paid for its own `std::thread::scope`
-//! spawn/join round trip per call. Amortizing that setup across millions of
-//! reports is exactly what makes LDP aggregation practical at population
-//! scale, so the pool is **process-global and lazily initialized**
-//! ([`global`]): the first parallel call spawns the workers, every later
-//! call reuses them.
+//! Every parallel entry point — `Aggregator::push_slice_sharded`, the
+//! collector's batch ingest, the experiment grid's `parallel_jobs`, and
+//! the bootstrap — shares one pool instead of paying for its own
+//! `std::thread::scope` spawn/join round trip per call. The pool is
+//! **process-global and lazily initialized** ([`global`]): the first
+//! parallel call spawns the workers, every later call reuses them.
+//! Threads that live for a whole connection or serve loop go through
+//! [`service_scope`] instead.
 //!
 //! # Execution model
 //!
@@ -21,20 +21,12 @@
 //! under arbitrary nesting: a batch can always be finished by its caller
 //! alone, workers are an acceleration.
 //!
-//! # Long-lived services
-//!
-//! The batch model deliberately excludes threads that live for the
-//! duration of a connection or a serve loop. Those go through
-//! [`service_scope`] (structured, named, panic-contained service threads)
-//! and can talk over [`chan::bounded_weighted`] channels, whose
-//! nonblocking producers park and retry instead of blocking.
-//!
 //! # Determinism
 //!
 //! Jobs are identified by their **index in the batch**, never by the worker
 //! that happens to execute them. Callers derive per-job state (RNG streams,
 //! shard ranges) from that index, so results are bit-identical regardless
-//! of how many workers the pool has — the property the batch randomizer,
+//! of how many workers the pool has — the property sharded ingest,
 //! `parallel_jobs`, and the bootstrap all rely on and that the integration
 //! suite pins across `LDP_POOL_THREADS ∈ {1, 2, 7}`.
 //!
@@ -55,15 +47,14 @@
 //!
 //! # Reading the unsafe internals
 //!
-//! This crate holds one of the workspace's two pockets of `unsafe` code —
-//! the other being the runtime-dispatched AVX2 intrinsic kernels in
-//! `ldp_numeric::kernels`. Here it is the scoped-lifetime
-//! erasure that lets borrowed closures cross worker threads, documented
-//! as a `SAFETY:` comment at the single `unsafe` block it lives in, in the
-//! crate-private `Scope::spawn` behind [`Pool::run_capped`]. The
-//! supporting invariants are written on the *private* items that uphold
-//! them — `Batch` and the erased `Job` type — so they don't appear in the
-//! public docs. To audit them, build with
+//! This crate is one of the three places in the workspace that use
+//! `unsafe`; `docs/ARCHITECTURE.md` ("Unsafe code") lists all three. Here
+//! it is the scoped-lifetime erasure that lets borrowed closures cross
+//! worker threads, documented as a `SAFETY:` comment at the single
+//! `unsafe` block it lives in, in the crate-private `Scope::spawn` behind
+//! [`Pool::run_capped`]. The supporting invariants are written on the
+//! *private* items that uphold them — `Batch` and the erased `Job` type —
+//! so they don't appear in the public docs. To audit them, build with
 //!
 //! ```sh
 //! cargo doc -p ldp-pool --document-private-items
@@ -74,17 +65,15 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod chan;
 mod service;
 
 pub use service::{service_scope, ServiceScope};
 
-use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Environment variable overriding the global pool's thread count.
 pub const THREADS_ENV: &str = "LDP_POOL_THREADS";
@@ -210,7 +199,7 @@ impl<'env> Scope<'_, 'env> {
             std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Box<dyn FnOnce() + Send>>(boxed)
         };
         self.batch.pending.fetch_add(1, Ordering::SeqCst);
-        self.batch.queue.lock().push_back(job);
+        lock(&self.batch.queue).push_back(job);
         self.pool.notify_work();
     }
 }
@@ -270,20 +259,18 @@ impl Pool {
         if jobs == 0 {
             return Ok(Vec::new());
         }
-        let slots: Vec<Mutex<Option<T>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
+        // Each job owns a disjoint `&mut` to its result slot.
+        let mut slots: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
         self.scope_capped(cap, |scope| {
-            for (i, slot) in slots.iter().enumerate() {
+            for (i, slot) in slots.iter_mut().enumerate() {
                 let f = &f;
-                scope.spawn(move || {
-                    *slot.lock() = Some(f(i));
-                });
+                scope.spawn(move || *slot = Some(f(i)));
             }
         })?;
-        let mut out = Vec::with_capacity(jobs);
-        for slot in slots {
-            out.push(slot.into_inner().ok_or(PoolError::JobPanicked)?);
-        }
-        Ok(out)
+        slots
+            .into_iter()
+            .map(|slot| slot.ok_or(PoolError::JobPanicked))
+            .collect()
     }
 
     /// Structured concurrency: `f` receives a [`Scope`] whose
@@ -300,7 +287,7 @@ impl Pool {
         f: impl FnOnce(&Scope<'_, 'env>) -> R,
     ) -> Result<R, PoolError> {
         let batch = Arc::new(Batch::new(cap));
-        self.shared.active.lock().push(Arc::clone(&batch));
+        lock(&self.shared.active).push(Arc::clone(&batch));
         let scope = Scope {
             pool: self,
             batch: Arc::clone(&batch),
@@ -315,10 +302,7 @@ impl Pool {
         drain(&batch);
         batch.executors.fetch_sub(1, Ordering::SeqCst);
         wait_done(&batch);
-        self.shared
-            .active
-            .lock()
-            .retain(|b| !Arc::ptr_eq(b, &batch));
+        lock(&self.shared.active).retain(|b| !Arc::ptr_eq(b, &batch));
         match body {
             Ok(r) => {
                 if batch.panicked.load(Ordering::SeqCst) {
@@ -336,7 +320,7 @@ impl Pool {
         // Locking `active` (even briefly) orders this notification after
         // the enqueue: a worker either sees the job during its scan or is
         // already parked and gets woken.
-        drop(self.shared.active.lock());
+        drop(lock(&self.shared.active));
         self.shared.work_cv.notify_one();
     }
 }
@@ -344,9 +328,16 @@ impl Pool {
 impl Drop for Pool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        drop(self.shared.active.lock());
+        drop(lock(&self.shared.active));
         self.shared.work_cv.notify_all();
     }
+}
+
+/// Locks `mutex`, recovering the data if a previous holder panicked. Jobs
+/// never run under a pool lock and no critical section here can leave its
+/// data half-updated, so a poisoned lock carries nothing worth refusing.
+fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Picks a batch with claimable work, registering as one of its executors.
@@ -356,7 +347,7 @@ fn claim(active: &[Arc<Batch>], rotation: &mut usize) -> Option<Arc<Batch>> {
     for i in 0..n {
         let idx = (*rotation + i) % n;
         let batch = &active[idx];
-        if batch.queue.lock().is_empty() {
+        if lock(&batch.queue).is_empty() {
             continue;
         }
         let executors = batch.executors.fetch_add(1, Ordering::SeqCst);
@@ -373,7 +364,7 @@ fn claim(active: &[Arc<Batch>], rotation: &mut usize) -> Option<Arc<Batch>> {
 /// Executes jobs from `batch` until its queue is empty.
 fn drain(batch: &Batch) {
     loop {
-        let job = batch.queue.lock().pop_front();
+        let job = lock(&batch.queue).pop_front();
         match job {
             Some(job) => run_job(batch, job),
             None => break,
@@ -393,10 +384,7 @@ fn run_job(batch: &Batch, job: Job) {
     if outcome.is_err() {
         batch.panicked.store(true, Ordering::SeqCst);
         // Fail fast: claim and drop everything still queued.
-        let drained: Vec<Job> = {
-            let mut queue = batch.queue.lock();
-            queue.drain(..).collect()
-        };
+        let drained: Vec<Job> = lock(&batch.queue).drain(..).collect();
         let cancelled = drained.len();
         drop(drained);
         if cancelled > 0 {
@@ -413,17 +401,18 @@ fn finish(batch: &Batch, count: usize) {
         // Empty critical section: ensures the waiter is either still
         // pre-check (and will observe pending == 0) or already parked in
         // `wait` (and will receive the notification).
-        drop(batch.done_lock.lock());
+        drop(lock(&batch.done_lock));
         batch.done_cv.notify_all();
     }
 }
 
 /// Blocks until every job of `batch` has finished.
 fn wait_done(batch: &Batch) {
-    let mut guard = batch.done_lock.lock();
-    while batch.pending.load(Ordering::SeqCst) > 0 {
-        batch.done_cv.wait(&mut guard);
-    }
+    let guard = lock(&batch.done_lock);
+    let _guard = batch
+        .done_cv
+        .wait_while(guard, |_| batch.pending.load(Ordering::SeqCst) > 0)
+        .unwrap_or_else(PoisonError::into_inner);
 }
 
 /// The worker main loop: steal a batch with work, drain it, repeat.
@@ -431,7 +420,7 @@ fn worker_loop(shared: &Shared, index: usize) {
     let mut rotation = index; // desynchronize scan starts across workers
     loop {
         let claimed = {
-            let mut active = shared.active.lock();
+            let mut active = lock(&shared.active);
             loop {
                 if let Some(batch) = claim(&active, &mut rotation) {
                     break Some(batch);
@@ -439,7 +428,10 @@ fn worker_loop(shared: &Shared, index: usize) {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     break None;
                 }
-                shared.work_cv.wait(&mut active);
+                active = shared
+                    .work_cv
+                    .wait(active)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
         match claimed {
@@ -610,6 +602,44 @@ mod tests {
         let b = global() as *const Pool;
         assert_eq!(a, b);
         assert!(global().threads() >= 1);
+    }
+
+    #[test]
+    fn concurrent_submitters_share_one_pool() {
+        // Several OS threads submit batches to one pool at once, so the
+        // workers' park/wake and each caller's `wait_done` hand-off run
+        // under contention.
+        let pool = Pool::new(3);
+        std::thread::scope(|s| {
+            for submitter in 0..4usize {
+                let pool = &pool;
+                s.spawn(move || {
+                    for round in 0..200usize {
+                        let jobs = 1 + (submitter + round) % 7;
+                        let base = submitter * 1_000_000 + round * 100;
+                        let out = pool.run(jobs, |i| base + i).unwrap();
+                        assert_eq!(out, (0..jobs).map(|i| base + i).collect::<Vec<_>>());
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn lock_recovers_from_poison() {
+        // The pool's locks keep working after a holder panicked, so one
+        // panic can never wedge the shared pool.
+        let m = Mutex::new(0);
+        let poisoned = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _g = lock(&m);
+                panic!("poison the lock");
+            })
+            .join()
+        });
+        assert!(poisoned.is_err() && m.is_poisoned());
+        *lock(&m) += 1;
+        assert_eq!(*lock(&m), 1);
     }
 
     #[test]

@@ -11,13 +11,11 @@
 //! - contains panics: a panicking service unwinds its own thread (dropping
 //!   its channel endpoints, which is how peers find out), every other
 //!   service still runs to completion and is joined, and the whole call
-//!   returns [`PoolError::JobPanicked`](crate::PoolError::JobPanicked)
-//!   instead of aborting the process;
+//!   returns [`PoolError::JobPanicked`] instead of aborting the process;
 //! - hands the body a [`ServiceScope`] handle that is `Copy`, so an
 //!   acceptor service can itself spawn per-connection services.
 //!
-//! Services communicate over [`bounded_weighted`](crate::chan::bounded_weighted)
-//! channels; the scope guarantees they have all exited before [`service_scope`]
+//! The scope guarantees every service has exited before [`service_scope`]
 //! returns, so borrowed data (listener sockets, sessions, counters) can
 //! live on the caller's stack.
 
@@ -75,8 +73,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chan::bounded_weighted;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::mpsc::{sync_channel, TrySendError};
 
     #[test]
     fn services_join_before_the_scope_returns() {
@@ -131,16 +129,17 @@ mod tests {
         // The unwinding thread drops its Sender, so the consumer sees a
         // clean end-of-stream instead of hanging — panic containment and
         // channel disconnect semantics compose.
-        let (tx, rx) = bounded_weighted(2, 0);
+        let (tx, rx) = sync_channel(2);
         let drained = AtomicUsize::new(0);
+        let drained_ref = &drained;
         let result = service_scope(|scope| {
             scope.spawn("producer", move || {
-                tx.try_push(1).unwrap();
+                tx.try_send(1).unwrap();
                 panic!("producer dies mid-stream");
             });
-            scope.spawn("consumer", || {
-                while rx.pop().is_some() {
-                    drained.fetch_add(1, Ordering::SeqCst);
+            scope.spawn("consumer", move || {
+                while rx.recv().is_ok() {
+                    drained_ref.fetch_add(1, Ordering::SeqCst);
                 }
             });
         });
@@ -150,21 +149,25 @@ mod tests {
 
     #[test]
     fn services_pipeline_over_bounded_channels() {
-        let (tx, rx) = bounded_weighted(2, 0);
+        let (tx, rx) = sync_channel(2);
         let sum = AtomicUsize::new(0);
+        let sum_ref = &sum;
         service_scope(|scope| {
             scope.spawn("producer", move || {
                 for mut i in 1..=10usize {
                     // A full channel hands the value back: park and retry.
-                    while let Err(e) = tx.try_push(i) {
-                        i = e.value;
+                    while let Err(e) = tx.try_send(i) {
+                        let TrySendError::Full(v) = e else {
+                            panic!("consumer hung up");
+                        };
+                        i = v;
                         std::thread::yield_now();
                     }
                 }
             });
-            scope.spawn("consumer", || {
-                while let Some(v) = rx.pop() {
-                    sum.fetch_add(v, Ordering::SeqCst);
+            scope.spawn("consumer", move || {
+                while let Ok(v) = rx.recv() {
+                    sum_ref.fetch_add(v, Ordering::SeqCst);
                 }
             });
         })

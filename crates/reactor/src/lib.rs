@@ -20,10 +20,11 @@
 //! - [`TimerWheel`] — `(token, kind)` deadlines with lazy deletion, for
 //!   idle timeouts, ack deadlines, and shutdown grace.
 //!
-//! This is the only workspace crate that uses `unsafe` (the syscall
-//! layer and two fd-handle `Send`/`Sync` assertions); everything above
-//! it — including the collector's framing state machine — stays under
-//! `#![forbid(unsafe_code)]`.
+//! This crate uses `unsafe` for the syscall layer and two fd-handle
+//! `Send`/`Sync` assertions — one of the workspace's three places that
+//! do, listed under "Unsafe code" in `docs/ARCHITECTURE.md`; everything
+//! above it — including the collector's framing state machine — stays
+//! under `#![forbid(unsafe_code)]`.
 //!
 //! # Examples
 //!

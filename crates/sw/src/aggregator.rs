@@ -14,11 +14,10 @@ use ldp_core::snapshot::{
     expect_tag, next_line, parse_fields, parse_snapshot_field, SnapshotState,
 };
 use ldp_core::CoreError;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write;
 
 /// An incremental histogram of perturbed reports for one SW configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardAggregator {
     /// Output domain left edge (-b).
     lo: f64,

@@ -3,8 +3,7 @@
 //! cross process boundaries (device → collector → replay log) losslessly.
 //!
 //! The encoding exercised here is `ldp-core`'s dependency-free line
-//! format, the only encoding reports have: the report structs carry
-//! `serde` derives, but the vendored `serde` is a stub with no serializer.
+//! format, the only encoding reports have.
 
 use sw_ldp::cfo::select::AdaptiveReport;
 use sw_ldp::cfo::{Grr, Hrr, Olh, Oue};
